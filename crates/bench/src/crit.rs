@@ -3,9 +3,11 @@
 //! The container this reproduction builds in has no access to crates.io,
 //! so the `criterion` crate cannot be vendored; this module provides the
 //! narrow API surface our benches use — [`Criterion::bench_function`],
-//! [`Criterion::benchmark_group`], [`Bencher::iter`], [`black_box`], and
+//! [`Criterion::benchmark_group`], [`BenchmarkGroup::throughput`],
+//! [`Bencher::iter`], [`black_box`], and
 //! the [`crate::criterion_group!`]/[`crate::criterion_main!`] macros — with wall-clock
-//! timing and a min/mean/median report. Benches declare
+//! timing and a min/mean/median report (plus the median per element
+//! when a [`Throughput`] is set). Benches declare
 //! `harness = false` and run as plain binaries under `cargo bench`.
 //!
 //! ## Machine-readable output
@@ -13,8 +15,9 @@
 //! `cargo bench --bench bench_solver -- --json out.json` additionally
 //! writes every benchmark's per-iteration statistics as one JSON
 //! document (`{"format":"portend-bench","version":1,"benches":[…]}`,
-//! durations in integer nanoseconds) — the artifact CI uploads so runs
-//! can be diffed across commits.
+//! durations in integer nanoseconds, `elements` per iteration or
+//! `null`) — the artifact CI uploads so runs can be diffed across
+//! commits.
 
 use std::path::PathBuf;
 use std::sync::Mutex;
@@ -30,6 +33,15 @@ struct BenchRecord {
     group: Option<String>,
     name: String,
     samples_ns: Vec<u64>,
+    elements: Option<u64>,
+}
+
+/// Work one iteration performs, mirroring `criterion::Throughput`: the
+/// report adds the median time per element.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Throughput {
+    /// Elements processed per iteration (e.g. interpreted instructions).
+    Elements(u64),
 }
 
 static RESULTS: Mutex<Vec<BenchRecord>> = Mutex::new(Vec::new());
@@ -50,7 +62,7 @@ impl Criterion {
     where
         F: FnMut(&mut Bencher),
     {
-        run_bench(None, name, DEFAULT_SAMPLE_SIZE, f);
+        run_bench(None, name, DEFAULT_SAMPLE_SIZE, None, f);
         self
     }
 
@@ -61,16 +73,18 @@ impl Criterion {
             _parent: self,
             name: name.to_string(),
             sample_size: DEFAULT_SAMPLE_SIZE,
+            throughput: None,
         }
     }
 }
 
-/// A group of benchmarks sharing a sample-size setting.
+/// A group of benchmarks sharing a sample-size and throughput setting.
 #[derive(Debug)]
 pub struct BenchmarkGroup<'a> {
     _parent: &'a mut Criterion,
     name: String,
     sample_size: usize,
+    throughput: Option<Throughput>,
 }
 
 impl BenchmarkGroup<'_> {
@@ -80,12 +94,19 @@ impl BenchmarkGroup<'_> {
         self
     }
 
+    /// Sets the work per iteration of the benchmarks that follow.
+    pub fn throughput(&mut self, t: Throughput) -> &mut Self {
+        self.throughput = Some(t);
+        self
+    }
+
     /// Runs one benchmark in the group.
     pub fn bench_function<F>(&mut self, name: &str, f: F) -> &mut Self
     where
         F: FnMut(&mut Bencher),
     {
-        run_bench(Some(&self.name), name, self.sample_size, f);
+        let elements = self.throughput.map(|Throughput::Elements(n)| n);
+        run_bench(Some(&self.name), name, self.sample_size, elements, f);
         self
     }
 
@@ -117,6 +138,7 @@ fn run_bench<F: FnMut(&mut Bencher)>(
     group: Option<&str>,
     name: &str,
     sample_size: usize,
+    elements: Option<u64>,
     mut f: F,
 ) {
     let mut b = Bencher {
@@ -132,8 +154,15 @@ fn run_bench<F: FnMut(&mut Bencher)>(
     let min = b.samples[0];
     let median = b.samples[b.samples.len() / 2];
     let mean = b.samples.iter().sum::<Duration>() / b.samples.len() as u32;
+    let per_element = match elements {
+        Some(n) if n > 0 => format!(
+            " | {:.1} ns/elem over {n} elem",
+            median.as_nanos() as f64 / n as f64
+        ),
+        _ => String::new(),
+    };
     println!(
-        "{name:<48} min {} | median {} | mean {} ({} samples)",
+        "{name:<48} min {} | median {} | mean {} ({} samples){per_element}",
         fmt_duration(min),
         fmt_duration(median),
         fmt_duration(mean),
@@ -143,6 +172,7 @@ fn run_bench<F: FnMut(&mut Bencher)>(
         group: group.map(str::to_string),
         name: name.to_string(),
         samples_ns: b.samples.iter().map(|d| d.as_nanos() as u64).collect(),
+        elements,
     });
 }
 
@@ -173,6 +203,7 @@ pub fn results_json() -> String {
                     "max_ns".into(),
                     Json::from(*r.samples_ns.last().expect("non-empty")),
                 ),
+                ("elements".into(), r.elements.map_or(Json::Null, Json::from)),
             ])
         })
         .collect();
@@ -274,6 +305,7 @@ mod tests {
         let mut group = c.benchmark_group("json-group");
         group
             .sample_size(4)
+            .throughput(Throughput::Elements(6))
             .bench_function("probe", |b| b.iter(|| black_box(2) * 3));
         group.finish();
         let doc = portend_obs::json::parse(&results_json()).expect("report parses");
@@ -292,6 +324,7 @@ mod tests {
             Some("json-group")
         );
         assert_eq!(probe.get("samples").and_then(Json::as_u64), Some(4));
+        assert_eq!(probe.get("elements").and_then(Json::as_u64), Some(6));
         let min = probe.get("min_ns").and_then(Json::as_u64).expect("min");
         let max = probe.get("max_ns").and_then(Json::as_u64).expect("max");
         let median = probe.get("median_ns").and_then(Json::as_u64).unwrap();

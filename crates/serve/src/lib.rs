@@ -67,6 +67,30 @@ mod tests {
     }
 
     #[test]
+    fn over_long_request_line_ends_the_session_with_one_error() {
+        let server = Server::new(ServerConfig::default()).unwrap();
+        let ping = |id: u64| Request::Ping { id }.render();
+        let long = "x".repeat(2 << 20);
+        let frames = frames_for(&server, &format!("{long}\n{}\n", ping(1)));
+        assert_eq!(frames.len(), 1, "no pong after the over-long line");
+        assert!(
+            matches!(&frames[0], Frame::Error { request: 0, message } if message.contains("longer than"))
+        );
+        // A fresh session on the same server still answers, and a line
+        // of exactly the cap is served.
+        let mut padded = ping(2);
+        padded.push_str(&" ".repeat(server::MAX_REQUEST_LINE - padded.len()));
+        assert_eq!(
+            frames_for(&server, &format!("{padded}\n")),
+            vec![Frame::Pong { request: 2 }]
+        );
+        assert!(matches!(
+            frames_for(&server, &format!("{padded} \n"))[..],
+            [Frame::Error { request: 0, .. }]
+        ));
+    }
+
+    #[test]
     fn analyze_streams_verdicts_then_the_full_report() {
         let server = Server::new(ServerConfig {
             workers: 2,

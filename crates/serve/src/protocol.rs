@@ -38,7 +38,8 @@
 //! `{"frame":"bye","request":N}` and ends the session. Any failure
 //! (unparseable line, unknown workload) answers
 //! `{"frame":"error","request":N,"message":"…"}` — `request` is `0`
-//! when the line was too broken to carry an id.
+//! when the line was too broken to carry an id. A request line over
+//! 1 MiB answers one such error frame and ends the session.
 
 use portend_obs::json::{self, Json};
 

@@ -2,7 +2,7 @@
 //! managed warm-store lifecycle, and the stdio / Unix-socket loops.
 
 use std::collections::HashMap;
-use std::io::{BufRead, Write};
+use std::io::{BufRead, Read, Write};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -12,6 +12,11 @@ use portend_obs::EventKind;
 use portend_symex::{SolverCache, StoreBudget, StoreManager, WarmStoreError};
 
 use crate::protocol::{Frame, Request};
+
+/// The longest request line [`Server::serve_io`] accepts, in bytes,
+/// newline excluded. Requests are a few dozen bytes; the cap only bounds
+/// what one client can make the daemon buffer.
+pub(crate) const MAX_REQUEST_LINE: usize = 1 << 20;
 
 /// How a [`Server`] is assembled.
 #[derive(Debug, Clone, Default)]
@@ -185,19 +190,37 @@ impl Server {
     /// Serves line-delimited requests from `input` to `output` until
     /// EOF or shutdown. [`Server::serve_stdio`] is this over the
     /// process's stdio; tests drive it with in-memory buffers.
+    ///
+    /// A request line longer than 1 MiB is answered with one `error`
+    /// frame (request `0`) and ends the session, so no client can make
+    /// the daemon buffer more than that.
     pub fn serve_io(&self, input: &mut dyn BufRead, output: &mut dyn Write) -> std::io::Result<()> {
-        let mut line = String::new();
+        let mut line = Vec::new();
         loop {
             line.clear();
-            if input.read_line(&mut line)? == 0 {
+            let read = (&mut *input)
+                .take(MAX_REQUEST_LINE as u64 + 1)
+                .read_until(b'\n', &mut line)?;
+            if read == 0 {
                 return Ok(()); // EOF
             }
+            if line.len() > MAX_REQUEST_LINE && line.last() != Some(&b'\n') {
+                let frame = Frame::Error {
+                    request: 0,
+                    message: format!("request line longer than {MAX_REQUEST_LINE} bytes"),
+                };
+                return write_frame(output, &frame);
+            }
+            let line = std::str::from_utf8(&line).map_err(|e| {
+                std::io::Error::new(
+                    std::io::ErrorKind::InvalidData,
+                    format!("request line: {e}"),
+                )
+            })?;
             let mut io_err = None;
-            let keep_going = self.handle_line(&line, &mut |frame| {
+            let keep_going = self.handle_line(line, &mut |frame| {
                 if io_err.is_none() {
-                    io_err = writeln!(output, "{}", frame.render())
-                        .and_then(|()| output.flush())
-                        .err();
+                    io_err = write_frame(output, &frame).err();
                 }
             });
             if let Some(e) = io_err {
@@ -240,6 +263,13 @@ impl Server {
         let _ = std::fs::remove_file(path);
         Ok(())
     }
+}
+
+/// Writes one frame line and flushes it, so a streaming client sees
+/// each frame as it is produced.
+fn write_frame(output: &mut dyn Write, frame: &Frame) -> std::io::Result<()> {
+    writeln!(output, "{}", frame.render())?;
+    output.flush()
 }
 
 impl std::fmt::Debug for Server {

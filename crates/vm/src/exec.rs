@@ -8,10 +8,12 @@
 //! which is what keeps schedule decision points aligned across all of them.
 
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 use portend_symex::Expr;
 
 use crate::error::VmError;
+use crate::inst::Inst;
 use crate::machine::{Machine, StepEvent};
 use crate::monitor::Monitor;
 use crate::program::{AllocId, BlockId, Pc};
@@ -158,40 +160,42 @@ impl DriveStop {
     }
 }
 
-fn watch_match(m: &Machine, watches: &[Watch]) -> Option<WatchHit> {
-    if watches.is_empty() {
-        return None;
+/// The current thread's pending memory access as
+/// `(alloc, resolved offset, is_write)`; `None` when `inst` accesses no
+/// memory or its index is symbolic.
+fn pending_access(m: &Machine, inst: &Inst) -> Option<(AllocId, i64, bool)> {
+    let (alloc, index, is_write) = inst.memory_access()?;
+    let offset = m.eval(index).as_concrete()?;
+    Some((alloc, offset, is_write))
+}
+
+/// Whether any of `watches` covers `tid`'s pending `access`.
+fn watch_match(watches: &[Watch], tid: ThreadId, access: (AllocId, i64, bool)) -> bool {
+    let (alloc, offset, is_write) = access;
+    watches.iter().any(|w| {
+        w.alloc == alloc
+            && w.offset.is_none_or(|o| o == offset)
+            && w.tid.is_none_or(|t| t == tid)
+            && (!w.writes_only || is_write)
+    })
+}
+
+/// Fills `schedulable` (runnable and not suspended) and `alive`
+/// (runnable), both ascending, for a scheduler consultation.
+fn runnable_into(
+    m: &Machine,
+    suspended: &BTreeSet<ThreadId>,
+    schedulable: &mut Vec<ThreadId>,
+    alive: &mut Vec<ThreadId>,
+) {
+    schedulable.clear();
+    alive.clear();
+    for t in m.threads.iter().filter(|t| t.is_runnable()) {
+        alive.push(t.id);
+        if !suspended.contains(&t.id) {
+            schedulable.push(t.id);
+        }
     }
-    let (alloc, offset, is_write) = m.peek_access()?;
-    let offset = offset?;
-    let tid = m.cur;
-    for w in watches {
-        if w.alloc != alloc {
-            continue;
-        }
-        if let Some(o) = w.offset {
-            if o != offset {
-                continue;
-            }
-        }
-        if let Some(t) = w.tid {
-            if t != tid {
-                continue;
-            }
-        }
-        if w.writes_only && !is_write {
-            continue;
-        }
-        let pc = m.thread(tid).pc().expect("runnable thread has a pc");
-        return Some(WatchHit {
-            tid,
-            pc,
-            alloc,
-            offset,
-            is_write,
-        });
-    }
-    None
 }
 
 /// Runs the machine until one of the [`DriveStop`] conditions.
@@ -201,42 +205,55 @@ fn watch_match(m: &Machine, watches: &[Watch]) -> Option<WatchHit> {
 /// is about to execute a preemption-point instruction. Watch hits return
 /// to the caller *without* consulting the scheduler, so recorded schedule
 /// traces stay aligned between runs with and without watchpoints.
+///
+/// One step allocates nothing and updates no refcount: the program is
+/// borrowed through one `Arc` clone per call, and the thread lists the
+/// scheduler reads are filled into buffers owned by the call, only when
+/// it is consulted.
 pub fn drive(
     m: &mut Machine,
     sched: &mut Scheduler,
     mon: &mut dyn Monitor,
     cfg: &DriveCfg,
 ) -> DriveStop {
+    let program = Arc::clone(&m.program);
+    let watching = !cfg.watches.is_empty() || !cfg.preempt_watches.is_empty();
+    let mut schedulable = Vec::new();
+    let mut alive = Vec::new();
     let mut local_steps: u64 = 0;
     let mut just_picked = false;
     loop {
-        if m.all_finished() {
-            return DriveStop::Completed;
-        }
-        let runnable = m.runnable_threads(&cfg.suspended);
-        if runnable.is_empty() {
-            let any_suspended_alive = cfg.suspended.iter().any(|t| !m.thread(*t).is_finished());
-            if any_suspended_alive {
-                return DriveStop::Stuck;
+        let tid = m.cur;
+        let cur_ok = m.thread(tid).is_runnable() && !cfg.suspended.contains(&tid);
+        let (mut at_preempt, mut access) = (false, None);
+        if cur_ok {
+            if let Some(inst) = m.peek_inst() {
+                at_preempt = inst.is_preemption_point();
+                if watching {
+                    access = pending_access(m, inst);
+                }
             }
-            return DriveStop::Error(VmError::Deadlock(m.deadlock_info()));
+            at_preempt =
+                at_preempt || access.is_some_and(|a| watch_match(&cfg.preempt_watches, tid, a));
         }
-
-        let cur_ok = runnable.contains(&m.cur);
-        let at_preempt = cur_ok
-            && (m
-                .peek_inst()
-                .map(|i| i.is_preemption_point())
-                .unwrap_or(false)
-                || watch_match(m, &cfg.preempt_watches).is_some());
         if !cur_ok || (at_preempt && !just_picked) {
+            if !cur_ok && m.all_finished() {
+                return DriveStop::Completed;
+            }
+            runnable_into(m, &cfg.suspended, &mut schedulable, &mut alive);
+            if schedulable.is_empty() {
+                let any_suspended_alive = cfg.suspended.iter().any(|t| !m.thread(*t).is_finished());
+                if any_suspended_alive {
+                    return DriveStop::Stuck;
+                }
+                return DriveStop::Error(VmError::Deadlock(m.deadlock_info()));
+            }
             let reason = if cur_ok {
                 PickReason::Preemption
             } else {
                 PickReason::Blocked
             };
-            let alive = m.runnable_threads(&BTreeSet::new());
-            let t = sched.pick(&runnable, &alive, m.cur, reason);
+            let t = sched.pick(&schedulable, &alive, tid, reason);
             m.preemptions += 1;
             if cfg.record_schedule {
                 m.sched_log.push(t);
@@ -246,8 +263,17 @@ pub fn drive(
             continue;
         }
 
-        if let Some(hit) = watch_match(m, &cfg.watches) {
-            return DriveStop::WatchHit(hit);
+        if let Some(a @ (alloc, offset, is_write)) = access {
+            if watch_match(&cfg.watches, tid, a) {
+                let pc = m.thread(tid).pc().expect("runnable thread has a pc");
+                return DriveStop::WatchHit(WatchHit {
+                    tid,
+                    pc,
+                    alloc,
+                    offset,
+                    is_write,
+                });
+            }
         }
 
         if local_steps >= cfg.max_steps {
@@ -256,7 +282,7 @@ pub fn drive(
         local_steps += 1;
         just_picked = false;
 
-        match m.step(mon) {
+        match m.step_in(&program, mon) {
             StepEvent::Ran | StepEvent::Blocked | StepEvent::Exited => {}
             StepEvent::SymBranch {
                 cond,

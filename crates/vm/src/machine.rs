@@ -10,7 +10,6 @@
 //! ([`Machine::step`]); scheduling, watchpoints and budgets live in
 //! [`crate::exec`].
 
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use portend_symex::{BinOp, Expr, VarTable};
@@ -234,29 +233,10 @@ impl Machine {
         self.threads.iter().all(Thread::is_finished)
     }
 
-    /// Runnable threads, ascending, excluding `suspended`.
-    pub fn runnable_threads(&self, suspended: &BTreeSet<ThreadId>) -> Vec<ThreadId> {
-        self.threads
-            .iter()
-            .filter(|t| t.is_runnable() && !suspended.contains(&t.id))
-            .map(|t| t.id)
-            .collect()
-    }
-
     /// The instruction the current thread would execute next.
     pub fn peek_inst(&self) -> Option<&Inst> {
         let pc = self.thread(self.cur).pc()?;
         self.program.inst_at(pc)
-    }
-
-    /// The memory access the current thread would perform next, as
-    /// `(alloc, resolved offset, is_write)`; offset is `None` when the
-    /// index register is symbolic.
-    pub fn peek_access(&self) -> Option<(AllocId, Option<i64>, bool)> {
-        let inst = self.peek_inst()?;
-        let (alloc, index, is_write) = inst.memory_access()?;
-        let idx = self.eval(index).as_concrete();
-        Some((alloc, idx, is_write))
     }
 
     /// Evaluates an operand in the current thread's frame.
@@ -375,6 +355,18 @@ impl Machine {
     /// without consuming an instruction when the thread blocks on a
     /// synchronization operation.
     pub fn step(&mut self, mon: &mut dyn Monitor) -> StepEvent {
+        let program = Arc::clone(&self.program);
+        self.step_in(&program, mon)
+    }
+
+    /// [`Machine::step`] with the program borrowed from outside the
+    /// machine, so the interpreter loop pays no refcount update and no
+    /// instruction clone per step. `program` must be `self.program`.
+    pub(crate) fn step_in(&mut self, program: &Program, mon: &mut dyn Monitor) -> StepEvent {
+        debug_assert!(
+            std::ptr::eq(program, Arc::as_ptr(&self.program)),
+            "stepping against a foreign program"
+        );
         let tid = self.cur;
         debug_assert!(
             self.thread(tid).is_runnable(),
@@ -384,9 +376,8 @@ impl Machine {
             Some(pc) => pc,
             None => return StepEvent::Err(self.misuse(pc_unknown(), "stepping finished thread")),
         };
-        let program = self.program.clone();
         let inst = match program.inst_at(pc) {
-            Some(i) => i.clone(),
+            Some(i) => i,
             None => return StepEvent::Err(self.misuse(pc, "pc out of range")),
         };
 
@@ -402,7 +393,7 @@ impl Machine {
             ResumePhase::None => {}
         }
 
-        match inst {
+        match *inst {
             Inst::Const { dst, value } => {
                 self.count_step();
                 self.set_reg(dst, Val::C(value));
@@ -552,7 +543,11 @@ impl Machine {
                     },
                 },
             },
-            Inst::Call { dst, func, args } => {
+            Inst::Call {
+                dst,
+                func,
+                ref args,
+            } => {
                 if self.thread(tid).frames.len() >= self.cfg.max_call_depth {
                     return StepEvent::Err(VmError::AssertFailed {
                         tid,
@@ -561,9 +556,11 @@ impl Machine {
                     });
                 }
                 self.count_step();
-                let argv: Vec<Val> = args.iter().map(|a| self.eval(*a)).collect();
+                let mut frame = Frame::new(program, func, &[], dst);
+                for (reg, a) in frame.regs.iter_mut().zip(args) {
+                    *reg = self.eval(*a);
+                }
                 self.advance();
-                let frame = Frame::new(&program, func, &argv, dst);
                 self.thread_mut(tid).frames.push(frame);
                 StepEvent::Ran
             }
@@ -596,7 +593,7 @@ impl Machine {
                 self.count_step();
                 let argv = self.eval(arg);
                 let child = ThreadId(self.threads.len() as u32);
-                let frame = Frame::new(&program, func, &[argv], None);
+                let frame = Frame::new(program, func, &[argv], None);
                 self.threads.push(Thread::new(child, frame));
                 self.set_reg(dst, Val::C(child.0 as i64));
                 mon.on_thread(&ThreadEvent {
@@ -790,24 +787,35 @@ impl Machine {
                     None => StepEvent::Err(VmError::InputExhausted { tid, pc }),
                 }
             }
-            Inst::Assert { cond, msg } => match self.eval(cond) {
+            Inst::Assert { cond, ref msg } => match self.eval(cond) {
                 Val::C(v) => {
                     if v != 0 {
                         self.count_step();
                         self.advance();
                         StepEvent::Ran
                     } else {
-                        StepEvent::Err(VmError::AssertFailed { tid, pc, msg })
+                        StepEvent::Err(VmError::AssertFailed {
+                            tid,
+                            pc,
+                            msg: msg.clone(),
+                        })
                     }
                 }
                 Val::S(e) => match e.as_const() {
-                    Some(0) => StepEvent::Err(VmError::AssertFailed { tid, pc, msg }),
+                    Some(0) => StepEvent::Err(VmError::AssertFailed {
+                        tid,
+                        pc,
+                        msg: msg.clone(),
+                    }),
                     Some(_) => {
                         self.count_step();
                         self.advance();
                         StepEvent::Ran
                     }
-                    None => StepEvent::SymAssert { cond: e, msg },
+                    None => StepEvent::SymAssert {
+                        cond: e,
+                        msg: msg.clone(),
+                    },
                 },
             },
             Inst::Yield | Inst::Nop => {

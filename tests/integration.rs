@@ -1,6 +1,6 @@
 //! Cross-crate integration tests: replay determinism, the §5.2
-//! false-positive robustness experiment, baseline comparisons, and the
-//! debugging-aid report.
+//! false-positive robustness experiment, baseline comparisons, the
+//! debugging-aid report, and the golden table of classification work.
 
 use std::sync::Arc;
 
@@ -8,7 +8,7 @@ use portend_repro::portend::baselines::{
     AdHocDetector, AdHocVerdict, HeuristicClassifier, HeuristicVerdict, RecordReplayAnalyzer,
     RraVerdict,
 };
-use portend_repro::portend::{AnalysisCase, Portend, PortendConfig, RaceClass};
+use portend_repro::portend::{AnalysisCase, PipelineResult, Portend, PortendConfig, RaceClass};
 use portend_repro::portend_race::{cluster_races, DetectorConfig, HbDetector};
 use portend_repro::portend_replay::{record, RecordConfig};
 use portend_repro::portend_vm::{
@@ -353,4 +353,82 @@ fn produced_classes_match_per_alloc_ground_truth() {
             );
         }
     }
+}
+
+/// One golden row: program, then `[instructions, preemptions, primaries,
+/// alternates, schedule decisions]`, then verdicts per class
+/// `[specViol, outDiff, k-witness, singleOrd, error]`.
+type WorkRow = (&'static str, [u64; 5], [u64; 5]);
+
+/// Serial `Pipeline::run` work per program: the `ClassifyStats` sums,
+/// the recorded schedule length, and the verdict-class histogram.
+fn work_row(name: &'static str, result: &PipelineResult) -> WorkRow {
+    let mut work = [0, 0, 0, 0, result.record.trace.schedule.len() as u64];
+    let mut classes = [0; 5];
+    for a in &result.analyzed {
+        match &a.verdict {
+            Ok(v) => {
+                work[0] += v.stats.instructions;
+                work[1] += v.stats.preemptions;
+                work[2] += v.stats.primaries;
+                work[3] += v.stats.alternates;
+                classes[v.class as usize] += 1;
+            }
+            Err(_) => classes[4] += 1,
+        }
+    }
+    (name, work, classes)
+}
+
+/// The deterministic work of classifying the corpus and the conformance
+/// idioms stays the same across commits. An interpreter or scheduler
+/// change that moves any of these counts changes what Table 4 and
+/// Fig. 9 measure; a change that means to move them updates the table
+/// and says why. Fork bytes are left out: they sum `size_of` values that
+/// vary with the toolchain.
+#[test]
+fn work_counters_match_golden_table() {
+    const GOLDEN: &[WorkRow] = &[
+        // program, [instructions, preemptions, primaries, alternates, schedule],
+        // [specViol, outDiff, k-witness, singleOrd, error]
+        ("SQLite", [26, 19, 1, 1, 12], [1, 0, 0, 0, 0]),
+        ("ocean", [31068, 6207, 9, 15, 7], [0, 0, 1, 4, 0]),
+        ("fmm", [104378, 21365, 13, 15, 36], [0, 0, 1, 12, 0]),
+        ("memcached", [125974, 27104, 18, 18, 86], [0, 2, 0, 16, 0]),
+        ("pbzip2", [216129, 42598, 32, 32, 15], [3, 3, 0, 25, 0]),
+        ("ctrace", [30225, 21466, 42, 58, 245], [1, 10, 4, 0, 0]),
+        ("bbuf", [1891, 1472, 10, 10, 72], [0, 6, 0, 0, 0]),
+        ("AVV", [94, 49, 1, 3, 9], [0, 0, 1, 0, 0]),
+        ("DCL", [288, 163, 1, 3, 17], [0, 0, 1, 0, 0]),
+        ("DBM", [72, 34, 1, 3, 6], [0, 0, 1, 0, 0]),
+        ("RW", [74, 52, 1, 3, 9], [0, 0, 1, 0, 0]),
+        ("spsc_ring", [20395, 4083, 4, 4, 6], [0, 0, 0, 4, 0]),
+        ("seqlock", [247, 108, 3, 9, 6], [0, 0, 3, 0, 0]),
+        ("rcu", [61, 24, 2, 2, 6], [0, 1, 0, 1, 0]),
+        ("double_checked", [182, 92, 1, 3, 11], [0, 0, 1, 0, 0]),
+        ("barrier_reuse", [220, 75, 1, 3, 13], [0, 0, 1, 0, 0]),
+        ("rwlock_starved", [37, 20, 1, 1, 11], [0, 1, 0, 0, 0]),
+        ("racy_lazy_init", [155, 53, 3, 3, 11], [0, 3, 0, 0, 0]),
+        ("adhoc_flag", [10105, 2032, 2, 2, 6], [0, 0, 0, 2, 0]),
+        ("torn_assert", [17, 8, 1, 1, 5], [1, 0, 0, 0, 0]),
+        ("double_read", [60, 33, 2, 4, 4], [0, 1, 1, 0, 0]),
+        ("treiber_aba", [165, 61, 2, 4, 7], [0, 1, 1, 0, 0]),
+        ("sharded_counter", [103, 39, 2, 2, 11], [0, 2, 0, 0, 0]),
+        ("neg_locked_counter", [0, 0, 0, 0, 8], [0, 0, 0, 0, 0]),
+        ("neg_barrier_pipeline", [0, 0, 0, 0, 9], [0, 0, 0, 0, 0]),
+        ("neg_join_handoff", [0, 0, 0, 0, 3], [0, 0, 0, 0, 0]),
+        ("neg_condvar_handoff", [0, 0, 0, 0, 11], [0, 0, 0, 0, 0]),
+    ];
+    let mut produced = Vec::new();
+    for w in portend_repro::portend_workloads::all() {
+        produced.push(work_row(w.name, &w.analyze(PortendConfig::default())));
+    }
+    for i in portend_repro::portend_workloads::conformance::all_idioms() {
+        produced.push(work_row(i.name, &i.analyze(PortendConfig::default())));
+    }
+    let table: String = produced
+        .iter()
+        .map(|row| format!("        {row:?},\n"))
+        .collect();
+    assert_eq!(produced, GOLDEN, "produced table:\n{table}");
 }

@@ -16,8 +16,8 @@ use portend_repro::portend_symex::{
     SolverConfig, VarId, VarTable,
 };
 use portend_repro::portend_vm::{
-    drive, DriveCfg, InputMode, InputSource, InputSpec, Machine, Operand, ProgramBuilder,
-    Scheduler, SmallRng, ThreadId, VmConfig,
+    drive, DriveCfg, DriveStop, InputMode, InputSource, InputSpec, Machine, Operand,
+    ProgramBuilder, Scheduler, SmallRng, StepEvent, ThreadId, VmConfig, Watch,
 };
 
 // ---------------------------------------------------------------------
@@ -387,7 +387,11 @@ fn vector_clock_join_is_lub() {
 }
 
 /// The VM is deterministic: the same seeded random schedule produces
-/// the same outputs, step counts, and final memory.
+/// the same outputs, step counts, and final memory. Watches are
+/// transparent: a run that stops at every access to the counter, steps
+/// over it, and drives on equals the unwatched run, with or without the
+/// cell as a preemption point — a watch hit never consults the
+/// scheduler.
 #[test]
 fn vm_runs_are_deterministic() {
     let mut r = SmallRng::seed_from_u64(0xDE7);
@@ -414,7 +418,7 @@ fn vm_runs_are_deterministic() {
             f.ret(None);
         });
         let program = Arc::new(pb.build(main).unwrap());
-        let run = |seed: u64| {
+        let run = |seed: u64, watched: bool, preempt: bool| {
             let mut m = Machine::new(
                 Arc::clone(&program),
                 InputSource::new(InputSpec::concrete(vec![]), InputMode::Concrete),
@@ -422,10 +426,44 @@ fn vm_runs_are_deterministic() {
             );
             let mut s = Scheduler::random(seed);
             let mut mon = portend_repro::portend_vm::NullMonitor;
-            let stop = drive(&mut m, &mut s, &mut mon, &DriveCfg::default());
-            (stop, m.output.hash_chain(), m.steps, m.mem.fingerprint())
+            let cell = Watch::cell(g, 0);
+            let cfg = DriveCfg {
+                watches: if watched { vec![cell] } else { vec![] },
+                preempt_watches: if preempt { vec![cell] } else { vec![] },
+                record_schedule: true,
+                ..Default::default()
+            };
+            let stop = loop {
+                match drive(&mut m, &mut s, &mut mon, &cfg) {
+                    DriveStop::WatchHit(_) => assert_eq!(m.step(&mut mon), StepEvent::Ran),
+                    stop => break stop,
+                }
+            };
+            (
+                stop,
+                m.output.hash_chain(),
+                m.steps,
+                m.preemptions,
+                m.sched_log.clone(),
+                m.mem.fingerprint(),
+            )
         };
-        assert_eq!(run(seed), run(seed), "seed {seed}, increments {increments}");
+        let unwatched = run(seed, false, false);
+        assert_eq!(
+            unwatched,
+            run(seed, false, false),
+            "seed {seed}, increments {increments}"
+        );
+        assert_eq!(
+            run(seed, true, false),
+            unwatched,
+            "watched: seed {seed}, increments {increments}"
+        );
+        assert_eq!(
+            run(seed, true, true),
+            run(seed, false, true),
+            "watched preemption point: seed {seed}, increments {increments}"
+        );
     }
 }
 
