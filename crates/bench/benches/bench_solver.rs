@@ -7,15 +7,11 @@
 //! both the synthetic corpus and a real classification run (ctrace).
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use portend::PortendConfig;
 use portend_bench::crit::Criterion;
 use portend_bench::{criterion_group, criterion_main, render_table};
-use portend_farm::SliceHelpers;
-use portend_symex::{
-    CmpOp, Expr, ParallelSlices, SatResult, Solver, SolverCache, VarTable, WarmPolicy,
-};
+use portend_symex::{CmpOp, Expr, SatResult, Solver, SolverCache, VarTable, WarmPolicy};
 
 fn bench_solver(c: &mut Criterion) {
     // Path-condition feasibility: linear constraints (pruning-friendly).
@@ -301,170 +297,6 @@ fn bench_warm(c: &mut Criterion) {
     report_ctrace_warm_start();
 }
 
-/// The many-cold-slice corpus: every query is `slices` variable-disjoint
-/// nonlinear slices, each with a distinct constant so nothing repeats —
-/// no memo, cache, or hint can answer, every slice is cold, and the
-/// serial path does `slices` full solves back to back inside one
-/// "worker". This is the residual-tail shape parallel slice solving
-/// exists for.
-fn many_cold_corpus(queries: usize, slices: usize) -> (VarTable, Vec<Vec<Expr>>) {
-    let mut vars = VarTable::new();
-    let xs: Vec<Expr> = (0..slices)
-        .map(|i| Expr::var(vars.fresh(format!("c{i}"), 0, 5000)))
-        .collect();
-    let mut out = Vec::with_capacity(queries);
-    for q in 0..queries {
-        let cs = xs
-            .iter()
-            .enumerate()
-            .map(|(i, x)| {
-                let root = 2_000 + ((q * slices + i) % 2_900) as i64;
-                x.clone()
-                    .mul(x.clone())
-                    .cmp(CmpOp::Eq, Expr::konst(root * root))
-            })
-            .collect();
-        out.push(cs);
-    }
-    (vars, out)
-}
-
-/// Serial vs parallel sliced solving: verdict equality asserted on both
-/// the many-cold-slice corpus and the Mp × Ma corpus for worker counts
-/// {2, 4}; wall time compared, and on hosts with ≥ 2 CPUs the *best*
-/// parallel configuration is asserted strictly below serial (a single
-/// comparison of best-of-5 minima — per-configuration asserts would
-/// fail spuriously when, say, 4 workers oversubscribe a 2-CPU runner).
-/// A single-core host interleaves the helpers on one core, so no wall
-/// win is physically possible there and only equivalence is asserted.
-fn report_parallel_slices() {
-    const QUERIES: usize = 12;
-    const SLICES: usize = 8;
-    let (vars, queries) = many_cold_corpus(QUERIES, SLICES);
-    let serial = Solver::new();
-    let reference: Vec<SatResult> = queries
-        .iter()
-        .map(|cs| serial.check_sliced(cs, &vars))
-        .collect();
-
-    // Best-of-N walls: no cache anywhere, so every pass redoes all
-    // solves and passes are comparable.
-    let passes = 5;
-    let wall_serial = (0..passes)
-        .map(|_| {
-            let t0 = Instant::now();
-            for cs in &queries {
-                portend_bench::crit::black_box(serial.check_sliced(cs, &vars));
-            }
-            t0.elapsed()
-        })
-        .min()
-        .expect("passes > 0");
-
-    let cpus = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let mut rows = vec![vec![
-        "serial".into(),
-        portend_bench::crit::fmt_duration(wall_serial),
-        "-".into(),
-        "-".into(),
-    ]];
-    let mut best_parallel: Option<std::time::Duration> = None;
-    for workers in [2usize, 4] {
-        let helpers = SliceHelpers::new(workers);
-        let par = Solver::new().parallel(ParallelSlices::new(helpers.executor()));
-        let mut offloaded = 0u64;
-        for (cs, want) in queries.iter().zip(&reference) {
-            let (got, stats) = par.check_sliced_parallel_with_stats(cs, &vars);
-            assert_eq!(&got, want, "parallel verdict must equal serial");
-            offloaded += stats.slices_offloaded;
-        }
-        assert!(offloaded > 0, "dedicated helpers must accept dispatch");
-        let wall = (0..passes)
-            .map(|_| {
-                let t0 = Instant::now();
-                for cs in &queries {
-                    portend_bench::crit::black_box(par.check_sliced_parallel(cs, &vars));
-                }
-                t0.elapsed()
-            })
-            .min()
-            .expect("passes > 0");
-        best_parallel = Some(best_parallel.map_or(wall, |b| b.min(wall)));
-        rows.push(vec![
-            format!("parallel x{workers}"),
-            portend_bench::crit::fmt_duration(wall),
-            offloaded.to_string(),
-            format!(
-                "{:.2}x",
-                wall_serial.as_secs_f64() / wall.as_secs_f64().max(1e-9)
-            ),
-        ]);
-    }
-    let best = best_parallel.expect("at least one parallel configuration ran");
-    if cpus >= 2 {
-        assert!(
-            best < wall_serial,
-            "on a {cpus}-CPU host, the best parallel configuration must beat \
-             serial sliced solving: {best:?} vs {wall_serial:?}"
-        );
-    }
-    println!(
-        "\nserial vs parallel sliced solving on the many-cold-slice corpus \
-         ({QUERIES} queries x {SLICES} cold slices, host CPUs: {cpus}):\n"
-    );
-    println!(
-        "{}",
-        render_table(&["Mode", "Wall", "Offloaded", "Speedup"], &rows)
-    );
-    if cpus < 2 {
-        println!(
-            "single-core host: wall parity is hardware-bound; verdict \
-             equality and dispatch were still asserted\n"
-        );
-    }
-
-    // The Mp × Ma corpus through the parallel path: byte-identical to
-    // serial sliced solving, hot and cold.
-    let (mvars, mqueries) = mp_ma_corpus(6, 5, 2);
-    let helpers = SliceHelpers::new(2);
-    let par = Solver::new().parallel(ParallelSlices::new(helpers.executor()));
-    for cs in &mqueries {
-        assert_eq!(
-            par.check_sliced_parallel(cs, &mvars),
-            serial.check_sliced(cs, &mvars),
-            "Mp x Ma: parallel verdict must equal serial"
-        );
-    }
-    println!(
-        "Mp x Ma corpus: parallel sliced verdicts identical to serial ({} queries)\n",
-        mqueries.len()
-    );
-}
-
-fn bench_parallel(c: &mut Criterion) {
-    let (vars, queries) = many_cold_corpus(12, 8);
-    c.bench_function("solver_many_cold_serial", |b| {
-        let solver = Solver::new();
-        b.iter(|| {
-            for cs in &queries {
-                portend_bench::crit::black_box(solver.check_sliced(cs, &vars));
-            }
-        })
-    });
-    c.bench_function("solver_many_cold_parallel2", |b| {
-        let helpers = SliceHelpers::new(2);
-        let solver = Solver::new().parallel(ParallelSlices::new(helpers.executor()));
-        b.iter(|| {
-            for cs in &queries {
-                portend_bench::crit::black_box(solver.check_sliced_parallel(cs, &vars));
-            }
-        })
-    });
-    report_parallel_slices();
-}
-
 fn bench_sliced(c: &mut Criterion) {
     // Wall-clock: one corpus pass, whole-query-cached vs sliced-cached.
     let (vars, queries) = mp_ma_corpus(6, 5, 2);
@@ -487,11 +319,5 @@ fn bench_sliced(c: &mut Criterion) {
     report_slice_reduction();
 }
 
-criterion_group!(
-    benches,
-    bench_solver,
-    bench_sliced,
-    bench_parallel,
-    bench_warm
-);
+criterion_group!(benches, bench_solver, bench_sliced, bench_warm);
 criterion_main!(benches);

@@ -6,7 +6,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use portend_race::RaceReport;
-use portend_symex::{ParallelSlices, Solver, SolverCache};
+use portend_symex::{Solver, SolverCache};
 use portend_vm::{InputMode, InputSource, InputSpec, Machine, Scheduler, VmError, Watch};
 
 use crate::case::AnalysisCase;
@@ -68,18 +68,6 @@ impl Portend {
     pub fn with_cache(config: PortendConfig, cache: Arc<SolverCache>) -> Self {
         let solver = Solver::with_config(config.solver).cached(cache);
         Portend { config, solver }
-    }
-
-    /// The same classifier, dispatching cold constraint slices of its
-    /// feasibility queries onto `par`'s idle workers (the farm's
-    /// slice-lending pool). Wired through the multi-path explorer's
-    /// [`portend_symex::ScopedSolver`], so the fork-site checks of a
-    /// many-cold-slice query fan out instead of serializing. Purely a
-    /// scheduling change: verdicts, models, and work counters are
-    /// byte-identical to the undispatched classifier.
-    pub fn with_slice_pool(mut self, par: ParallelSlices) -> Self {
-        self.solver = self.solver.parallel(par);
-        self
     }
 
     /// Classifies one race (one cluster representative) from a recorded

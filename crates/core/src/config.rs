@@ -167,48 +167,6 @@ pub struct FarmKnobs {
     /// hottest first, up to a byte budget (see
     /// [`portend_symex::WarmPolicy`]).
     pub cache_save_policy: WarmPolicy,
-    /// Solve cold constraint slices of one feasibility query in
-    /// parallel on the farm's idle workers (`Farm::run_lending` +
-    /// `portend_symex::ParallelSlices`). A worker whose job queue ran
-    /// dry picks up slice-sized sub-jobs from a busy peer, so the run's
-    /// tail — one race with many simultaneously-cold slices — stops
-    /// serializing inside a single worker. Verdicts, models, and the
-    /// examined-slice counters are byte-identical to sequential slice
-    /// solving (the dispatch merges in slice order and cancels exactly
-    /// what the serial UNSAT short-circuit would skip); only shared-
-    /// cache traffic and wall time differ. Ignored when `slice_solver`
-    /// is off; the serial `Pipeline::run` never dispatches.
-    pub parallel_slices: bool,
-    /// Minimum *cold* slices (local-memo / shared-cache / domain-hint
-    /// misses) one query must have before its slices are dispatched;
-    /// below the threshold the query solves sequentially. Floored at 2
-    /// at the read site (`ParallelSlices::cold_threshold` — there is
-    /// nothing to fan out below that).
-    pub parallel_min_cold_slices: usize,
-    /// Single-flight dedup on the shared cache's slice-key namespace:
-    /// when two workers miss the cache on the *same* cold slice
-    /// concurrently (identical canonical key, typically the shared
-    /// pre-race prefix of two clusters), the second blocks on the
-    /// first's publication instead of solving it again. Answer-
-    /// preserving — a deduped requester observes exactly what its own
-    /// cache hit would have returned — so verdicts cannot move.
-    /// Ignored when `solver_cache` is off (there is no shared key
-    /// namespace to dedup on).
-    pub single_flight: bool,
-    /// Offer each check's dispatchable cold slices to the slice pool
-    /// as *one* batch (one queue lock + one wakeup sweep) instead of
-    /// per-job handoffs. Which slices run where is unchanged — pure
-    /// handoff-overhead amortization. Ignored when `parallel_slices`
-    /// is off.
-    pub batch_dispatch: bool,
-    /// Let the slice pool tune the cold-slice dispatch threshold from
-    /// observed saved-per-offload (windowed estimator fed by
-    /// `slice_parallel_wall_saved`): the bar rises when dispatch
-    /// overhead dominates and falls back when the cold tail is long.
-    /// [`FarmKnobs::parallel_min_cold_slices`] stays the floor the
-    /// threshold can never drop below. Ignored when `parallel_slices`
-    /// is off.
-    pub adaptive_dispatch: bool,
 }
 
 impl Default for FarmKnobs {
@@ -221,11 +179,6 @@ impl Default for FarmKnobs {
             priority_order: true,
             cache_path: None,
             cache_save_policy: WarmPolicy::default(),
-            parallel_slices: true,
-            parallel_min_cold_slices: 2,
-            single_flight: true,
-            batch_dispatch: true,
-            adaptive_dispatch: true,
         }
     }
 }
@@ -256,35 +209,28 @@ impl PortendConfig {
         (self.mp * self.ma.max(1)) as u64
     }
 
-    /// The knob matrix the conformance suite sweeps: the full cube over
-    /// `slice_solver` × `static_pass` × `farm.single_flight`, each cell
-    /// labeled `slice=±,static=±,sflight=±`. Every configuration must
-    /// produce verdicts byte-identical to the default — these knobs are
-    /// performance/scheduling dials, never classification dials — so the
+    /// The knob matrix the conformance suite sweeps: the full square
+    /// over `slice_solver` × `static_pass`, each cell labeled
+    /// `slice=±,static=±`. Every configuration must produce verdicts
+    /// byte-identical to the default — these knobs are performance and
+    /// scheduling dials, never classification dials — so the
     /// differential table in `tests/conformance.rs` runs each labeled
-    /// idiom under all eight.
+    /// idiom under all four.
     pub fn knob_grid() -> Vec<(String, PortendConfig)> {
-        let mut grid = Vec::with_capacity(8);
+        let mut grid = Vec::with_capacity(4);
         for &slice in &[true, false] {
             for &stat in &[true, false] {
-                for &sflight in &[true, false] {
-                    let label = format!(
-                        "slice={}static={}sflight={}",
-                        if slice { "+," } else { "-," },
-                        if stat { "+," } else { "-," },
-                        if sflight { "+" } else { "-" },
-                    );
-                    let cfg = PortendConfig {
-                        slice_solver: slice,
-                        static_pass: stat,
-                        farm: FarmKnobs {
-                            single_flight: sflight,
-                            ..Default::default()
-                        },
-                        ..Default::default()
-                    };
-                    grid.push((label, cfg));
-                }
+                let label = format!(
+                    "slice={},static={}",
+                    if slice { "+" } else { "-" },
+                    if stat { "+" } else { "-" },
+                );
+                let cfg = PortendConfig {
+                    slice_solver: slice,
+                    static_pass: stat,
+                    ..Default::default()
+                };
+                grid.push((label, cfg));
             }
         }
         grid
@@ -332,20 +278,18 @@ mod tests {
     #[test]
     fn knob_grid_covers_the_cube() {
         let grid = PortendConfig::knob_grid();
-        assert_eq!(grid.len(), 8);
+        assert_eq!(grid.len(), 4);
         // Labels are unique and each axis takes both values.
         let labels: std::collections::BTreeSet<_> = grid.iter().map(|(l, _)| l.clone()).collect();
-        assert_eq!(labels.len(), 8);
+        assert_eq!(labels.len(), 4);
         assert!(grid.iter().any(|(_, c)| c.slice_solver));
         assert!(grid.iter().any(|(_, c)| !c.slice_solver));
         assert!(grid.iter().any(|(_, c)| c.static_pass));
         assert!(grid.iter().any(|(_, c)| !c.static_pass));
-        assert!(grid.iter().any(|(_, c)| c.farm.single_flight));
-        assert!(grid.iter().any(|(_, c)| !c.farm.single_flight));
         // The all-on cell is the default configuration.
         let all_on = &grid
             .iter()
-            .find(|(l, _)| l == "slice=+,static=+,sflight=+")
+            .find(|(l, _)| l == "slice=+,static=+")
             .expect("all-on cell")
             .1;
         assert_eq!(*all_on, PortendConfig::default());
@@ -355,16 +299,6 @@ mod tests {
     fn stage_presets() {
         assert!(!AnalysisStages::single_path().multi_path);
         assert!(AnalysisStages::full().multi_schedule);
-    }
-
-    #[test]
-    fn parallel_slice_knobs_default_on_with_threshold() {
-        let knobs = FarmKnobs::default();
-        assert!(knobs.parallel_slices);
-        assert_eq!(knobs.parallel_min_cold_slices, 2);
-        assert!(knobs.single_flight);
-        assert!(knobs.batch_dispatch);
-        assert!(knobs.adaptive_dispatch);
     }
 
     #[test]

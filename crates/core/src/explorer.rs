@@ -11,12 +11,7 @@
 //! the fork tree share their path-condition prefix, so at each fork the
 //! child's check reuses the parent's already-solved constraint slices
 //! (memo hits) instead of re-rendering and re-solving the whole path
-//! condition (see `portend_symex::slice`). When the classifier's solver
-//! carries a `portend_symex::ParallelSlices` pool (the farm's
-//! slice-lending configuration), the scoped solver additionally
-//! dispatches a check's *cold* slices onto idle workers — the rare
-//! many-cold-slice query at a fork site fans out instead of
-//! serializing, with byte-identical verdicts and counters.
+//! condition (see `portend_symex::slice`).
 
 use portend_race::RaceReport;
 use portend_symex::{Model, SatResult, ScopedSolver, Solver};

@@ -7,13 +7,13 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use portend_farm::{
-    cluster_priority, static_adjusted_priority, Farm, FarmStats, JobSpec, SlicePool, StaticHint,
+    cluster_priority, static_adjusted_priority, Farm, FarmStats, JobSpec, StaticHint,
 };
 use portend_obs::{EventKind, Recorder, Trace, TraceConfig};
 use portend_race::{DetectorConfig, RaceCluster};
 use portend_replay::{record, RecordConfig, RecordedRun};
 use portend_sa::StaticStats;
-use portend_symex::{CacheSnapshot, ParallelSlices, SliceExecutor};
+use portend_symex::CacheSnapshot;
 use portend_vm::{InputSpec, Program, Scheduler, VmConfig};
 
 use crate::case::{AnalysisCase, Predicate};
@@ -239,14 +239,8 @@ impl Pipeline {
 
     /// Like [`Pipeline::run`], but classifies all detected race clusters
     /// concurrently on the [`portend_farm`] work-stealing pool, sharing
-    /// one sharded solver-query cache across all jobs.
-    ///
-    /// With [`crate::FarmKnobs::parallel_slices`] on (the default), the
-    /// farm additionally lends idle workers out at *slice* granularity:
-    /// once a worker's job queue runs dry it executes slice-sized
-    /// solver sub-jobs for peers still grinding through many-cold-slice
-    /// feasibility queries, so the run's serial tail parallelizes too
-    /// (`FarmStats::slices_offloaded` / `slice_parallel_wall_saved`).
+    /// one sharded solver-query cache across all jobs. Each job solves
+    /// its feasibility queries serially on the worker that owns it.
     ///
     /// `workers` is the pool width; `0` defers to the
     /// [`crate::config::FarmKnobs`] in the configuration (whose own `0`
@@ -329,16 +323,6 @@ impl Pipeline {
         if let Some(r) = &recorder {
             farm = farm.with_recorder(r.clone());
         }
-        // The slice-lending pool: idle farm workers pick up slice-sized
-        // solver sub-jobs from busy peers (see `FarmKnobs::parallel_slices`).
-        // Pointless without the slice solver — whole queries don't split.
-        let slice_pool = (knobs.parallel_slices && self.portend.slice_solver).then(|| {
-            Arc::new(if knobs.adaptive_dispatch {
-                SlicePool::with_adaptive_threshold(knobs.parallel_min_cold_slices)
-            } else {
-                SlicePool::new()
-            })
-        });
         // Static pre-analysis: compute per-cluster scheduling hints and
         // the pass's counters. Hints only nudge queue priorities —
         // whether a cluster is classified, and what the verdict is, is
@@ -365,26 +349,15 @@ impl Pipeline {
         let cfg = self.portend.clone();
         let job_case = Arc::clone(&case);
         let job_cache = cache.clone();
-        let job_pool = slice_pool.clone();
         let classify_phase = portend_obs::span_named(EventKind::Phase, "classify");
-        let mut frun = farm.run_lending(
-            jobs,
-            move |_worker, cluster: RaceCluster| {
-                let mut portend = match &job_cache {
-                    Some(c) => Portend::with_cache(cfg.clone(), Arc::clone(c)),
-                    None => Portend::new(cfg.clone()),
-                };
-                if let Some(pool) = &job_pool {
-                    let par = ParallelSlices::new(Arc::clone(pool) as Arc<dyn SliceExecutor>)
-                        .with_min_cold_slices(cfg.farm.parallel_min_cold_slices)
-                        .with_batch_dispatch(cfg.farm.batch_dispatch);
-                    portend = portend.with_slice_pool(par);
-                }
-                let verdict = portend.classify(&job_case, &cluster.representative);
-                (cluster, verdict)
-            },
-            slice_pool.clone(),
-        );
+        let mut frun = farm.run(jobs, move |_worker, cluster: RaceCluster| {
+            let portend = match &job_cache {
+                Some(c) => Portend::with_cache(cfg.clone(), Arc::clone(c)),
+                None => Portend::new(cfg.clone()),
+            };
+            let verdict = portend.classify(&job_case, &cluster.representative);
+            (cluster, verdict)
+        });
         if let Some(c) = &cache {
             frun.attach_cache(Arc::clone(c));
         }
@@ -420,16 +393,6 @@ impl Pipeline {
                 stats.fork_slices_reused += v.stats.slices_reused_at_fork;
             }
         }
-        // Slice-lending counters come from the pool itself, not the
-        // verdicts: whether a slice was offloaded is a scheduling fact
-        // of this run, deliberately kept out of the (deterministic,
-        // serial-identical) per-verdict work counters.
-        if let Some(pool) = &slice_pool {
-            stats.slices_offloaded = pool.executed();
-            stats.slice_parallel_wall_saved = pool.wall_saved();
-            stats.dispatch = Some(pool.dispatch_snapshot());
-        }
-        stats.single_flight = cache.as_ref().and_then(|c| c.single_flight_snapshot());
         stats.static_pass = static_stats;
         warm.release(knobs, cache.as_ref());
         let case = Arc::try_unwrap(case).unwrap_or_else(|arc| arc.as_ref().clone());

@@ -13,7 +13,7 @@
 //! ```text
 //! {
 //!   "format":  "portend-run-report",   readers reject anything else
-//!   "version": 5,                      readers reject unknown versions
+//!   "version": 6,                      readers reject unknown versions
 //!   "label":   "...",                  free-form run label
 //!   "record_time_ns": …,
 //!   "races":   [ { race + verdict/error + counters } … ],
@@ -44,11 +44,11 @@ use std::fmt;
 use std::path::Path;
 use std::time::Duration;
 
-use portend_farm::{DispatchSnapshot, FarmStats, WorkerStats};
+use portend_farm::{FarmStats, WorkerStats};
 use portend_obs::json::{self, Json};
 use portend_obs::{EventKind, Trace};
 use portend_sa::StaticStats;
-use portend_symex::{CacheSnapshot, SingleFlightStats};
+use portend_symex::CacheSnapshot;
 
 use crate::pipeline::{AnalyzedRace, PipelineResult};
 use crate::taxonomy::{ClassifyStats, OutputDiffEvidence, Verdict, VerdictDetail};
@@ -71,7 +71,13 @@ pub const REPORT_FORMAT_NAME: &str = "portend-run-report";
 /// * v5 — each verdict's `"stats"` gained `"interpreted"`: the part of
 ///   the logical `"instructions"` the VM actually interpreted, the rest
 ///   being fast-forwarded repetitions of exact spin cycles.
-pub const REPORT_FORMAT_VERSION: u32 = 5;
+/// * v6 — the parallel-slice scheduler was deleted, and its fields
+///   with it: `"farm"` lost `"slices_offloaded"`,
+///   `"slice_parallel_wall_saved_ns"`, `"single_flight"` and
+///   `"dispatch"`; each `"per_worker"` entry lost `"slice_jobs"`; the
+///   `"events"` counts lost `"lend"`, `"slice_job"`, `"slice_offload"`,
+///   `"slice_dedup"` and `"batch_dispatch"`.
+pub const REPORT_FORMAT_VERSION: u32 = 6;
 
 /// Why a report document could not be read.
 #[derive(Debug)]
@@ -585,40 +591,6 @@ fn farm_json(s: &FarmStats) -> Json {
             "fork_slices_reused".into(),
             Json::from(s.fork_slices_reused),
         ),
-        ("slices_offloaded".into(), Json::from(s.slices_offloaded)),
-        (
-            "slice_parallel_wall_saved_ns".into(),
-            dur_json(s.slice_parallel_wall_saved),
-        ),
-        (
-            "single_flight".into(),
-            s.single_flight.as_ref().map_or(Json::Null, |sf| {
-                Json::Obj(vec![
-                    ("claims".into(), Json::from(sf.claims)),
-                    ("slices_deduped".into(), Json::from(sf.slices_deduped)),
-                    (
-                        "single_flight_waits".into(),
-                        Json::from(sf.single_flight_waits),
-                    ),
-                ])
-            }),
-        ),
-        (
-            "dispatch".into(),
-            s.dispatch.as_ref().map_or(Json::Null, |d| {
-                Json::Obj(vec![
-                    (
-                        "batches_dispatched".into(),
-                        Json::from(d.batches_dispatched),
-                    ),
-                    ("batched_jobs".into(), Json::from(d.batched_jobs)),
-                    (
-                        "threshold_now".into(),
-                        d.threshold_now.map_or(Json::Null, Json::from),
-                    ),
-                ])
-            }),
-        ),
         (
             "static".into(),
             s.static_pass.as_ref().map_or(Json::Null, static_json),
@@ -633,7 +605,6 @@ fn farm_json(s: &FarmStats) -> Json {
                             ("jobs".into(), Json::from(w.jobs)),
                             ("steals".into(), Json::from(w.steals)),
                             ("busy_ns".into(), dur_json(w.busy)),
-                            ("slice_jobs".into(), Json::from(w.slice_jobs)),
                         ])
                     })
                     .collect(),
@@ -819,7 +790,6 @@ fn farm_from(v: &Json) -> Result<FarmStats, ReportError> {
                     jobs: req_u64(w, "jobs")?,
                     steals: req_u64(w, "steals")?,
                     busy: dur_from(w, "busy_ns")?,
-                    slice_jobs: req_u64(w, "slice_jobs")?,
                 })
             })
             .collect::<Result<_, ReportError>>()?,
@@ -832,27 +802,6 @@ fn farm_from(v: &Json) -> Result<FarmStats, ReportError> {
         fork_bytes_copied: req_u64(v, "fork_bytes_copied")?,
         fork_bytes_shared: req_u64(v, "fork_bytes_shared")?,
         fork_slices_reused: req_u64(v, "fork_slices_reused")?,
-        slices_offloaded: req_u64(v, "slices_offloaded")?,
-        slice_parallel_wall_saved: dur_from(v, "slice_parallel_wall_saved_ns")?,
-        single_flight: match v.get("single_flight") {
-            None | Some(Json::Null) => None,
-            Some(sf) => Some(SingleFlightStats {
-                claims: req_u64(sf, "claims")?,
-                slices_deduped: req_u64(sf, "slices_deduped")?,
-                single_flight_waits: req_u64(sf, "single_flight_waits")?,
-            }),
-        },
-        dispatch: match v.get("dispatch") {
-            None | Some(Json::Null) => None,
-            Some(d) => Some(DispatchSnapshot {
-                batches_dispatched: req_u64(d, "batches_dispatched")?,
-                batched_jobs: req_u64(d, "batched_jobs")?,
-                threshold_now: match d.get("threshold_now") {
-                    None | Some(Json::Null) => None,
-                    Some(t) => Some(t.as_u64().ok_or(ReportError::Malformed("threshold_now"))?),
-                },
-            }),
-        },
         static_pass: match v.get("static") {
             None | Some(Json::Null) => None,
             Some(s) => Some(static_from(s)?),
@@ -967,7 +916,6 @@ mod tests {
                         jobs: 1,
                         steals: 1,
                         busy: Duration::from_millis(31),
-                        slice_jobs: 4,
                     },
                     WorkerStats::default(),
                 ],
@@ -978,16 +926,6 @@ mod tests {
                     ..Default::default()
                 }),
                 fork_bytes_copied: u64::MAX,
-                single_flight: Some(SingleFlightStats {
-                    claims: 9,
-                    slices_deduped: 4,
-                    single_flight_waits: 5,
-                }),
-                dispatch: Some(DispatchSnapshot {
-                    batches_dispatched: 3,
-                    batched_jobs: 11,
-                    threshold_now: Some(4),
-                }),
                 ..Default::default()
             }),
             cache: Some(CacheSnapshot {

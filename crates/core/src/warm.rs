@@ -34,8 +34,8 @@ pub enum WarmSource {
     /// (no cache, nothing to warm).
     Path(PathBuf),
     /// Use a caller-owned cache as-is: no store I/O in either
-    /// direction, no reconfiguration (the owner already chose sharding
-    /// and single-flight). The daemon uses this to let warm capital
+    /// direction, no reconfiguration (the owner already chose the
+    /// sharding). The daemon uses this to let warm capital
     /// compound in-memory across requests.
     Borrowed(Arc<SolverCache>),
     /// A managed per-program store directory. `acquire` warms from the
@@ -63,15 +63,7 @@ impl WarmSource {
     /// `warm_rejected_fingerprint` counter so the rejection is never
     /// silent.
     pub(crate) fn acquire(&self, knobs: &FarmKnobs) -> Option<Arc<SolverCache>> {
-        let fresh = || {
-            let cache = Arc::new(SolverCache::new(knobs.cache_shards));
-            // Single-flight is a property of the shared key namespace,
-            // so it lives on the cache; the serial path shares the
-            // setting (with one thread, every claim trivially leads,
-            // so behavior is unchanged).
-            cache.set_single_flight(knobs.single_flight);
-            cache
-        };
+        let fresh = || Arc::new(SolverCache::new(knobs.cache_shards));
         match self {
             WarmSource::Knobs => {
                 let cache = knobs.solver_cache.then(fresh)?;

@@ -16,16 +16,10 @@
 //!   detector-derived priority heuristic;
 //! * [`FarmRun`] — a streaming results handle yielding each finished job
 //!   as soon as a worker completes it;
-//! * [`SlicePool`] / [`SliceHelpers`] — the slice-level work pool behind
-//!   [`Farm::run_lending`]: workers whose job queue runs dry lend
-//!   themselves to busy peers as executors for slice-sized solver
-//!   sub-jobs ([`portend_symex::SliceExecutor`]), so the run's tail — one
-//!   expensive race with many cold constraint slices — parallelizes
-//!   instead of serializing inside a single worker;
 //! * [`FarmStats`] — aggregate run statistics: jobs, wall/busy time,
-//!   per-worker utilization, steal counts, budget overruns, offloaded
-//!   slice counts, and the solver-cache hit rate when a
-//!   [`portend_symex::SolverCache`] is attached.
+//!   per-worker utilization, steal counts, budget overruns, and the
+//!   solver-cache hit rate when a [`portend_symex::SolverCache`] is
+//!   attached.
 //!
 //! The engine is generic over the job payload and result types, so the
 //! `portend` core can delegate `Pipeline::run_parallel` to it without a
@@ -44,13 +38,11 @@ mod config;
 mod job;
 mod pool;
 mod queue;
-mod slice_pool;
 mod stats;
 mod stream;
 
 pub use config::FarmConfig;
 pub use job::{cluster_priority, static_adjusted_priority, JobSpec, StaticHint};
 pub use pool::Farm;
-pub use slice_pool::{DispatchSnapshot, SliceHelpers, SlicePool};
 pub use stats::{FarmStats, WorkerStats};
 pub use stream::{FarmRun, JobOutput};

@@ -8,7 +8,6 @@ use std::time::Instant;
 use crate::config::FarmConfig;
 use crate::job::JobSpec;
 use crate::queue::{StealSet, Taken};
-use crate::slice_pool::SlicePool;
 use crate::stats::WorkerStats;
 use crate::stream::{FarmRun, JobOutput};
 
@@ -49,8 +48,8 @@ impl Farm {
     /// The same farm, with every worker attached to `recorder` as its
     /// own event lane (`worker-00`, `worker-01`, … — sort keys from the
     /// worker index, so the merged trace is deterministic). Workers emit
-    /// job spans, steal instants, and lend spans; everything their jobs
-    /// emit (solver checks, cache probes, forks) lands in the same lane.
+    /// job spans and steal instants; everything their jobs emit (solver
+    /// checks, cache probes, forks) lands in the same lane.
     pub fn with_recorder(mut self, recorder: portend_obs::Recorder) -> Self {
         self.recorder = Some(recorder);
         self
@@ -65,30 +64,7 @@ impl Farm {
     /// streaming [`FarmRun`]. Every job runs exactly once; completion
     /// order is whatever the pool achieves, with each output carrying its
     /// job's `index` so callers can restore deterministic order.
-    pub fn run<T, R, F>(&self, jobs: Vec<JobSpec<T>>, work: F) -> FarmRun<R>
-    where
-        T: Send + 'static,
-        R: Send + 'static,
-        F: Fn(usize, T) -> R + Send + Sync + 'static,
-    {
-        self.run_lending(jobs, work, None)
-    }
-
-    /// [`Farm::run`] with slice-level worker lending: a worker whose
-    /// job queue runs dry (including stealable peers) does not exit —
-    /// it parks in `slices`' [`SlicePool::help`] and executes
-    /// slice-sized sub-jobs submitted by still-busy peers, until the
-    /// last classification job completes and the pool is closed. This
-    /// is what converts the run's tail — one worker grinding through a
-    /// many-cold-slice query while the rest idle — into parallel slice
-    /// solving. The same pool must be attached to the jobs' solvers
-    /// (via [`portend_symex::ParallelSlices`]) for sub-jobs to exist.
-    pub fn run_lending<T, R, F>(
-        &self,
-        mut jobs: Vec<JobSpec<T>>,
-        work: F,
-        slices: Option<Arc<SlicePool>>,
-    ) -> FarmRun<R>
+    pub fn run<T, R, F>(&self, mut jobs: Vec<JobSpec<T>>, work: F) -> FarmRun<R>
     where
         T: Send + 'static,
         R: Send + 'static,
@@ -108,14 +84,6 @@ impl Farm {
         let work = Arc::new(work);
         let budget = self.cfg.job_time_budget;
         let overruns = Arc::new(AtomicU64::new(0));
-        // Jobs not yet completed; the worker finishing the last one
-        // closes the slice pool so lent workers stop helping and exit.
-        let remaining = Arc::new(AtomicU64::new(total));
-        if total == 0 {
-            if let Some(pool) = &slices {
-                pool.close();
-            }
-        }
 
         let handles = (0..workers)
             .map(|w| {
@@ -123,8 +91,6 @@ impl Farm {
                 let tx = tx.clone();
                 let work = Arc::clone(&work);
                 let overruns = Arc::clone(&overruns);
-                let remaining = Arc::clone(&remaining);
-                let slices = slices.clone();
                 let recorder = self.recorder.clone();
                 thread::Builder::new()
                     .name(format!("portend-farm-{w}"))
@@ -132,16 +98,6 @@ impl Farm {
                         let _lane = recorder
                             .as_ref()
                             .map(|r| r.attach(format!("worker-{w:02}"), 100 + w as u32));
-                        // Close the pool when this worker exits for ANY
-                        // reason — including a panicking job, which
-                        // unwinds past the `remaining` decrement below.
-                        // Without this, a panic would leave `remaining`
-                        // above zero forever and every drained peer
-                        // parked in `help()`, turning the panic into a
-                        // hang instead of a join-surfaced error. On the
-                        // normal path the pool is already closed by the
-                        // time the guard drops; `close` is idempotent.
-                        let _close_on_exit = CloseOnExit(slices.clone());
                         let mut ws = WorkerStats::default();
                         while let Some((job, taken)) = queue.take(w) {
                             if taken == Taken::Stolen {
@@ -178,21 +134,6 @@ impl Farm {
                                 stolen: taken == Taken::Stolen,
                                 over_budget,
                             });
-                            if remaining.fetch_sub(1, Ordering::SeqCst) == 1 {
-                                // Last job done: no submitter remains.
-                                if let Some(pool) = &slices {
-                                    pool.close();
-                                }
-                            }
-                        }
-                        // Queue drained: lend this worker out for slice
-                        // sub-jobs until the run completes.
-                        if let Some(pool) = &slices {
-                            let mut ev = portend_obs::span(portend_obs::EventKind::Lend);
-                            let helped = pool.help();
-                            ev.args(helped, 0);
-                            drop(ev);
-                            ws.slice_jobs += helped;
                         }
                         (ws, Instant::now())
                     })
@@ -201,18 +142,6 @@ impl Farm {
             .collect();
         drop(tx);
         FarmRun::new(rx, handles, started, total, overruns)
-    }
-}
-
-/// Closes the held slice pool on drop — the worker threads' unwind
-/// safety net (see the comment at its use site).
-struct CloseOnExit(Option<Arc<SlicePool>>);
-
-impl Drop for CloseOnExit {
-    fn drop(&mut self) {
-        if let Some(pool) = &self.0 {
-            pool.close();
-        }
     }
 }
 
@@ -276,71 +205,16 @@ mod tests {
         assert_eq!(stats.budget_overruns, 4);
     }
 
-    /// Slice lending end-to-end: a worker whose queue runs dry parks in
-    /// the slice pool and executes a sub-job submitted by the still-busy
-    /// peer; the run terminates cleanly once the last job closes the
-    /// pool.
+    /// A panicking classification job must surface through `join`:
+    /// the peer still drains the queue and exits, and `join` re-raises
+    /// the panic instead of hanging or returning partial stats.
     #[test]
-    fn idle_workers_lend_themselves_for_slice_subjobs() {
-        use portend_symex::{SliceExecutor, SliceJob};
-
+    fn panicking_job_surfaces_through_join() {
         let farm = Farm::new(FarmConfig::with_workers(2));
-        let pool = Arc::new(SlicePool::new());
-        let subpool = Arc::clone(&pool);
         let jobs = vec![JobSpec::new(0, true), JobSpec::new(1, false)];
-        let run = farm.run_lending(
-            jobs,
-            move |_, busy: bool| {
-                if !busy {
-                    return 0u64; // the quick job: finish and go help
-                }
-                // The busy job keeps offering a sub-job until the idle
-                // peer registers as a helper and accepts it.
-                let (tx, rx) = mpsc::channel();
-                let deadline = Instant::now() + Duration::from_secs(30);
-                loop {
-                    let tx = tx.clone();
-                    let job: SliceJob = Box::new(move || {
-                        let _ = tx.send(7u64);
-                    });
-                    if subpool.try_execute(job).is_none() {
-                        break rx.recv().expect("lent worker ran the sub-job");
-                    }
-                    if Instant::now() > deadline {
-                        break 0;
-                    }
-                    std::thread::yield_now();
-                }
-            },
-            Some(Arc::clone(&pool)),
-        );
-        let (outputs, stats) = run.join();
-        let busy_out = outputs.iter().find(|o| o.index == 0).expect("busy job");
-        assert_eq!(busy_out.result, 7, "sub-job result reached the submitter");
-        assert_eq!(pool.executed(), 1);
-        assert_eq!(
-            stats.per_worker.iter().map(|w| w.slice_jobs).sum::<u64>(),
-            1,
-            "exactly one lent worker executed it: {stats:?}"
-        );
-    }
-
-    /// Regression: a panicking classification job must surface through
-    /// `join` (as it always did without lending), not hang the run. The
-    /// panic unwinds past the `remaining` decrement, so only the
-    /// worker's exit guard closes the pool and releases lent peers.
-    #[test]
-    fn panicking_job_does_not_hang_slice_lending() {
-        let farm = Farm::new(FarmConfig::with_workers(2));
-        let pool = Arc::new(SlicePool::new());
-        let jobs = vec![JobSpec::new(0, true), JobSpec::new(1, false)];
-        let run = farm.run_lending(
-            jobs,
-            |_, poison: bool| {
-                assert!(!poison, "job exploded");
-            },
-            Some(pool),
-        );
+        let run = farm.run(jobs, |_, poison: bool| {
+            assert!(!poison, "job exploded");
+        });
         let joined = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run.join()));
         assert!(joined.is_err(), "worker panic must surface, not hang");
     }

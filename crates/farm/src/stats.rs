@@ -3,9 +3,7 @@
 use std::time::Duration;
 
 use portend_sa::StaticStats;
-use portend_symex::{CacheSnapshot, SingleFlightStats};
-
-use crate::slice_pool::DispatchSnapshot;
+use portend_symex::CacheSnapshot;
 
 /// What one worker thread did during a run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -16,10 +14,6 @@ pub struct WorkerStats {
     pub steals: u64,
     /// Time spent executing jobs (excludes queue waits).
     pub busy: Duration,
-    /// Slice sub-jobs this worker executed for busy peers after its own
-    /// job queue ran dry (see [`crate::SlicePool`] and
-    /// [`crate::Farm::run_lending`]).
-    pub slice_jobs: u64,
 }
 
 /// Aggregate statistics of one [`crate::Farm`] run, produced by
@@ -51,28 +45,10 @@ pub struct FarmStats {
     /// Constraint slices the jobs' scoped solvers reused from their
     /// memos at fork feasibility checks instead of re-solving.
     pub fork_slices_reused: u64,
-    /// Cold constraint slices dispatched onto lent idle workers during
-    /// the run (slice-level parallelism — see [`crate::SlicePool`]).
-    /// Filled by callers that wire a slice pool through the run; zero
-    /// otherwise.
-    pub slices_offloaded: u64,
-    /// Estimated wall time the slice dispatch saved, as reported by the
-    /// submitting solvers: offloaded execution time minus the time they
-    /// spent waiting for offloaded results.
-    pub slice_parallel_wall_saved: Duration,
     /// Counters from the static lockset/MHP pre-analysis, when the
     /// pipeline ran it ahead of this farm run (`None` when the pass is
     /// disabled or the run was not fed by the pipeline).
     pub static_pass: Option<StaticStats>,
-    /// Single-flight registry counters from the attached cache —
-    /// concurrent identical cold slices answered by one in-flight
-    /// solve instead of duplicating it. `None` when no cache was
-    /// attached or single-flight was disabled for the run.
-    pub single_flight: Option<SingleFlightStats>,
-    /// Dispatch-shape counters from the slice pool (batched dispatch
-    /// units and the adaptive threshold's position), when a pool was
-    /// wired through the run.
-    pub dispatch: Option<DispatchSnapshot>,
 }
 
 impl FarmStats {
@@ -163,39 +139,6 @@ impl FarmStats {
             ),
             None => String::new(),
         };
-        let sliced = if self.slices_offloaded > 0 {
-            format!(
-                ", {} slices offloaded ({:.3}s saved)",
-                self.slices_offloaded,
-                self.slice_parallel_wall_saved.as_secs_f64()
-            )
-        } else {
-            String::new()
-        };
-        // PR 4 discipline: render single-flight only when the registry
-        // was actually exercised — a disabled (or never-contended)
-        // registry must not read as a measured "0 deduped".
-        let dedup = match &self.single_flight {
-            Some(sf) if sf.claims + sf.single_flight_waits > 0 => format!(
-                ", {} slices deduped ({} waits)",
-                sf.slices_deduped, sf.single_flight_waits
-            ),
-            _ => String::new(),
-        };
-        let batches = match &self.dispatch {
-            Some(d) if d.batches_dispatched > 0 => {
-                let threshold = match d.threshold_now {
-                    Some(t) => format!(", threshold {t}"),
-                    None => String::new(),
-                };
-                format!(
-                    ", {} batches of {:.1} slices{threshold}",
-                    d.batches_dispatched,
-                    d.batched_jobs as f64 / d.batches_dispatched as f64
-                )
-            }
-            _ => String::new(),
-        };
         let sa = match &self.static_pass {
             Some(s) => format!(
                 ", static {} candidates / {} pruned / {} corroborated",
@@ -204,7 +147,7 @@ impl FarmStats {
             None => String::new(),
         };
         format!(
-            "{} jobs on {} workers in {:.3}s (util {:.0}%, {} steals, {} overruns{cache}{forks}{sliced}{dedup}{batches}{sa})",
+            "{} jobs on {} workers in {:.3}s (util {:.0}%, {} steals, {} overruns{cache}{forks}{sa})",
             self.jobs,
             self.per_worker.len(),
             self.wall.as_secs_f64(),
@@ -341,64 +284,6 @@ mod tests {
             ..Default::default()
         };
         assert!(!clean.summary().contains("foreign"), "{}", clean.summary());
-    }
-
-    /// Regression alongside `unconsulted_cache_renders_na_not_zero_percent`:
-    /// the dedup/batch clauses follow the same "n/a when never
-    /// consulted" discipline — a run with single-flight disabled (or a
-    /// registry that saw no contention) must not render "0 slices
-    /// deduped", and a pool that never batched must not render "0
-    /// batches".
-    #[test]
-    fn unexercised_dedup_and_batch_counters_are_omitted_not_zero() {
-        // Disabled single-flight / no pool wired: no clauses at all.
-        let off = FarmStats::default();
-        let s = off.summary();
-        assert!(!s.contains("deduped"), "{s}");
-        assert!(!s.contains("batches"), "{s}");
-        // Enabled but never exercised (snapshot present, all zeros):
-        // still omitted.
-        let idle = FarmStats {
-            single_flight: Some(SingleFlightStats::default()),
-            dispatch: Some(DispatchSnapshot {
-                threshold_now: Some(2),
-                ..Default::default()
-            }),
-            ..Default::default()
-        };
-        let s = idle.summary();
-        assert!(!s.contains("deduped"), "{s}");
-        assert!(!s.contains("batches"), "{s}");
-        // Exercised: both clauses render, including a genuine zero
-        // dedup count when there were waits but no publications.
-        let busy = FarmStats {
-            single_flight: Some(SingleFlightStats {
-                claims: 9,
-                slices_deduped: 3,
-                single_flight_waits: 4,
-            }),
-            dispatch: Some(DispatchSnapshot {
-                batches_dispatched: 2,
-                batched_jobs: 7,
-                threshold_now: Some(4),
-            }),
-            ..Default::default()
-        };
-        let s = busy.summary();
-        assert!(s.contains("3 slices deduped (4 waits)"), "{s}");
-        assert!(s.contains("2 batches of 3.5 slices, threshold 4"), "{s}");
-        // A static-threshold pool renders without the threshold tail.
-        let static_pool = FarmStats {
-            dispatch: Some(DispatchSnapshot {
-                batches_dispatched: 2,
-                batched_jobs: 4,
-                threshold_now: None,
-            }),
-            ..Default::default()
-        };
-        let s = static_pool.summary();
-        assert!(s.contains("2 batches of 2.0 slices"), "{s}");
-        assert!(!s.contains("threshold"), "{s}");
     }
 
     /// The static pre-analysis clause appears only when the pass ran.

@@ -98,16 +98,11 @@ impl<R> FarmRun<R> {
             per_worker,
             cache: self.cache.as_ref().map(|c| c.snapshot()),
             // The generic pool cannot see inside job results; callers
-            // whose jobs report fork costs or wire a slice pool through
-            // the run fill these in afterwards.
+            // whose jobs report fork costs fill these in afterwards.
             fork_bytes_copied: 0,
             fork_bytes_shared: 0,
             fork_slices_reused: 0,
-            slices_offloaded: 0,
-            slice_parallel_wall_saved: Duration::ZERO,
             static_pass: None,
-            single_flight: self.cache.as_ref().and_then(|c| c.single_flight_snapshot()),
-            dispatch: None,
         };
         (remaining, stats)
     }

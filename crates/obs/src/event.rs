@@ -12,13 +12,8 @@
 /// | [`Phase`] | pipeline | yes | — | — |
 /// | [`Job`] | farm worker | yes | job index | 1 if stolen |
 /// | [`Steal`] | farm worker | no | job index | — |
-/// | [`Lend`] | farm worker | yes | sub-jobs executed | — |
-/// | [`SliceJob`] | slice pool | yes | — | — |
 /// | [`SolverCheck`] | solver | yes | slices examined | nodes visited |
 /// | [`SliceSolve`] | solver | yes | slice position | nodes visited |
-/// | [`SliceOffload`] | solver | no | slice position | — |
-/// | [`SliceDedup`] | solver | no | slice position | — |
-/// | [`BatchDispatch`] | slice pool | no | batch size | — |
 /// | [`CacheProbe`] | solver cache | no | 0 whole / 1 slice | 0 miss / 1 hit / 2 probation |
 /// | [`Fork`] | vm | no | bytes copied | bytes shared |
 /// | [`WarmLoad`] | warm store | yes | entries loaded | 1 if load succeeded |
@@ -31,13 +26,8 @@
 /// [`Phase`]: EventKind::Phase
 /// [`Job`]: EventKind::Job
 /// [`Steal`]: EventKind::Steal
-/// [`Lend`]: EventKind::Lend
-/// [`SliceJob`]: EventKind::SliceJob
 /// [`SolverCheck`]: EventKind::SolverCheck
 /// [`SliceSolve`]: EventKind::SliceSolve
-/// [`SliceOffload`]: EventKind::SliceOffload
-/// [`SliceDedup`]: EventKind::SliceDedup
-/// [`BatchDispatch`]: EventKind::BatchDispatch
 /// [`CacheProbe`]: EventKind::CacheProbe
 /// [`Fork`]: EventKind::Fork
 /// [`WarmLoad`]: EventKind::WarmLoad
@@ -55,23 +45,10 @@ pub enum EventKind {
     Job,
     /// A job was obtained by stealing from a peer's queue.
     Steal,
-    /// A drained worker lending itself to the slice pool until the run
-    /// closes.
-    Lend,
-    /// One offloaded slice sub-job executing on a lent worker.
-    SliceJob,
     /// One satisfiability check (whole-query, sliced, or scoped).
     SolverCheck,
     /// One cold constraint slice actually solved.
     SliceSolve,
-    /// A cold slice accepted for execution on a lent idle worker.
-    SliceOffload,
-    /// A cold slice answered by another solver's concurrent in-flight
-    /// solve of the same canonical key (single-flight dedup).
-    SliceDedup,
-    /// A group of cold slices accepted by the slice pool in one
-    /// dispatch unit.
-    BatchDispatch,
     /// One solver-cache lookup.
     CacheProbe,
     /// One copy-on-write state fork.
@@ -95,17 +72,12 @@ pub enum EventKind {
 
 impl EventKind {
     /// Every kind, in rendering order.
-    pub const ALL: [EventKind; 18] = [
+    pub const ALL: [EventKind; 13] = [
         EventKind::Phase,
         EventKind::Job,
         EventKind::Steal,
-        EventKind::Lend,
-        EventKind::SliceJob,
         EventKind::SolverCheck,
         EventKind::SliceSolve,
-        EventKind::SliceOffload,
-        EventKind::SliceDedup,
-        EventKind::BatchDispatch,
         EventKind::CacheProbe,
         EventKind::Fork,
         EventKind::WarmLoad,
@@ -123,13 +95,8 @@ impl EventKind {
             EventKind::Phase => "phase",
             EventKind::Job => "job",
             EventKind::Steal => "steal",
-            EventKind::Lend => "lend",
-            EventKind::SliceJob => "slice_job",
             EventKind::SolverCheck => "solver_check",
             EventKind::SliceSolve => "slice_solve",
-            EventKind::SliceOffload => "slice_offload",
-            EventKind::SliceDedup => "slice_dedup",
-            EventKind::BatchDispatch => "batch_dispatch",
             EventKind::CacheProbe => "cache_probe",
             EventKind::Fork => "fork",
             EventKind::WarmLoad => "warm_load",
@@ -146,15 +113,8 @@ impl EventKind {
     pub fn category(self) -> &'static str {
         match self {
             EventKind::Phase => "pipeline",
-            EventKind::Job
-            | EventKind::Steal
-            | EventKind::Lend
-            | EventKind::SliceJob
-            | EventKind::BatchDispatch => "farm",
-            EventKind::SolverCheck
-            | EventKind::SliceSolve
-            | EventKind::SliceOffload
-            | EventKind::SliceDedup => "solver",
+            EventKind::Job | EventKind::Steal => "farm",
+            EventKind::SolverCheck | EventKind::SliceSolve => "solver",
             EventKind::CacheProbe => "cache",
             EventKind::Fork => "vm",
             EventKind::WarmLoad | EventKind::WarmSave | EventKind::StoreEvict => "warm",
@@ -169,9 +129,6 @@ impl EventKind {
         !matches!(
             self,
             EventKind::Steal
-                | EventKind::SliceOffload
-                | EventKind::SliceDedup
-                | EventKind::BatchDispatch
                 | EventKind::CacheProbe
                 | EventKind::Fork
                 | EventKind::StaticPrune
@@ -239,10 +196,7 @@ mod tests {
         assert!(EventKind::StaticPass.is_span());
         assert!(!EventKind::StaticPrune.is_span());
         assert_eq!(EventKind::StaticPrune.category(), "static");
-        assert!(!EventKind::SliceDedup.is_span());
-        assert!(!EventKind::BatchDispatch.is_span());
-        assert_eq!(EventKind::SliceDedup.category(), "solver");
-        assert_eq!(EventKind::BatchDispatch.category(), "farm");
+        assert_eq!(EventKind::SliceSolve.category(), "solver");
         assert!(!EventKind::RequestStart.is_span());
         assert!(!EventKind::StoreEvict.is_span());
         assert_eq!(EventKind::RequestStart.category(), "serve");

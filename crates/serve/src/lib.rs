@@ -39,7 +39,11 @@ mod tests {
     use portend_obs::json::{self, Json};
 
     fn frames_for(server: &Server, lines: &str) -> Vec<Frame> {
-        let mut input = std::io::Cursor::new(lines.as_bytes().to_vec());
+        frames_for_bytes(server, lines.as_bytes())
+    }
+
+    fn frames_for_bytes(server: &Server, bytes: &[u8]) -> Vec<Frame> {
+        let mut input = std::io::Cursor::new(bytes.to_vec());
         let mut output = Vec::new();
         server.serve_io(&mut input, &mut output).unwrap();
         String::from_utf8(output)
@@ -88,6 +92,24 @@ mod tests {
             frames_for(&server, &format!("{padded} \n"))[..],
             [Frame::Error { request: 0, .. }]
         ));
+    }
+
+    /// A line that is not UTF-8 is an unparsable request like any
+    /// other: one `error` frame for request 0, and the session goes on
+    /// to answer the next line.
+    #[test]
+    fn non_utf8_request_line_gets_one_error_and_the_session_continues() {
+        let server = Server::new(ServerConfig::default()).unwrap();
+        let mut bytes = vec![0xff, 0xfe, b'\n'];
+        bytes.extend_from_slice(Request::Ping { id: 1 }.render().as_bytes());
+        bytes.push(b'\n');
+        let frames = frames_for_bytes(&server, &bytes);
+        assert_eq!(frames.len(), 2, "{frames:?}");
+        assert!(
+            matches!(&frames[0], Frame::Error { request: 0, message } if message.contains("UTF-8")),
+            "{frames:?}"
+        );
+        assert_eq!(frames[1], Frame::Pong { request: 1 });
     }
 
     #[test]

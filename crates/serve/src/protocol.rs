@@ -36,7 +36,7 @@
 //!
 //! `ping` answers `{"frame":"pong","request":N}`; `shutdown` answers
 //! `{"frame":"bye","request":N}` and ends the session. Any failure
-//! (unparseable line, unknown workload) answers
+//! (unparseable or non-UTF-8 line, unknown workload) answers
 //! `{"frame":"error","request":N,"message":"…"}` — `request` is `0`
 //! when the line was too broken to carry an id. A request line over
 //! 1 MiB answers one such error frame and ends the session.

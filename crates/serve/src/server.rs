@@ -179,12 +179,11 @@ impl Server {
     /// use per the analysis configuration's farm knobs.
     fn resident_cache(&self, fingerprint: u64) -> Arc<SolverCache> {
         let mut caches = self.caches.lock().expect("cache registry poisoned");
-        Arc::clone(caches.entry(fingerprint).or_insert_with(|| {
-            let knobs = &self.analysis.farm;
-            let cache = Arc::new(SolverCache::new(knobs.cache_shards));
-            cache.set_single_flight(knobs.single_flight);
-            cache
-        }))
+        Arc::clone(
+            caches
+                .entry(fingerprint)
+                .or_insert_with(|| Arc::new(SolverCache::new(self.analysis.farm.cache_shards))),
+        )
     }
 
     /// Serves line-delimited requests from `input` to `output` until
@@ -193,7 +192,9 @@ impl Server {
     ///
     /// A request line longer than 1 MiB is answered with one `error`
     /// frame (request `0`) and ends the session, so no client can make
-    /// the daemon buffer more than that.
+    /// the daemon buffer more than that. A line that is not UTF-8 is
+    /// answered like any other unparsable line: one `error` frame
+    /// (request `0`), and the session goes on.
     pub fn serve_io(&self, input: &mut dyn BufRead, output: &mut dyn Write) -> std::io::Result<()> {
         let mut line = Vec::new();
         loop {
@@ -211,12 +212,17 @@ impl Server {
                 };
                 return write_frame(output, &frame);
             }
-            let line = std::str::from_utf8(&line).map_err(|e| {
-                std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    format!("request line: {e}"),
-                )
-            })?;
+            let line = match std::str::from_utf8(&line) {
+                Ok(line) => line,
+                Err(e) => {
+                    let frame = Frame::Error {
+                        request: 0,
+                        message: format!("request line is not UTF-8: {e}"),
+                    };
+                    write_frame(output, &frame)?;
+                    continue;
+                }
+            };
             let mut io_err = None;
             let keep_going = self.handle_line(line, &mut |frame| {
                 if io_err.is_none() {

@@ -33,8 +33,8 @@
 use std::collections::HashMap;
 use std::fmt;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex};
 
 use crate::domain::{Interval, VarId, VarTable};
 use crate::expr::Expr;
@@ -115,157 +115,6 @@ pub(crate) enum CacheAnswer {
     Miss,
 }
 
-/// What a flight publishes to its waiters: the solved answer plus the
-/// captured post-fixpoint domain box (the same pair
-/// [`SolverCache::insert_with_domain`] memoizes).
-pub(crate) type FlightResult = (SatResult, Option<Arc<[(VarId, Interval)]>>);
-
-/// One in-flight solve of a canonical key.
-#[derive(Debug)]
-enum FlightState {
-    /// The leader is still solving.
-    Pending,
-    /// The leader solved and published; waiters reuse the result.
-    Published(FlightResult),
-    /// The leader stopped without publishing (UNSAT cancellation or a
-    /// panic unwound through its guard); waiters solve for themselves.
-    Abandoned,
-}
-
-/// The rendezvous between one leader and any number of waiters on the
-/// same canonical key.
-#[derive(Debug)]
-pub(crate) struct Flight {
-    state: Mutex<FlightState>,
-    done: Condvar,
-}
-
-impl Flight {
-    fn new() -> Arc<Flight> {
-        Arc::new(Flight {
-            state: Mutex::new(FlightState::Pending),
-            done: Condvar::new(),
-        })
-    }
-
-    /// Blocks until the leader publishes or abandons. `Some` carries the
-    /// published result (identical to what the leader memoized);
-    /// `None` means the flight was abandoned and the caller must solve.
-    fn wait(&self) -> Option<FlightResult> {
-        let mut s = self.state.lock().expect("flight poisoned");
-        while matches!(*s, FlightState::Pending) {
-            s = self.done.wait(s).expect("flight poisoned");
-        }
-        match &*s {
-            FlightState::Published(r) => Some(r.clone()),
-            FlightState::Abandoned => None,
-            FlightState::Pending => unreachable!("waited past Pending"),
-        }
-    }
-}
-
-/// The single-flight registry: at most one solver works on a canonical
-/// key at a time; concurrent requesters wait for its publication
-/// instead of duplicating the solve. See [`SolverCache::claim_flight`].
-#[derive(Debug)]
-struct SingleFlight {
-    enabled: AtomicBool,
-    flights: Mutex<HashMap<String, Arc<Flight>>>,
-    claims: AtomicU64,
-    deduped: AtomicU64,
-    waits: AtomicU64,
-}
-
-impl SingleFlight {
-    fn new() -> Self {
-        SingleFlight {
-            enabled: AtomicBool::new(true),
-            flights: Mutex::new(HashMap::new()),
-            claims: AtomicU64::new(0),
-            deduped: AtomicU64::new(0),
-            waits: AtomicU64::new(0),
-        }
-    }
-}
-
-/// Outcome of [`SolverCache::claim_flight`].
-pub(crate) enum SliceFlight<'a> {
-    /// Single-flight is disabled: solve exactly as before.
-    Solo,
-    /// This caller owns the key's solve. It must either
-    /// [`FlightGuard::publish`] the result or drop the guard (which
-    /// abandons the flight and wakes every waiter to solve for itself —
-    /// the panic/cancellation-safe path).
-    Leader(FlightGuard<'a>),
-    /// Another caller is already solving this key; block on its
-    /// publication via [`SolverCache::wait_flight`].
-    Waiter(Arc<Flight>),
-}
-
-/// The leader's obligation for one claimed key. Dropping the guard
-/// without publishing marks the flight abandoned and wakes all waiters
-/// — so a leader cancelled by the UNSAT protocol, or unwinding from a
-/// panic, can never strand a waiter on the condvar.
-pub(crate) struct FlightGuard<'a> {
-    registry: &'a SingleFlight,
-    flight: Arc<Flight>,
-    key: String,
-    published: bool,
-}
-
-impl FlightGuard<'_> {
-    /// Publishes the solved result to every waiter and retires the
-    /// flight. The published pair is byte-identical to what the leader
-    /// memoized in the cache, so a deduped requester observes exactly
-    /// what its own cache hit would have returned.
-    pub(crate) fn publish(mut self, result: &SatResult, domain: Option<&[(VarId, Interval)]>) {
-        {
-            let mut s = self.flight.state.lock().expect("flight poisoned");
-            *s = FlightState::Published((result.clone(), domain.map(Arc::from)));
-        }
-        self.flight.done.notify_all();
-        self.published = true;
-        self.registry
-            .flights
-            .lock()
-            .expect("flight registry poisoned")
-            .remove(&self.key);
-    }
-}
-
-impl Drop for FlightGuard<'_> {
-    fn drop(&mut self) {
-        if self.published {
-            return;
-        }
-        {
-            let mut s = self.flight.state.lock().expect("flight poisoned");
-            *s = FlightState::Abandoned;
-        }
-        self.flight.done.notify_all();
-        self.registry
-            .flights
-            .lock()
-            .expect("flight registry poisoned")
-            .remove(&self.key);
-    }
-}
-
-/// A point-in-time view of the single-flight registry's counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SingleFlightStats {
-    /// Keys claimed for leadership (cold solves that registered an
-    /// in-flight entry).
-    pub claims: u64,
-    /// Solves avoided outright: requesters that received another
-    /// leader's published result instead of solving.
-    pub slices_deduped: u64,
-    /// Requesters that blocked on an in-flight solve (includes waits on
-    /// flights that were later abandoned, where the waiter solved after
-    /// all — so `single_flight_waits >= slices_deduped`).
-    pub single_flight_waits: u64,
-}
-
 /// A sharded, thread-safe memoization cache for [`crate::Solver`] queries.
 ///
 /// Cheap to share: wrap it in an `Arc` and hand clones to
@@ -298,7 +147,6 @@ pub struct SolverCache {
     warm_validations: AtomicU64,
     warm_mismatches: AtomicU64,
     warm_rejected_fingerprint: AtomicU64,
-    single_flight: SingleFlight,
 }
 
 impl fmt::Debug for SolverCache {
@@ -346,7 +194,6 @@ impl SolverCache {
             warm_validations: AtomicU64::new(0),
             warm_mismatches: AtomicU64::new(0),
             warm_rejected_fingerprint: AtomicU64::new(0),
-            single_flight: SingleFlight::new(),
         }
     }
 
@@ -358,71 +205,6 @@ impl SolverCache {
     pub fn note_rejected_fingerprint(&self) {
         self.warm_rejected_fingerprint
             .fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Enables or disables the single-flight registry (on by default).
-    /// Purely a scheduling switch: with it off, concurrent cold solves
-    /// of the same key each solve and race to insert — the pre-existing
-    /// behavior, answer-preserving either way.
-    pub fn set_single_flight(&self, on: bool) {
-        self.single_flight.enabled.store(on, Ordering::Relaxed);
-    }
-
-    /// Claims the in-flight solve of `key`. The first claimant becomes
-    /// the [`SliceFlight::Leader`] and must publish (or abandon, by
-    /// dropping the guard); concurrent claimants of the same key become
-    /// [`SliceFlight::Waiter`]s. Returns [`SliceFlight::Solo`] when the
-    /// registry is disabled.
-    pub(crate) fn claim_flight(&self, key: &str) -> SliceFlight<'_> {
-        if !self.single_flight.enabled.load(Ordering::Relaxed) {
-            return SliceFlight::Solo;
-        }
-        let mut flights = self
-            .single_flight
-            .flights
-            .lock()
-            .expect("flight registry poisoned");
-        if let Some(f) = flights.get(key) {
-            let f = Arc::clone(f);
-            drop(flights);
-            self.single_flight.waits.fetch_add(1, Ordering::Relaxed);
-            return SliceFlight::Waiter(f);
-        }
-        let f = Flight::new();
-        flights.insert(key.to_string(), Arc::clone(&f));
-        drop(flights);
-        self.single_flight.claims.fetch_add(1, Ordering::Relaxed);
-        SliceFlight::Leader(FlightGuard {
-            registry: &self.single_flight,
-            flight: f,
-            key: key.to_string(),
-            published: false,
-        })
-    }
-
-    /// Blocks on another requester's flight. `Some` is the published
-    /// result (a dedup: the solve was avoided and is counted as such);
-    /// `None` means the leader abandoned and the caller must solve.
-    pub(crate) fn wait_flight(&self, flight: &Flight) -> Option<FlightResult> {
-        let got = flight.wait();
-        if got.is_some() {
-            self.single_flight.deduped.fetch_add(1, Ordering::Relaxed);
-        }
-        got
-    }
-
-    /// A point-in-time view of the single-flight counters, or `None`
-    /// when the registry is disabled (so reports can distinguish
-    /// "nothing deduped" from "dedup was off").
-    pub fn single_flight_snapshot(&self) -> Option<SingleFlightStats> {
-        self.single_flight
-            .enabled
-            .load(Ordering::Relaxed)
-            .then(|| SingleFlightStats {
-                claims: self.single_flight.claims.load(Ordering::Relaxed),
-                slices_deduped: self.single_flight.deduped.load(Ordering::Relaxed),
-                single_flight_waits: self.single_flight.waits.load(Ordering::Relaxed),
-            })
     }
 
     /// Looks a whole-query canonical key up, counting a hit or a miss
@@ -495,19 +277,6 @@ impl SolverCache {
         self.warm_probes_left
             .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_sub(1))
             .is_ok()
-    }
-
-    /// Returns an unused warm-validation probe. Called when a lookup
-    /// received [`CacheAnswer::Probation`] but the promised re-solve
-    /// never happened — the parallel sliced path cancels slices past
-    /// the first UNSAT position before solving them. The entry is still
-    /// marked warm (no [`SolverCache::confirm_warm`] ran), so a later
-    /// hit will probe again; without the refund the probe budget and
-    /// the `warm_validations` counter would claim a validation that
-    /// never executed.
-    pub(crate) fn refund_warm_probe(&self) {
-        self.warm_probes_left.fetch_add(1, Ordering::Relaxed);
-        self.warm_validations.fetch_sub(1, Ordering::Relaxed);
     }
 
     /// Reports the outcome of a [`CacheAnswer::Probation`] re-solve: on
@@ -1059,38 +828,6 @@ mod tests {
         assert_eq!(s.warm_mismatches, 0);
     }
 
-    /// A refunded probation probe re-arms sampling: the entry stays
-    /// warm, the validation counter no longer claims a re-solve that
-    /// never ran, and the next hit probes again.
-    #[test]
-    fn refunded_probe_is_sampled_again() {
-        use crate::warm::WarmRecord;
-        let cache = SolverCache::new(1);
-        let records = (0..4)
-            .map(|i| WarmRecord {
-                key: format!("w{i}"),
-                result: SatResult::Unsat,
-                domain: None,
-                hits: 0,
-            })
-            .collect();
-        assert_eq!(cache.absorb_warm(records), 4); // sample = ceil(4/4) = 1
-        let CacheAnswer::Probation(_) = cache.lookup_slice("w0") else {
-            panic!("first warm lookup must probe");
-        };
-        assert_eq!(cache.snapshot().warm_validations, 1);
-        // The slice was cancelled before solving: probe given back.
-        cache.refund_warm_probe();
-        assert_eq!(cache.snapshot().warm_validations, 0);
-        // Still warm, still probed on the next hit.
-        let CacheAnswer::Probation(expected) = cache.lookup_slice("w0") else {
-            panic!("refunded probe must be re-armed");
-        };
-        cache.confirm_warm("w0", &expected, &SatResult::Unsat, None);
-        assert_eq!(cache.snapshot().warm_validations, 1);
-        assert!(matches!(cache.lookup_slice("w0"), CacheAnswer::Hit(_)));
-    }
-
     /// Domain boxes attach to entries, survive export/absorb, and are
     /// readable through `domain_of`.
     #[test]
@@ -1107,116 +844,6 @@ mod tests {
         let recs = cache.export_entries(&WarmPolicy::keep_everything());
         assert_eq!(recs.len(), 1);
         assert_eq!(recs[0].domain.as_deref(), Some(boxed.as_slice()));
-    }
-
-    /// Claims the key expecting leadership.
-    fn lead<'a>(cache: &'a SolverCache, key: &str) -> FlightGuard<'a> {
-        match cache.claim_flight(key) {
-            SliceFlight::Leader(g) => g,
-            SliceFlight::Waiter(_) => panic!("expected leadership of {key}"),
-            SliceFlight::Solo => panic!("single-flight unexpectedly disabled"),
-        }
-    }
-
-    /// A waiter blocked on a leader's flight receives the published
-    /// result — solve avoided, counters advanced. Deterministic: the
-    /// waiter signals through a channel before blocking, and the
-    /// condvar loop tolerates publication landing first.
-    #[test]
-    fn single_flight_waiter_receives_published_result() {
-        let cache = Arc::new(SolverCache::new(2));
-        let guard = lead(&cache, "sf-key");
-        let SliceFlight::Waiter(flight) = cache.claim_flight("sf-key") else {
-            panic!("second claimant must wait");
-        };
-        let (tx, rx) = std::sync::mpsc::channel();
-        let waiter = {
-            let cache = Arc::clone(&cache);
-            std::thread::spawn(move || {
-                tx.send(()).unwrap();
-                cache.wait_flight(&flight)
-            })
-        };
-        rx.recv().unwrap();
-        let boxed = vec![(VarId(3), Interval::new(1, 5))];
-        guard.publish(&SatResult::Unsat, Some(&boxed));
-        let got = waiter.join().unwrap().expect("published, not abandoned");
-        assert_eq!(got.0, SatResult::Unsat);
-        assert_eq!(got.1.as_deref(), Some(boxed.as_slice()));
-        let s = cache.single_flight_snapshot().expect("enabled by default");
-        assert_eq!(
-            (s.claims, s.single_flight_waits, s.slices_deduped),
-            (1, 1, 1)
-        );
-        // The retired key is claimable again (fresh leadership).
-        drop(lead(&cache, "sf-key"));
-    }
-
-    /// A leader that stops without publishing — the UNSAT-cancellation
-    /// path — wakes its waiters to solve for themselves rather than
-    /// deadlocking them.
-    #[test]
-    fn abandoned_flight_wakes_waiters_with_none() {
-        let cache = Arc::new(SolverCache::new(2));
-        let guard = lead(&cache, "cancelled");
-        let SliceFlight::Waiter(flight) = cache.claim_flight("cancelled") else {
-            panic!("second claimant must wait");
-        };
-        let (tx, rx) = std::sync::mpsc::channel();
-        let waiter = {
-            let cache = Arc::clone(&cache);
-            std::thread::spawn(move || {
-                tx.send(()).unwrap();
-                cache.wait_flight(&flight)
-            })
-        };
-        rx.recv().unwrap();
-        drop(guard); // cancelled before solving: abandon, don't publish
-        assert_eq!(waiter.join().unwrap(), None, "waiter must solve itself");
-        let s = cache.single_flight_snapshot().unwrap();
-        assert_eq!((s.single_flight_waits, s.slices_deduped), (1, 0));
-        // Abandonment retires the key: the waiter's own solve can lead.
-        drop(lead(&cache, "cancelled"));
-    }
-
-    /// A leader that panics mid-solve unwinds through its guard, which
-    /// abandons the flight — waiters wake instead of hanging forever.
-    #[test]
-    fn panicking_leader_wakes_waiters() {
-        let cache = Arc::new(SolverCache::new(2));
-        let (claimed_tx, claimed_rx) = std::sync::mpsc::channel();
-        let (go_tx, go_rx) = std::sync::mpsc::channel::<()>();
-        let leader = {
-            let cache = Arc::clone(&cache);
-            std::thread::spawn(move || {
-                let _guard = lead(&cache, "doomed");
-                claimed_tx.send(()).unwrap();
-                go_rx.recv().unwrap();
-                panic!("solver blew up mid-flight");
-            })
-        };
-        claimed_rx.recv().unwrap();
-        let SliceFlight::Waiter(flight) = cache.claim_flight("doomed") else {
-            panic!("leader holds the key");
-        };
-        go_tx.send(()).unwrap();
-        // The panic unwinds the guard: Abandoned, waiters notified.
-        assert_eq!(cache.wait_flight(&flight), None);
-        assert!(leader.join().is_err(), "leader panicked by construction");
-        drop(lead(&cache, "doomed"));
-    }
-
-    /// Disabling the registry short-circuits every claim to `Solo` and
-    /// hides the snapshot (so summaries render "n/a", not zeros).
-    #[test]
-    fn disabled_single_flight_is_solo_and_unreported() {
-        let cache = SolverCache::new(2);
-        cache.set_single_flight(false);
-        assert!(matches!(cache.claim_flight("k"), SliceFlight::Solo));
-        assert_eq!(cache.single_flight_snapshot(), None);
-        cache.set_single_flight(true);
-        drop(lead(&cache, "k"));
-        assert_eq!(cache.single_flight_snapshot().unwrap().claims, 1);
     }
 
     /// An all-hot shard still respects the entry bound (full flush

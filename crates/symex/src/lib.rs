@@ -14,10 +14,8 @@
 //! * [`Model`] — concrete variable assignments (solver witnesses);
 //! * [`mod@slice`] / [`ScopedSolver`] — constraint slicing by variable
 //!   connectivity with per-slice memoization in a shared [`SolverCache`],
-//!   an incremental push/pop front end for explorers that extend one
-//!   path condition a constraint at a time, and parallel slice solving
-//!   ([`Solver::check_sliced_parallel`] / [`SliceExecutor`]) that
-//!   dispatches cold slices onto borrowed idle workers;
+//!   and an incremental push/pop front end for explorers that extend one
+//!   path condition a constraint at a time;
 //! * [`mod@warm`] — cross-run persistence of the solver cache (the
 //!   "warm store"): a versioned, checksummed on-disk format with an
 //!   eviction-aware export policy ([`WarmPolicy`]), a program
@@ -62,16 +60,12 @@ mod solver;
 pub mod store;
 pub mod warm;
 
-pub use cache::{
-    CacheSnapshot, SingleFlightStats, SolverCache, DEFAULT_MAX_ENTRIES, DEFAULT_SHARDS,
-};
+pub use cache::{CacheSnapshot, SolverCache, DEFAULT_MAX_ENTRIES, DEFAULT_SHARDS};
 pub use domain::{Interval, VarId, VarInfo, VarTable};
 pub use expr::{EvalError, Expr, Node};
 pub use model::Model;
 pub use op::{BinOp, CmpOp};
-pub use slice::{
-    partition_slices, ParallelSlices, ScopedSolver, ScopedStats, SliceExecutor, SliceJob,
-};
+pub use slice::{partition_slices, ScopedSolver, ScopedStats};
 pub use solver::{SatResult, Solver, SolverConfig, SolverStats};
 pub use store::{StoreBudget, StoreEntry, StoreManager};
 pub use warm::{

@@ -42,16 +42,6 @@
 //!   slice), so it can only turn `Unknown` into `Unsat`, never flip a
 //!   decided answer.
 //!
-//! Slices of one query are variable-disjoint by construction, so they
-//! are also **embarrassingly parallel**: [`Solver::check_sliced_parallel`]
-//! dispatches cold slices (local-memo / shared-cache / hint misses) as
-//! sub-jobs onto a [`SliceExecutor`] — in production the classification
-//! farm's `SlicePool`, which lends idle workers to a busy peer — and
-//! merges the results deterministically in slice order, falling back to
-//! sequential solving when no worker is idle or too few slices are cold
-//! (see [`solve_slices_parallel`](self) for the cancellation protocol
-//! that keeps the parallel path byte-equivalent to the serial one).
-//!
 //! Transparency: every slice is solved by the same solver backend
 //! under the same configuration (full node budget per slice), so sliced
 //! solving never flips a decided answer and returns the same model —
@@ -64,12 +54,9 @@
 //! test `sliced_solver_is_transparent` pins this.
 
 use std::collections::HashMap;
-use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
-use std::time::{Duration, Instant};
+use std::sync::Arc;
 
-use crate::cache::{config_prefix, push_domains, render_constraint, CacheAnswer, SliceFlight};
+use crate::cache::{config_prefix, push_domains, render_constraint, CacheAnswer};
 use crate::domain::{Interval, VarId, VarTable};
 use crate::expr::Expr;
 use crate::model::Model;
@@ -346,16 +333,12 @@ pub(crate) fn solve_slices(
     let capture = domains.is_some() || solver.query_cache().is_some();
     for (pos, q) in queries.iter().enumerate() {
         // Counted per *examined* slice: an UNSAT short-circuit below
-        // leaves later slices unexamined, and they must not inflate the
-        // counter that identifies parallel-profitable queries.
+        // leaves later slices unexamined, and they are not counted.
         stats.slices += 1;
         let mut from_memo = false;
         let mut from_cache = false;
         let mut from_hint = false;
-        let mut from_probation = false;
-        let mut from_dedup = false;
         let mut captured: Option<Vec<(VarId, Interval)>> = None;
-        let mut flight_guard = None;
         let result = 'resolve: {
             if let (Some(memo), Some(key)) = (memo.as_deref(), q.key.as_deref()) {
                 if let Some(r) = memo.get(key) {
@@ -363,33 +346,21 @@ pub(crate) fn solve_slices(
                     break 'resolve r.clone();
                 }
             }
+            // A warm-store entry sampled for validation: solve anyway,
+            // compare, and correct the entry in place if the store was
+            // stale.
+            let mut probation = None;
             if let (Some(cache), Some(key)) = (solver.query_cache(), q.key.as_deref()) {
                 match cache.lookup_slice(key) {
                     CacheAnswer::Hit(r) => {
                         from_cache = true;
                         break 'resolve r;
                     }
-                    CacheAnswer::Probation(expected) => {
-                        // A warm-store entry sampled for validation:
-                        // solve anyway, compare, and correct the entry
-                        // in place if the store was stale.
-                        let mut ev = portend_obs::span(portend_obs::EventKind::SliceSolve);
-                        let (r, s, doms) = solver.solve_capture(&q.exprs, vars, capture);
-                        ev.args(pos as u64, s.nodes);
-                        drop(ev);
-                        solved += 1;
-                        stats.nodes += s.nodes;
-                        stats.prune_passes += s.prune_passes;
-                        stats.budget_exhausted |= s.budget_exhausted;
-                        cache.confirm_warm(key, &expected, &r, doms.as_deref());
-                        captured = doms;
-                        from_probation = true;
-                        break 'resolve r;
-                    }
+                    CacheAnswer::Probation(expected) => probation = Some(expected),
                     CacheAnswer::Miss => {}
                 }
             }
-            if let Some(hint) = &q.hint {
+            if let (None, Some(hint)) = (&probation, &q.hint) {
                 let env = |id: VarId| {
                     hint.iter()
                         .find(|(v, _)| *v == id)
@@ -404,30 +375,6 @@ pub(crate) fn solve_slices(
                     break 'resolve SatResult::Unsat;
                 }
             }
-            // Genuinely cold. Claim the key's single-flight: when a
-            // concurrent solver (another farm worker, typically on a
-            // different race cluster) is already solving this exact
-            // key, wait for its publication instead of duplicating the
-            // solve. Slices of *one* query are variable-disjoint —
-            // their keys always differ — so dedup only ever fires
-            // across concurrent queries.
-            if let (Some(cache), Some(key)) = (solver.query_cache(), q.key.as_deref()) {
-                match cache.claim_flight(key) {
-                    SliceFlight::Solo => {}
-                    SliceFlight::Leader(g) => flight_guard = Some(g),
-                    SliceFlight::Waiter(f) => {
-                        stats.single_flight_waits += 1;
-                        if let Some((r, doms)) = cache.wait_flight(&f) {
-                            portend_obs::instant(portend_obs::EventKind::SliceDedup, pos as u64, 0);
-                            stats.slices_deduped += 1;
-                            captured = doms.map(|d| d.to_vec());
-                            from_dedup = true;
-                            break 'resolve r;
-                        }
-                        // The leader abandoned: solve solo below.
-                    }
-                }
-            }
             let mut ev = portend_obs::span(portend_obs::EventKind::SliceSolve);
             let (r, s, doms) = solver.solve_capture(&q.exprs, vars, capture);
             ev.args(pos as u64, s.nodes);
@@ -436,21 +383,16 @@ pub(crate) fn solve_slices(
             stats.nodes += s.nodes;
             stats.prune_passes += s.prune_passes;
             stats.budget_exhausted |= s.budget_exhausted;
+            if let (Some(cache), Some(key)) = (solver.query_cache(), q.key.as_deref()) {
+                match &probation {
+                    Some(expected) => cache.confirm_warm(key, expected, &r, doms.as_deref()),
+                    None => cache.insert_with_domain(key.to_string(), r.clone(), doms.clone()),
+                }
+            }
             captured = doms;
             r
         };
         if let Some(key) = &q.key {
-            if !from_cache && !from_memo && !from_hint && !from_probation && !from_dedup {
-                if let Some(cache) = solver.query_cache() {
-                    cache.insert_with_domain(key.clone(), result.clone(), captured.clone());
-                }
-            }
-            if let Some(g) = flight_guard.take() {
-                // Publish *after* the cache insert above, so a waiter
-                // released here and immediately re-probing the key
-                // finds the entry present.
-                g.publish(&result, captured.as_deref());
-            }
             if let (Some(dm), Some(doms)) = (domains.as_deref_mut(), captured) {
                 dm.insert(key.clone(), doms);
             }
@@ -463,589 +405,6 @@ pub(crate) fn solve_slices(
         memo_hits += from_memo as u64;
         domain_unsat += from_hint as u64;
         stats.slice_cache_hits += from_cache as u64;
-        match result {
-            SatResult::Unsat => {
-                return SliceOutcome {
-                    result: SatResult::Unsat,
-                    memo_hits,
-                    domain_unsat,
-                    solved,
-                }
-            }
-            SatResult::Unknown => unknown = true,
-            SatResult::Sat(m) => {
-                for (v, val) in m.iter() {
-                    merged.set(v, val);
-                }
-            }
-        }
-    }
-    SliceOutcome {
-        result: if unknown {
-            SatResult::Unknown
-        } else {
-            SatResult::Sat(merged)
-        },
-        memo_hits,
-        domain_unsat,
-        solved,
-    }
-}
-
-/// A slice-sized sub-job: one cold slice's solve, boxed for dispatch
-/// onto a borrowed worker (see [`SliceExecutor`]).
-pub type SliceJob = Box<dyn FnOnce() + Send + 'static>;
-
-/// An executor that lends otherwise-idle workers to slice-sized
-/// sub-jobs. Implemented by `portend_farm::SlicePool`, where the
-/// classification farm's workers help a busy peer once their own job
-/// queue runs dry; any fixed helper pool works too.
-///
-/// The contract [`Solver::check_sliced_parallel`] relies on: a job that
-/// [`SliceExecutor::try_execute`] *accepts* is eventually executed
-/// exactly once (the submitter blocks on its result), and a rejected
-/// job is returned untouched so the submitter solves it inline — the
-/// sequential fallback when no worker is idle.
-pub trait SliceExecutor: fmt::Debug + Send + Sync {
-    /// Offers `job` to an idle worker. Returns `None` when the job was
-    /// accepted (it will run on a borrowed worker) or gives the job
-    /// back when no worker is idle.
-    fn try_execute(&self, job: SliceJob) -> Option<SliceJob>;
-
-    /// Offers a whole group of cold slices as *one* dispatch unit,
-    /// amortizing per-job queue/handoff overhead. All-or-nothing: a
-    /// `None` return accepted every job (each will run exactly once, as
-    /// if accepted by [`SliceExecutor::try_execute`] individually); a
-    /// `Some` return gives every job back *in submission order* so the
-    /// submitter can fall back to per-job dispatch. The default refuses,
-    /// which makes batching purely opt-in for executors.
-    fn try_execute_batch(&self, jobs: Vec<SliceJob>) -> Option<Vec<SliceJob>> {
-        Some(jobs)
-    }
-
-    /// The executor's current cold-slice dispatch threshold, when it
-    /// maintains an adaptive one (see `portend_farm::SlicePool`);
-    /// `None` leaves the solver's static
-    /// [`ParallelSlices::min_cold_slices`] in charge. Consulted through
-    /// [`ParallelSlices::cold_threshold`], which floors the answer at
-    /// the static value.
-    fn dispatch_threshold(&self) -> Option<usize> {
-        None
-    }
-
-    /// Reports submitter-measured wall time saved by one parallel check
-    /// (offloaded execution time minus the time spent waiting for it).
-    /// Purely statistical; the default implementation discards it.
-    fn record_wall_saved(&self, saved: Duration) {
-        let _ = saved;
-    }
-
-    /// Like [`SliceExecutor::record_wall_saved`], additionally carrying
-    /// how many jobs the check offloaded — the sample an adaptive
-    /// threshold estimator needs to judge saved-per-offload. The
-    /// default forwards to `record_wall_saved`.
-    fn record_offload_outcome(&self, jobs: u64, saved: Duration) {
-        let _ = jobs;
-        self.record_wall_saved(saved);
-    }
-}
-
-/// A slice-parallelism configuration for a [`Solver`]: the worker pool
-/// to borrow from plus the profitability threshold.
-#[derive(Clone)]
-pub struct ParallelSlices {
-    pool: Arc<dyn SliceExecutor>,
-    /// Minimum number of *cold* slices (local-memo / shared-cache /
-    /// domain-hint misses) in one query before sub-jobs are dispatched;
-    /// below it the check solves sequentially. Cold slices are what the
-    /// dispatch parallelizes — a query of mostly-hot slices has nothing
-    /// to fan out. Read through [`ParallelSlices::cold_threshold`],
-    /// which floors at 2 (1 would "parallelize" a single solve) and
-    /// lets an adaptive executor raise the bar.
-    pub min_cold_slices: usize,
-    /// Whether the dispatchable cold slices of one check are offered to
-    /// the executor as one [`SliceExecutor::try_execute_batch`] unit
-    /// first (falling back to per-job dispatch when the executor
-    /// refuses the batch). Defaults to on; purely a handoff-overhead
-    /// optimization — which jobs run where is unchanged.
-    pub batch_dispatch: bool,
-}
-
-impl fmt::Debug for ParallelSlices {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ParallelSlices")
-            .field("min_cold_slices", &self.min_cold_slices)
-            .field("batch_dispatch", &self.batch_dispatch)
-            .finish_non_exhaustive()
-    }
-}
-
-impl ParallelSlices {
-    /// A configuration borrowing from `pool` with the default threshold
-    /// of 2 cold slices and batched dispatch.
-    pub fn new(pool: Arc<dyn SliceExecutor>) -> Self {
-        ParallelSlices {
-            pool,
-            min_cold_slices: 2,
-            batch_dispatch: true,
-        }
-    }
-
-    /// The same configuration with an explicit cold-slice threshold
-    /// (applied through the [`ParallelSlices::cold_threshold`] floor).
-    pub fn with_min_cold_slices(mut self, min: usize) -> Self {
-        self.min_cold_slices = min;
-        self
-    }
-
-    /// The same configuration with batched dispatch switched on or off.
-    pub fn with_batch_dispatch(mut self, on: bool) -> Self {
-        self.batch_dispatch = on;
-        self
-    }
-
-    /// The executor sub-jobs are offered to.
-    pub fn pool(&self) -> &Arc<dyn SliceExecutor> {
-        &self.pool
-    }
-
-    /// The effective cold-slice dispatch threshold: the executor's
-    /// adaptive value when it maintains one
-    /// ([`SliceExecutor::dispatch_threshold`]), floored at the static
-    /// [`ParallelSlices::min_cold_slices`], itself floored at 2. This
-    /// is the *single* read site of the floor — direct construction
-    /// with `min_cold_slices: 0` cannot bypass it.
-    pub fn cold_threshold(&self) -> usize {
-        let floor = self.min_cold_slices.max(2);
-        self.pool
-            .dispatch_threshold()
-            .map_or(floor, |t| t.max(floor))
-    }
-}
-
-/// How the cheap resolution pass answered one slice (everything short
-/// of solving), or found it cold.
-enum Resolution {
-    /// Answered by the solver-local memo.
-    Memo(SatResult),
-    /// Answered by the shared cache.
-    Cache(SatResult),
-    /// Refuted by a cached interval-domain hint.
-    Hint,
-    /// Needs a solve; `probation` carries the persisted answer to
-    /// confirm when the shared cache sampled this key for warm-store
-    /// validation.
-    Cold { probation: Option<SatResult> },
-}
-
-/// One cold slice's solve outcome, produced inline or by a sub-job.
-struct ColdSolve {
-    result: SatResult,
-    nodes: u64,
-    prune_passes: u64,
-    budget_exhausted: bool,
-    domains: Option<Vec<(VarId, Interval)>>,
-    exec: Duration,
-    /// Answered by another solver's concurrent in-flight solve of the
-    /// same key (single-flight dedup) — no search performed here.
-    deduped: bool,
-    /// Blocked on a single-flight leader at all (a dedup when the
-    /// leader published, a wasted wait when it abandoned).
-    waited: bool,
-}
-
-/// Solves one cold slice under the cancellation protocol: a slice
-/// positioned *after* an already-known UNSAT slice is skipped (`None`),
-/// because the serial path would never have examined it; everything at
-/// or before the frontier must solve, so the local memo and the
-/// counters evolve exactly as the serial path's. Shared-cache insertion
-/// (or warm-store confirmation) happens here, on the solving thread —
-/// the cache is sharded and thread-safe, and publishing immediately
-/// lets concurrent workers reuse the slice before the merge.
-fn solve_cold(
-    solver: &Solver,
-    vars: &VarTable,
-    q: &SliceQuery,
-    probation: Option<&SatResult>,
-    capture: bool,
-    pos: usize,
-    min_unsat: &AtomicUsize,
-) -> Option<ColdSolve> {
-    // Claim the key's single-flight *before* the cancellation check:
-    // a leader cancelled below drops its guard, which abandons the
-    // flight and wakes every waiter — so cancellation can never strand
-    // a concurrent requester on the condvar. Probation solves bypass
-    // single-flight entirely (their contract is to re-solve and
-    // confirm, not to reuse anyone's answer).
-    let flight = match (solver.query_cache(), q.key.as_deref()) {
-        (Some(cache), Some(key)) if probation.is_none() => cache.claim_flight(key),
-        _ => SliceFlight::Solo,
-    };
-    let (guard, waited) = match flight {
-        SliceFlight::Solo => (None, false),
-        SliceFlight::Leader(g) => (Some(g), false),
-        SliceFlight::Waiter(f) => {
-            if pos > min_unsat.load(Ordering::SeqCst) {
-                return None; // cancelled before waiting
-            }
-            let t0 = Instant::now();
-            let cache = solver.query_cache().expect("a waiter implies a cache");
-            match cache.wait_flight(&f) {
-                Some((result, doms)) => {
-                    portend_obs::instant(portend_obs::EventKind::SliceDedup, pos as u64, 0);
-                    if result == SatResult::Unsat {
-                        min_unsat.fetch_min(pos, Ordering::SeqCst);
-                    }
-                    return Some(ColdSolve {
-                        result,
-                        nodes: 0,
-                        prune_passes: 0,
-                        budget_exhausted: false,
-                        domains: doms.map(|d| d.to_vec()),
-                        exec: t0.elapsed(),
-                        deduped: true,
-                        waited: true,
-                    });
-                }
-                // The leader abandoned (cancelled or panicked): solve
-                // for ourselves, without re-claiming — chaining a fresh
-                // flight here would serialize requesters behind each
-                // other's cancellations for no benefit.
-                None => (None, true),
-            }
-        }
-    };
-    if pos > min_unsat.load(Ordering::SeqCst) {
-        // Cancelled: an earlier slice already decided UNSAT. A held
-        // leadership guard drops here, abandoning the flight.
-        return None;
-    }
-    let t0 = Instant::now();
-    let mut ev = portend_obs::span(portend_obs::EventKind::SliceSolve);
-    let (result, s, doms) = solver.solve_capture(&q.exprs, vars, capture);
-    ev.args(pos as u64, s.nodes);
-    drop(ev);
-    if let (Some(cache), Some(key)) = (solver.query_cache(), q.key.as_deref()) {
-        match probation {
-            Some(expected) => cache.confirm_warm(key, expected, &result, doms.as_deref()),
-            None => cache.insert_with_domain(key.to_string(), result.clone(), doms.clone()),
-        }
-    }
-    if let Some(g) = guard {
-        // Publish *after* the cache insert: a waiter released here and
-        // immediately re-probing the key finds the entry present.
-        g.publish(&result, doms.as_deref());
-    }
-    if result == SatResult::Unsat {
-        min_unsat.fetch_min(pos, Ordering::SeqCst);
-    }
-    Some(ColdSolve {
-        result,
-        nodes: s.nodes,
-        prune_passes: s.prune_passes,
-        budget_exhausted: s.budget_exhausted,
-        domains: doms,
-        exec: t0.elapsed(),
-        deduped: false,
-        waited,
-    })
-}
-
-/// [`solve_slices`] with cold slices dispatched onto borrowed idle
-/// workers (when the solver carries a [`ParallelSlices`] pool and at
-/// least [`ParallelSlices::min_cold_slices`] slices are cold), results
-/// merged deterministically in slice order.
-///
-/// Transparency with the serial path is engineered, not incidental:
-///
-/// * the cheap resolution pass (memo → shared cache → domain hint) runs
-///   in slice order and short-circuits on a cheap UNSAT before anything
-///   is dispatched, exactly like the serial loop;
-/// * each cold slice is solved by the same deterministic solver under
-///   the same full node budget, so per-slice results are byte-identical
-///   wherever they run;
-/// * an UNSAT cold slice publishes its *position* ([`AtomicUsize`]
-///   min); only slices strictly after the eventual minimum may be
-///   skipped — precisely the set the serial short-circuit never
-///   examines — so the local memo, the domain memo, and every counter
-///   in [`SolverStats`] are merged for exactly the serial path's
-///   examined prefix, in slice order;
-/// * models merge in slice order over variable-disjoint slices, which
-///   is the serial merge verbatim.
-///
-/// The only observable differences are shared-cache *traffic* (slices
-/// past an UNSAT may have been looked up or solved before the
-/// cancellation landed; their answers are deposited in the shared cache,
-/// which is answer-preserving by contract) and wall-clock time.
-pub(crate) fn solve_slices_parallel(
-    solver: &Solver,
-    vars: &VarTable,
-    queries: &[SliceQuery],
-    mut memo: Option<&mut HashMap<String, SatResult>>,
-    mut domains: Option<&mut DomainMemo>,
-    stats: &mut SolverStats,
-) -> SliceOutcome {
-    let capture = domains.is_some() || solver.query_cache().is_some();
-
-    // ---- Cheap pass, in slice order (the serial resolution order).
-    let mut resolutions: Vec<Resolution> = Vec::with_capacity(queries.len());
-    let mut cold: Vec<usize> = Vec::new();
-    let mut cheap_unsat: Option<usize> = None;
-    for (pos, q) in queries.iter().enumerate() {
-        let res = 'resolve: {
-            if let (Some(m), Some(key)) = (memo.as_deref(), q.key.as_deref()) {
-                if let Some(r) = m.get(key) {
-                    break 'resolve Resolution::Memo(r.clone());
-                }
-            }
-            if let (Some(cache), Some(key)) = (solver.query_cache(), q.key.as_deref()) {
-                match cache.lookup_slice(key) {
-                    CacheAnswer::Hit(r) => break 'resolve Resolution::Cache(r),
-                    CacheAnswer::Probation(expected) => {
-                        break 'resolve Resolution::Cold {
-                            probation: Some(expected),
-                        }
-                    }
-                    CacheAnswer::Miss => {}
-                }
-            }
-            if let Some(hint) = &q.hint {
-                let env = |id: VarId| {
-                    hint.iter()
-                        .find(|(v, _)| *v == id)
-                        .map(|&(_, i)| i)
-                        .unwrap_or_else(|| vars.info(id).interval())
-                };
-                if q.exprs
-                    .iter()
-                    .any(|e| e.eval_interval(&env).definitely_false())
-                {
-                    break 'resolve Resolution::Hint;
-                }
-            }
-            Resolution::Cold { probation: None }
-        };
-        let unsat = matches!(
-            &res,
-            Resolution::Memo(SatResult::Unsat) | Resolution::Cache(SatResult::Unsat)
-        ) || matches!(&res, Resolution::Hint);
-        if matches!(res, Resolution::Cold { .. }) {
-            cold.push(pos);
-        }
-        resolutions.push(res);
-        if unsat {
-            // Serial behavior: later slices are never looked up. Cold
-            // slices found *before* this position must still be solved
-            // (the serial loop solved them on the way here).
-            cheap_unsat = Some(pos);
-            break;
-        }
-    }
-
-    // ---- Solve the cold slices: dispatched + inline, or all inline.
-    let min_unsat = Arc::new(AtomicUsize::new(usize::MAX));
-    let dispatchable = solver
-        .parallel_slices()
-        .filter(|p| cold.len() >= p.cold_threshold());
-    let mut results: HashMap<usize, Option<ColdSolve>> = HashMap::with_capacity(cold.len());
-    let mut offloaded = 0u64;
-    let (tx, rx) = mpsc::channel::<(usize, Option<ColdSolve>)>();
-    let mut inline: Vec<usize> = Vec::new();
-    match dispatchable {
-        Some(par) => {
-            // One table clone for the whole batch: the sub-jobs only
-            // read it, and cloning per job would put k full-table
-            // copies on the submitter's critical path.
-            let shared_vars = Arc::new(vars.clone());
-            let mut jobs: Vec<(usize, SliceJob)> = Vec::with_capacity(cold.len() - 1);
-            for (k, &pos) in cold.iter().enumerate() {
-                if k == 0 {
-                    // The submitter always keeps work for itself.
-                    inline.push(pos);
-                    continue;
-                }
-                let q = &queries[pos];
-                let probation = match &resolutions[pos] {
-                    Resolution::Cold { probation } => probation.clone(),
-                    _ => None,
-                };
-                let job_solver = solver.clone();
-                let job_vars = Arc::clone(&shared_vars);
-                let job_query = SliceQuery {
-                    exprs: q.exprs.clone(),
-                    key: q.key.clone(),
-                    hint: None,
-                };
-                let job_min = Arc::clone(&min_unsat);
-                let job_tx = tx.clone();
-                let job: SliceJob = Box::new(move || {
-                    let solved = solve_cold(
-                        &job_solver,
-                        job_vars.as_ref(),
-                        &job_query,
-                        probation.as_ref(),
-                        capture,
-                        pos,
-                        &job_min,
-                    );
-                    // The submitter drains every dispatched result
-                    // before merging; a failed send means it is gone
-                    // (panic unwinding) and there is nobody to notify.
-                    let _ = job_tx.send((pos, solved));
-                });
-                jobs.push((pos, job));
-            }
-            // Offer the whole group as one dispatch unit first (one
-            // queue lock + one wakeup for the lot); an executor that
-            // refuses the batch gets each job offered individually —
-            // the pre-batching path, which may partially accept.
-            if par.batch_dispatch && jobs.len() > 1 {
-                let (positions, boxed): (Vec<usize>, Vec<SliceJob>) = jobs.drain(..).unzip();
-                match par.pool().try_execute_batch(boxed) {
-                    None => {
-                        offloaded += positions.len() as u64;
-                        for &pos in &positions {
-                            portend_obs::instant(
-                                portend_obs::EventKind::SliceOffload,
-                                pos as u64,
-                                0,
-                            );
-                        }
-                    }
-                    // Returned in submission order (the batch contract).
-                    Some(returned) => jobs = positions.into_iter().zip(returned).collect(),
-                }
-            }
-            for (pos, job) in jobs {
-                match par.pool().try_execute(job) {
-                    None => {
-                        offloaded += 1;
-                        portend_obs::instant(portend_obs::EventKind::SliceOffload, pos as u64, 0);
-                    }
-                    // No worker idle: the clones are dropped with the
-                    // rejected box and the submitter solves inline.
-                    Some(_rejected) => inline.push(pos),
-                }
-            }
-        }
-        None => inline.extend(&cold),
-    }
-    drop(tx);
-    for &pos in &inline {
-        let probation = match &resolutions[pos] {
-            Resolution::Cold { probation } => probation.as_ref(),
-            _ => None,
-        };
-        results.insert(
-            pos,
-            solve_cold(
-                solver,
-                vars,
-                &queries[pos],
-                probation,
-                capture,
-                pos,
-                &min_unsat,
-            ),
-        );
-    }
-    if offloaded > 0 {
-        let wait_t0 = Instant::now();
-        let mut offload_exec = Duration::ZERO;
-        for (pos, solved) in rx.iter() {
-            if let Some(cs) = &solved {
-                offload_exec += cs.exec;
-            }
-            results.insert(pos, solved);
-        }
-        let waited = wait_t0.elapsed();
-        let saved = offload_exec.saturating_sub(waited);
-        stats.slices_offloaded += offloaded;
-        stats.slice_parallel_wall_saved += saved;
-        if let Some(par) = solver.parallel_slices() {
-            par.pool().record_offload_outcome(offloaded, saved);
-        }
-    }
-
-    // ---- Deterministic merge in slice order, bounded at the first
-    // UNSAT position — the exact prefix the serial path examines.
-    let cold_unsat = results
-        .iter()
-        .filter_map(|(&p, r)| match r {
-            Some(cs) if cs.result == SatResult::Unsat => Some(p),
-            _ => None,
-        })
-        .min();
-    let first_unsat = match (cheap_unsat, cold_unsat) {
-        (Some(a), Some(b)) => Some(a.min(b)),
-        (a, b) => a.or(b),
-    };
-    // A cancelled slice whose cheap-pass lookup claimed a warm-store
-    // validation probe never performed the promised re-solve: give the
-    // probe back so the entry (still marked warm) is sampled on a later
-    // hit instead of silently counting a validation that never ran.
-    // Slices at or before `first_unsat` always solved (and confirmed).
-    if let Some(cache) = solver.query_cache() {
-        for &pos in &cold {
-            if matches!(resolutions[pos], Resolution::Cold { probation: Some(_) })
-                && matches!(results.get(&pos), Some(None))
-            {
-                cache.refund_warm_probe();
-            }
-        }
-    }
-    let mut memo_hits = 0u64;
-    let mut domain_unsat = 0u64;
-    let mut solved = 0u64;
-    let mut merged = Model::new();
-    let mut unknown = false;
-    for (pos, q) in queries.iter().enumerate() {
-        if first_unsat.is_some_and(|u| pos > u) {
-            break; // unexamined on the serial path: no bookkeeping
-        }
-        stats.slices += 1;
-        let (result, from_memo) = match &resolutions[pos] {
-            Resolution::Memo(r) => {
-                memo_hits += 1;
-                (r.clone(), true)
-            }
-            Resolution::Cache(r) => {
-                stats.slice_cache_hits += 1;
-                (r.clone(), false)
-            }
-            Resolution::Hint => {
-                domain_unsat += 1;
-                (SatResult::Unsat, false)
-            }
-            Resolution::Cold { .. } => {
-                let cs = results
-                    .remove(&pos)
-                    .flatten()
-                    .expect("every examined cold slice has a result");
-                stats.single_flight_waits += cs.waited as u64;
-                if cs.deduped {
-                    // Served by another solver's concurrent flight: no
-                    // search happened here, like a shared-cache hit.
-                    stats.slices_deduped += 1;
-                } else {
-                    solved += 1;
-                }
-                stats.nodes += cs.nodes;
-                stats.prune_passes += cs.prune_passes;
-                stats.budget_exhausted |= cs.budget_exhausted;
-                if let (Some(dm), Some(key), Some(doms)) =
-                    (domains.as_deref_mut(), q.key.as_ref(), cs.domains)
-                {
-                    dm.insert(key.clone(), doms);
-                }
-                (cs.result, false)
-            }
-        };
-        if let (Some(m), Some(key)) = (memo.as_deref_mut(), &q.key) {
-            if !from_memo {
-                m.insert(key.clone(), result.clone());
-            }
-        }
         match result {
             SatResult::Unsat => {
                 return SliceOutcome {
@@ -1154,17 +513,13 @@ fn prepare_slices(views: &[ConstraintView<'_>], prefix: Option<&str>, vars: &Var
     Prepared::Queries(queries)
 }
 
-/// The sliced equivalent of [`Solver::solve`] with optional per-slice
-/// cache/memoization; backs [`Solver::check_sliced_with_stats`]. With
-/// `parallel` set, cold slices are dispatched through the solver's
-/// [`ParallelSlices`] pool (backing
-/// [`Solver::check_sliced_parallel_with_stats`]).
+/// The sliced equivalent of [`Solver::solve`], memoizing per slice in
+/// the solver's shared cache when one is attached; backs
+/// [`Solver::check_sliced_with_stats`].
 pub(crate) fn check_sliced(
     solver: &Solver,
     constraints: &[Expr],
     vars: &VarTable,
-    memo: Option<&mut HashMap<String, SatResult>>,
-    parallel: bool,
 ) -> (SatResult, SolverStats) {
     let mut ev = portend_obs::span(portend_obs::EventKind::SolverCheck);
     let mut stats = SolverStats::default();
@@ -1186,16 +541,11 @@ pub(crate) fn check_sliced(
             konst: c.as_const(),
         })
         .collect();
-    let want_keys = memo.is_some() || solver.query_cache().is_some();
-    let prefix = want_keys.then(|| config_prefix(solver.config()));
+    let prefix = solver.query_cache().map(|_| config_prefix(solver.config()));
     let (result, stats) = match prepare_slices(&views, prefix.as_deref(), vars) {
         Prepared::Decided(r) => (r, stats),
         Prepared::Queries(queries) => {
-            let outcome = if parallel {
-                solve_slices_parallel(solver, vars, &queries, memo, None, &mut stats)
-            } else {
-                solve_slices(solver, vars, &queries, memo, None, &mut stats)
-            };
+            let outcome = solve_slices(solver, vars, &queries, None, None, &mut stats);
             (outcome.result, stats)
         }
     };
@@ -1221,23 +571,6 @@ pub struct ScopedStats {
     pub domain_unsat: u64,
     /// Slices actually solved.
     pub solved: u64,
-    /// Cold slices dispatched onto borrowed idle workers by the
-    /// parallel path (see [`Solver::check_sliced_parallel`]); `0` when
-    /// no [`ParallelSlices`] pool is attached or no worker was idle.
-    pub slices_offloaded: u64,
-    /// Estimated wall time saved by offloading: the dispatched solves'
-    /// execution time minus the time this solver spent waiting for
-    /// their results, summed over checks.
-    pub slice_parallel_wall_saved: Duration,
-    /// Cold slices answered by another solver's concurrent in-flight
-    /// solve of the same canonical key (single-flight dedup) instead
-    /// of solving here.
-    pub slices_deduped: u64,
-    /// Times a cold slice blocked on a concurrent leader's flight at
-    /// all — a dedup when the leader published, a wasted wait when it
-    /// was cancelled or panicked (so `single_flight_waits >=
-    /// slices_deduped`).
-    pub single_flight_waits: u64,
 }
 
 /// The slice a frame belonged to at the last check: its canonical key
@@ -1514,42 +847,19 @@ impl ScopedSolver {
                 });
             }
         }
-        // A query with fewer slices than the cold-slice threshold can
-        // never dispatch; route it through the serial path so small
-        // checks (the overwhelming majority at explorer fork sites) pay
-        // no parallel-bookkeeping overhead at all.
-        let parallel = self
-            .solver
-            .parallel_slices()
-            .is_some_and(|p| queries.len() >= p.cold_threshold());
-        let outcome = if parallel {
-            solve_slices_parallel(
-                &self.solver,
-                vars,
-                &queries,
-                Some(&mut self.memo),
-                Some(&mut self.domains),
-                &mut stats,
-            )
-        } else {
-            solve_slices(
-                &self.solver,
-                vars,
-                &queries,
-                Some(&mut self.memo),
-                Some(&mut self.domains),
-                &mut stats,
-            )
-        };
+        let outcome = solve_slices(
+            &self.solver,
+            vars,
+            &queries,
+            Some(&mut self.memo),
+            Some(&mut self.domains),
+            &mut stats,
+        );
         self.stats.slices += stats.slices;
         self.stats.memo_hits += outcome.memo_hits;
         self.stats.cache_hits += stats.slice_cache_hits;
         self.stats.domain_unsat += outcome.domain_unsat;
         self.stats.solved += outcome.solved;
-        self.stats.slices_offloaded += stats.slices_offloaded;
-        self.stats.slice_parallel_wall_saved += stats.slice_parallel_wall_saved;
-        self.stats.slices_deduped += stats.slices_deduped;
-        self.stats.single_flight_waits += stats.single_flight_waits;
         ev.args(stats.slices, stats.nodes);
         (outcome.result, stats)
     }
@@ -1761,9 +1071,8 @@ mod tests {
     /// Regression for the slice-counter bugfix: `solve_slices` used to
     /// add the whole partition size to `SolverStats::slices` up front
     /// and then short-circuit on the first UNSAT slice, counting slices
-    /// it never examined — inflating exactly the counter the roadmap
-    /// uses to find parallel-profitable queries. With an UNSAT-first
-    /// multi-slice query, only the examined slice may be counted.
+    /// it never examined. With an UNSAT-first multi-slice query, only
+    /// the examined slice may be counted.
     #[test]
     fn unsat_short_circuit_counts_only_examined_slices() {
         let vars = vt(&[(0, 5), (0, 5), (0, 5)]);
@@ -1854,237 +1163,6 @@ mod tests {
         scoped.assume(x(0).cmp(CmpOp::Ge, Expr::konst(0)));
         scoped.assume(Expr::konst(0));
         assert_eq!(scoped.check(&vars), SatResult::Unsat);
-    }
-
-    /// A minimal executor for tests: every offered job runs on a fresh
-    /// thread (always "idle"), so dispatch is exercised without the
-    /// farm crate (which depends on this one).
-    #[derive(Debug, Default)]
-    struct SpawnExecutor {
-        accepted: std::sync::atomic::AtomicU64,
-    }
-
-    impl SliceExecutor for SpawnExecutor {
-        fn try_execute(&self, job: SliceJob) -> Option<SliceJob> {
-            self.accepted.fetch_add(1, Ordering::Relaxed);
-            std::thread::spawn(job);
-            None
-        }
-    }
-
-    /// A refusing executor: the sequential fallback must engage.
-    #[derive(Debug)]
-    struct BusyExecutor;
-
-    impl SliceExecutor for BusyExecutor {
-        fn try_execute(&self, job: SliceJob) -> Option<SliceJob> {
-            Some(job)
-        }
-    }
-
-    /// A batch-capable [`SpawnExecutor`]: whole batches are accepted
-    /// and each member spawned, counting dispatch units.
-    #[derive(Debug, Default)]
-    struct BatchSpawnExecutor {
-        batches: std::sync::atomic::AtomicU64,
-        batched_jobs: std::sync::atomic::AtomicU64,
-        singles: std::sync::atomic::AtomicU64,
-    }
-
-    impl SliceExecutor for BatchSpawnExecutor {
-        fn try_execute(&self, job: SliceJob) -> Option<SliceJob> {
-            self.singles.fetch_add(1, Ordering::Relaxed);
-            std::thread::spawn(job);
-            None
-        }
-
-        fn try_execute_batch(&self, jobs: Vec<SliceJob>) -> Option<Vec<SliceJob>> {
-            self.batches.fetch_add(1, Ordering::Relaxed);
-            self.batched_jobs
-                .fetch_add(jobs.len() as u64, Ordering::Relaxed);
-            for job in jobs {
-                std::thread::spawn(job);
-            }
-            None
-        }
-    }
-
-    /// An executor advertising an adaptive dispatch threshold.
-    #[derive(Debug)]
-    struct ThresholdExecutor(usize);
-
-    impl SliceExecutor for ThresholdExecutor {
-        fn try_execute(&self, job: SliceJob) -> Option<SliceJob> {
-            Some(job)
-        }
-
-        fn dispatch_threshold(&self) -> Option<usize> {
-            Some(self.0)
-        }
-    }
-
-    fn par_solver(pool: Arc<dyn SliceExecutor>) -> Solver {
-        Solver::new().parallel(ParallelSlices::new(pool))
-    }
-
-    #[test]
-    fn parallel_sliced_check_equals_serial_sliced_check() {
-        let vars = vt(&[(0, 30), (0, 30), (0, 30), (0, 30)]);
-        let serial = Solver::new();
-        let pool = Arc::new(SpawnExecutor::default());
-        let parallel = par_solver(Arc::clone(&pool) as Arc<dyn SliceExecutor>);
-        let cases: Vec<Vec<Expr>> = vec![
-            // Four cold disjoint slices, all satisfiable.
-            (0..4)
-                .map(|i| {
-                    x(i).mul(x(i))
-                        .cmp(CmpOp::Eq, Expr::konst(((i + 2) * (i + 2)) as i64))
-                })
-                .collect(),
-            // UNSAT in the middle slice.
-            vec![
-                x(0).cmp(CmpOp::Ge, Expr::konst(3)),
-                x(1).cmp(CmpOp::Gt, Expr::konst(99)),
-                x(2).cmp(CmpOp::Le, Expr::konst(7)),
-            ],
-            // Single slice: below the threshold, sequential fallback.
-            vec![x(0).cmp(CmpOp::Ge, Expr::konst(3))],
-        ];
-        for cs in &cases {
-            let (want, ws) = serial.check_sliced_with_stats(cs, &vars);
-            let (got, gs) = parallel.check_sliced_parallel_with_stats(cs, &vars);
-            assert_eq!(got, want, "parallel != serial for {cs:?}");
-            assert_eq!(gs.slices, ws.slices, "examined-slice counts: {cs:?}");
-            assert_eq!(gs.nodes, ws.nodes, "search work per slice: {cs:?}");
-        }
-        assert!(
-            pool.accepted.load(Ordering::Relaxed) > 0,
-            "the many-cold-slice case must dispatch"
-        );
-    }
-
-    /// Regression for the floor-bypass bug: `with_min_cold_slices`
-    /// used to clamp at the write site, so direct struct construction
-    /// (the field is public) bypassed the floor and every read site
-    /// re-applied `.max(2)` by hand. The floor now lives in the single
-    /// read-site accessor [`ParallelSlices::cold_threshold`].
-    #[test]
-    fn cold_threshold_floors_at_two_even_under_direct_construction() {
-        let direct = ParallelSlices {
-            pool: Arc::new(BusyExecutor),
-            min_cold_slices: 0,
-            batch_dispatch: true,
-        };
-        assert_eq!(direct.cold_threshold(), 2);
-        let built = ParallelSlices::new(Arc::new(BusyExecutor)).with_min_cold_slices(0);
-        assert_eq!(built.cold_threshold(), 2);
-        let raised = ParallelSlices::new(Arc::new(BusyExecutor)).with_min_cold_slices(5);
-        assert_eq!(raised.cold_threshold(), 5);
-        // An adaptive executor can only *raise* the bar past the
-        // static floor, never lower it below.
-        let adaptive = ParallelSlices::new(Arc::new(ThresholdExecutor(7)));
-        assert_eq!(adaptive.cold_threshold(), 7);
-        let clamped = ParallelSlices::new(Arc::new(ThresholdExecutor(1))).with_min_cold_slices(3);
-        assert_eq!(clamped.cold_threshold(), 3);
-    }
-
-    /// A leader cancelled by the UNSAT protocol must abandon its
-    /// flight (waking any waiters) and leave the key re-claimable —
-    /// the guard's Drop path, driven through `solve_cold` itself.
-    #[test]
-    fn cancelled_cold_solve_abandons_its_flight() {
-        let vars = vt(&[(0, 9)]);
-        let cache = Arc::new(crate::cache::SolverCache::new(2));
-        let solver = Solver::new().cached(Arc::clone(&cache));
-        let q = SliceQuery {
-            exprs: vec![x(0).cmp(CmpOp::Ge, Expr::konst(3))],
-            key: Some("cancelled-slice".to_string()),
-            hint: None,
-        };
-        // Position 1 behind an UNSAT already published at position 0:
-        // the solve is cancelled after claiming leadership.
-        let min_unsat = AtomicUsize::new(0);
-        assert!(solve_cold(&solver, &vars, &q, None, false, 1, &min_unsat).is_none());
-        // The abandoned flight was retired: a fresh claim leads again
-        // (a stranded Pending flight would make this a Waiter — and a
-        // deadlock for anyone who then waited).
-        assert!(matches!(
-            cache.claim_flight("cancelled-slice"),
-            SliceFlight::Leader(_)
-        ));
-    }
-
-    #[test]
-    fn batched_dispatch_equals_serial_and_counts_one_unit() {
-        let vars = vt(&[(0, 30), (0, 30), (0, 30), (0, 30)]);
-        let serial = Solver::new();
-        let pool = Arc::new(BatchSpawnExecutor::default());
-        let parallel = par_solver(Arc::clone(&pool) as Arc<dyn SliceExecutor>);
-        let cs: Vec<Expr> = (0..4)
-            .map(|i| {
-                x(i).mul(x(i))
-                    .cmp(CmpOp::Eq, Expr::konst(((i + 2) * (i + 2)) as i64))
-            })
-            .collect();
-        let (want, ws) = serial.check_sliced_with_stats(&cs, &vars);
-        let (got, gs) = parallel.check_sliced_parallel_with_stats(&cs, &vars);
-        assert_eq!(got, want);
-        assert_eq!(gs.slices, ws.slices);
-        assert_eq!(gs.nodes, ws.nodes);
-        // All three dispatchable jobs travelled as one unit.
-        assert_eq!(pool.batches.load(Ordering::Relaxed), 1);
-        assert_eq!(pool.batched_jobs.load(Ordering::Relaxed), 3);
-        assert_eq!(pool.singles.load(Ordering::Relaxed), 0);
-        assert_eq!(gs.slices_offloaded, 3);
-
-        // With batching off, the same jobs go one by one.
-        let single = Solver::new().parallel(
-            ParallelSlices::new(Arc::new(BatchSpawnExecutor::default())).with_batch_dispatch(false),
-        );
-        let (got, _) = single.check_sliced_parallel_with_stats(&cs, &vars);
-        assert_eq!(got, want);
-        let p = single.parallel_slices().expect("configured above");
-        assert!(!p.batch_dispatch);
-    }
-
-    #[test]
-    fn parallel_falls_back_when_no_worker_is_idle() {
-        let vars = vt(&[(0, 30), (0, 30), (0, 30)]);
-        let parallel = par_solver(Arc::new(BusyExecutor));
-        let cs = [
-            x(0).mul(x(0)).cmp(CmpOp::Eq, Expr::konst(25)),
-            x(1).mul(x(1)).cmp(CmpOp::Eq, Expr::konst(16)),
-            x(2).cmp(CmpOp::Gt, Expr::konst(99)), // UNSAT
-        ];
-        let (got, stats) = parallel.check_sliced_parallel_with_stats(&cs, &vars);
-        let want = Solver::new().check_sliced(&cs, &vars);
-        assert_eq!(got, want);
-        assert_eq!(stats.slices_offloaded, 0, "every dispatch was refused");
-        assert_eq!(got, SatResult::Unsat);
-    }
-
-    /// The deterministic-merge contract under cancellation: whichever
-    /// sub-job finishes first, an UNSAT slice yields exactly the serial
-    /// verdict and the serial examined-slice counters.
-    #[test]
-    fn parallel_unsat_cancellation_is_deterministic() {
-        let vars = vt(&[(0, 200), (0, 5), (0, 200)]);
-        let pool = Arc::new(SpawnExecutor::default());
-        let parallel = par_solver(pool);
-        // Slice order: slow-sat, fast-unsat, slow-sat. Serial examines
-        // exactly the first two.
-        let cs = [
-            x(0).mul(x(0)).cmp(CmpOp::Eq, Expr::konst(169 * 169)),
-            x(1).cmp(CmpOp::Gt, Expr::konst(9)), // UNSAT
-            x(2).mul(x(2)).cmp(CmpOp::Eq, Expr::konst(101 * 101)),
-        ];
-        let (serial, ss) = Solver::new().check_sliced_with_stats(&cs, &vars);
-        assert_eq!(serial, SatResult::Unsat);
-        for _ in 0..16 {
-            let (got, gs) = parallel.check_sliced_parallel_with_stats(&cs, &vars);
-            assert_eq!(got, SatResult::Unsat);
-            assert_eq!(gs.slices, ss.slices, "examined prefix is serial-exact");
-        }
     }
 
     /// Regression (PR 4 follow-up): a shared-cache *hit* on a slice

@@ -18,14 +18,12 @@
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use std::time::Duration;
 
 use crate::cache::{canonical_key, CacheAnswer, SolverCache};
 use crate::domain::{Interval, VarId, VarTable};
 use crate::expr::{Expr, Node};
 use crate::model::Model;
 use crate::op::{BinOp, CmpOp};
-use crate::slice::ParallelSlices;
 
 /// Outcome of a satisfiability query.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -72,31 +70,11 @@ pub struct SolverStats {
     /// Independent constraint slices the query *examined* (`0` for
     /// whole-query solving; see [`Solver::check_sliced_with_stats`]).
     /// An UNSAT slice short-circuits the query, so slices after it are
-    /// never examined and never counted — this is the honest
-    /// per-query work measure the parallel dispatch profitability
-    /// analysis rests on.
+    /// never examined and never counted.
     pub slices: u64,
     /// Of those slices, how many were answered from a shared
     /// [`SolverCache`] instead of being solved.
     pub slice_cache_hits: u64,
-    /// Cold slices dispatched onto borrowed idle workers (the
-    /// [`Solver::check_sliced_parallel_with_stats`] path; `0` when the
-    /// dispatch fell back to sequential solving).
-    pub slices_offloaded: u64,
-    /// Estimated wall time the dispatch saved: offloaded execution
-    /// time minus the time spent waiting for the offloaded results.
-    pub slice_parallel_wall_saved: Duration,
-    /// Cold slices answered by another solver's concurrent in-flight
-    /// solve of the same canonical key (single-flight dedup) instead
-    /// of solving here. Like `slice_cache_hits`, pure reuse of an
-    /// identical published answer — verdict-transparent by the cache's
-    /// answer-preservation contract.
-    pub slices_deduped: u64,
-    /// Times a cold slice blocked on a concurrent single-flight
-    /// leader at all — a dedup when the leader published, a wasted
-    /// wait when it was cancelled or panicked (so
-    /// `single_flight_waits >= slices_deduped`).
-    pub single_flight_waits: u64,
 }
 
 /// Solver configuration.
@@ -135,7 +113,6 @@ impl Default for SolverConfig {
 pub struct Solver {
     cfg: SolverConfig,
     cache: Option<Arc<SolverCache>>,
-    parallel: Option<ParallelSlices>,
 }
 
 impl Solver {
@@ -162,24 +139,9 @@ impl Solver {
         self
     }
 
-    /// The same solver, dispatching cold constraint slices onto the
-    /// given pool's idle workers during
-    /// [`Solver::check_sliced_parallel`] (and scoped checks built on
-    /// it). Purely a scheduling choice: parallel dispatch never changes
-    /// a verdict or a model (see [`crate::slice`]).
-    pub fn parallel(mut self, par: ParallelSlices) -> Self {
-        self.parallel = Some(par);
-        self
-    }
-
     /// The shared query cache, when one is attached.
     pub fn query_cache(&self) -> Option<&Arc<SolverCache>> {
         self.cache.as_ref()
-    }
-
-    /// The slice-parallelism configuration, when one is attached.
-    pub fn parallel_slices(&self) -> Option<&ParallelSlices> {
-        self.parallel.as_ref()
     }
 
     /// The active configuration.
@@ -273,34 +235,7 @@ impl Solver {
         constraints: &[Expr],
         vars: &VarTable,
     ) -> (SatResult, SolverStats) {
-        crate::slice::check_sliced(self, constraints, vars, None, false)
-    }
-
-    /// Like [`Solver::check_sliced`], but dispatching cold slices as
-    /// sub-jobs onto the attached [`ParallelSlices`] pool's idle
-    /// workers (see [`Solver::parallel`]).
-    pub fn check_sliced_parallel(&self, constraints: &[Expr], vars: &VarTable) -> SatResult {
-        self.check_sliced_parallel_with_stats(constraints, vars).0
-    }
-
-    /// [`Solver::check_sliced_parallel`] with work counters
-    /// (`slices_offloaded`, `slice_parallel_wall_saved`).
-    ///
-    /// Byte-equivalent to [`Solver::check_sliced_with_stats`] — same
-    /// verdict, same model, same examined-slice counters — under every
-    /// interleaving and worker count, including zero idle workers (the
-    /// sequential fallback) and queries with fewer than
-    /// [`ParallelSlices::min_cold_slices`] cold slices. UNSAT in any
-    /// slice cancels still-pending sub-jobs positioned after it; the
-    /// merge is performed in slice order, so which sub-job finished
-    /// first is unobservable. The workspace `sliced_solver_is_transparent`
-    /// property test and `tests/parallel_slices.rs` pin this.
-    pub fn check_sliced_parallel_with_stats(
-        &self,
-        constraints: &[Expr],
-        vars: &VarTable,
-    ) -> (SatResult, SolverStats) {
-        crate::slice::check_sliced(self, constraints, vars, None, true)
+        crate::slice::check_sliced(self, constraints, vars)
     }
 
     /// The uncached solving path.

@@ -307,9 +307,25 @@ impl StoreManager {
         Ok(evicted)
     }
 
-    /// Bumps `fingerprint` to the newest use-sequence.
+    /// Bumps `fingerprint` to the newest use-sequence. Sequences come
+    /// from the on-disk index, so the largest may be `u64::MAX`; then
+    /// every sequence is first renumbered to its rank (equal sequences
+    /// keep equal ranks, order is kept), so the touched store still ends
+    /// strictly newest instead of wrapping around to coldest.
     fn touch(&self, index: &mut HashMap<u64, u64>, fingerprint: u64) {
-        let next = index.values().copied().max().unwrap_or(0) + 1;
+        let newest = index.values().copied().max().unwrap_or(0);
+        let next = match newest.checked_add(1) {
+            Some(next) => next,
+            None => {
+                let mut ranks: Vec<u64> = index.values().copied().collect();
+                ranks.sort_unstable();
+                ranks.dedup();
+                for seq in index.values_mut() {
+                    *seq = ranks.partition_point(|&r| r < *seq) as u64 + 1;
+                }
+                ranks.len() as u64 + 1
+            }
+        };
         index.insert(fingerprint, next);
     }
 
@@ -474,6 +490,46 @@ mod tests {
         }
         // The newest always survives its own save.
         assert!(mgr.path_for(5).exists());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Regression: an index line with sequence `u64::MAX` made `touch`
+    /// overflow (a panic in debug builds; in release the touched store
+    /// wrapped to sequence 0, the coldest, and the next count-budgeted
+    /// save evicted it). The touched store must end strictly newest,
+    /// and the rest keep their order.
+    #[test]
+    fn touch_at_max_sequence_keeps_the_touched_store_newest() {
+        let dir = scratch("maxseq");
+        let mgr = StoreManager::with_budget(
+            &dir,
+            StoreBudget {
+                max_bytes: 0,
+                max_stores: 2,
+            },
+        )
+        .unwrap()
+        .with_policy(WarmPolicy::keep_everything());
+        mgr.save_from(1, &cache_with(&["a"])).unwrap();
+        mgr.save_from(2, &cache_with(&["b"])).unwrap();
+        std::fs::write(
+            dir.join(INDEX_FILE),
+            format!("{INDEX_HEADER}\n{:016x} {}\n{:016x} 5\n", 2, u64::MAX, 1),
+        )
+        .unwrap();
+        mgr.load_into(1, &SolverCache::new(2)).unwrap();
+        let order: Vec<(u64, u64)> = mgr
+            .list()
+            .unwrap()
+            .iter()
+            .map(|e| (e.fingerprint, e.last_used))
+            .collect();
+        assert_eq!(order, vec![(1, 3), (2, 2)], "renumbered by rank");
+        // Store 2 is now the coldest, so a save under the count budget
+        // evicts it and keeps the store just loaded.
+        mgr.save_from(3, &cache_with(&["c"])).unwrap();
+        assert!(mgr.path_for(1).exists());
+        assert!(!mgr.path_for(2).exists());
         std::fs::remove_dir_all(&dir).ok();
     }
 

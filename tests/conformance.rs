@@ -3,7 +3,7 @@
 //!
 //! Every idiom in `portend_workloads::conformance` runs under every
 //! configuration of [`PortendConfig::knob_grid`] (slice solver ×
-//! static pass × single-flight), serially and on the farm. For each
+//! static pass), serially and on the farm. For each
 //! (idiom, allocation, config) cell the suite records expected vs
 //! produced verdict labels into a [`ConformanceTable`], printed with
 //! the test output and written as a JSON artifact (plus one

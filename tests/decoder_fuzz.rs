@@ -1,31 +1,47 @@
 //! Seeded mutation fuzzing of the decoders that read outside bytes: the
 //! JSON parser (`portend_obs::json::parse`), the run-report reader
-//! (`RunReport::from_json`), and the daemon's wire decoders
-//! (`Request::parse`, `Frame::parse`).
+//! (`RunReport::from_json`), the daemon's wire decoders
+//! (`Request::parse`, `Frame::parse`), and the store directory's
+//! readers (the `store.index` sidecar behind `StoreManager` and the
+//! warm-store header behind `warm::peek_meta`).
 //!
-//! Seeds are a live report from a real pipeline run and the frames a
-//! real daemon session emits. Each case flips bytes, truncates, or
-//! splices in a chunk of another seed. Properties:
+//! Seeds are a live report from a real pipeline run, the frames a real
+//! daemon session emits, and the index and store files a real managed
+//! store directory holds. Each case flips bytes, truncates, or splices
+//! in a chunk of another seed. Properties:
 //!
 //! 1. no input panics any decoder;
 //! 2. every unmutated seed round-trips byte for byte;
 //! 3. an input a decoder accepts re-renders to a document it decodes to
 //!    the same value (acceptance is canonical, never best-effort);
 //! 4. a report carrying another `version` is rejected, standalone or
-//!    inside a `done` frame.
+//!    inside a `done` frame;
+//! 5. whatever the index says, a store just loaded or saved is strictly
+//!    the most recently used, and a listing shows every readable store.
 //!
-//! About 10,000 cases per decoder in release builds, fewer in debug.
+//! About 10,000 cases per in-memory decoder in release builds, fewer in
+//! debug and for the store directory (each of its cases does file I/O).
 
+use std::fmt::Debug;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::path::PathBuf;
+use std::sync::Arc;
 
 use portend_repro::portend::{PortendConfig, ReportError, RunReport, REPORT_FORMAT_VERSION};
 use portend_repro::portend_obs::json;
 use portend_repro::portend_serve::{Frame, Request, Server, ServerConfig};
+use portend_repro::portend_symex::warm::WARM_MAGIC;
+use portend_repro::portend_symex::{
+    peek_meta, CmpOp, Expr, Solver, SolverCache, StoreBudget, StoreManager, VarTable, WarmPolicy,
+};
 use portend_repro::portend_vm::SmallRng;
 use portend_repro::portend_workloads::by_name;
 
-/// Mutated cases per decoder.
+/// Mutated cases per in-memory decoder.
 const CASES: usize = if cfg!(debug_assertions) { 600 } else { 10_000 };
+
+/// Mutated cases per store-directory reader.
+const STORE_CASES: usize = if cfg!(debug_assertions) { 200 } else { 2_000 };
 
 /// A live report: ctrace's verdicts cover every evidence shape
 /// (spec violation with a schedule, output difference, k-witness).
@@ -60,11 +76,16 @@ fn live_session() -> (Vec<String>, Vec<String>) {
     (requests.iter().map(|r| r.to_string()).collect(), frames)
 }
 
-/// One mutation of `seed`: byte flips, a truncation, or a splice of a
-/// chunk of `donor`. Mutated bytes become a `&str` the way a reader
-/// would decode them (invalid UTF-8 replaced).
+/// One mutation of `seed` as a `&str`, the way a reader would decode
+/// the mutated bytes (invalid UTF-8 replaced).
 fn mutate(rng: &mut SmallRng, seed: &str, donor: &str) -> String {
-    let mut bytes = seed.as_bytes().to_vec();
+    String::from_utf8_lossy(&mutate_bytes(rng, seed.as_bytes(), donor.as_bytes())).into_owned()
+}
+
+/// One mutation of `seed`: byte flips, a truncation, or a splice of a
+/// chunk of `donor`.
+fn mutate_bytes(rng: &mut SmallRng, seed: &[u8], donor: &[u8]) -> Vec<u8> {
+    let mut bytes = seed.to_vec();
     match rng.gen_index(4) {
         0 => {
             for _ in 0..1 + rng.gen_index(4) {
@@ -78,7 +99,6 @@ fn mutate(rng: &mut SmallRng, seed: &str, donor: &str) -> String {
         }
         2 => bytes.truncate(rng.gen_index(bytes.len())),
         _ => {
-            let donor = donor.as_bytes();
             let from = rng.gen_index(donor.len());
             let len = rng.gen_index((donor.len() - from).min(64)) + 1;
             let at = rng.gen_index(bytes.len() + 1);
@@ -86,11 +106,11 @@ fn mutate(rng: &mut SmallRng, seed: &str, donor: &str) -> String {
             bytes.splice(at..cut, donor[from..from + len].iter().copied());
         }
     }
-    String::from_utf8_lossy(&bytes).into_owned()
+    bytes
 }
 
 /// Runs `decode` on `input`, failing the test with the input on a panic.
-fn no_panic<T>(what: &str, input: &str, decode: impl FnOnce(&str) -> T) -> T {
+fn no_panic<I: Debug + ?Sized, T>(what: &str, input: &I, decode: impl FnOnce(&I) -> T) -> T {
     catch_unwind(AssertUnwindSafe(|| decode(input)))
         .unwrap_or_else(|_| panic!("{what} panicked on {input:?}"))
 }
@@ -200,4 +220,181 @@ fn wire_decoders_survive_mutation_and_round_trip() {
             }
         }
     });
+}
+
+/// A solver cache holding the answers of a few real sliced checks.
+fn solved_cache() -> Arc<SolverCache> {
+    let cache = Arc::new(SolverCache::new(2));
+    let solver = Solver::new().cached(Arc::clone(&cache));
+    let mut vars = VarTable::new();
+    let x = Expr::var(vars.fresh("x", 0, 99));
+    let y = Expr::var(vars.fresh("y", 0, 99));
+    for k in 0..8 {
+        solver.check_sliced(
+            &[
+                x.clone().cmp(CmpOp::Gt, Expr::konst(k * 10)),
+                y.clone().cmp(CmpOp::Lt, Expr::konst(k + 1)),
+            ],
+            &vars,
+        );
+    }
+    cache
+}
+
+/// Asserts `fp` is listed with a use-sequence strictly above every
+/// other listed store's.
+fn assert_newest(mgr: &StoreManager, fp: u64) {
+    let listed = mgr.list().expect("list");
+    let Some(mine) = listed.iter().find(|e| e.fingerprint == fp) else {
+        panic!("store {fp} not listed: {listed:?}");
+    };
+    assert!(
+        listed
+            .iter()
+            .all(|e| e.fingerprint == fp || e.last_used < mine.last_used),
+        "store {fp} is not strictly the most recently used: {listed:?}"
+    );
+}
+
+/// Asserts the listing shows exactly the `.warm` files `peek_meta` can
+/// read.
+fn assert_lists_every_readable_store(mgr: &StoreManager) {
+    let mut readable: Vec<PathBuf> = std::fs::read_dir(mgr.dir())
+        .expect("read store dir")
+        .map(|e| e.expect("dir entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "warm") && peek_meta(p).is_ok())
+        .collect();
+    readable.sort();
+    let mut listed: Vec<PathBuf> = mgr
+        .list()
+        .expect("list")
+        .into_iter()
+        .map(|e| e.path)
+        .collect();
+    listed.sort();
+    assert_eq!(listed, readable);
+}
+
+/// One pass over the directory with `index` as its sidecar: load `fp`,
+/// save another store under the count budget, collect garbage, list.
+fn exercise_store_dir(mgr: &StoreManager, cache: &SolverCache, index: &[u8], fp: u64) {
+    std::fs::write(mgr.dir().join("store.index"), index).expect("write index");
+    let existed = mgr.path_for(fp).exists();
+    let report = mgr
+        .load_into(fp, &SolverCache::new(2))
+        .expect("intact store loads");
+    if existed {
+        assert_eq!(report.rejected_fingerprint, 0);
+        assert_newest(mgr, fp);
+    }
+    let other = fp % 4 + 1;
+    mgr.save_from(other, cache).expect("save");
+    assert!(
+        mgr.path_for(other).exists(),
+        "the store just saved survives"
+    );
+    assert_newest(mgr, other);
+    mgr.gc().expect("gc");
+    assert!(mgr.list().expect("list").len() <= 3, "count budget holds");
+    assert_lists_every_readable_store(mgr);
+}
+
+fn scratch_dir(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("portend-fuzz-{name}-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    dir
+}
+
+#[test]
+fn store_index_survives_mutation_and_keeps_recency() {
+    let dir = scratch_dir("index");
+    let mgr = StoreManager::with_budget(
+        &dir,
+        StoreBudget {
+            max_bytes: 0,
+            max_stores: 3,
+        },
+    )
+    .expect("store dir")
+    .with_policy(WarmPolicy::keep_everything());
+    let cache = solved_cache();
+    for fp in 1..=3 {
+        mgr.save_from(fp, &cache).expect("save");
+    }
+    mgr.load_into(2, &SolverCache::new(2)).expect("load");
+    let index = std::fs::read(dir.join("store.index")).expect("real index");
+    // The same index with store 3 at the largest sequence an index line
+    // can carry: the next touch must not overflow or wrap.
+    let text = String::from_utf8(index.clone()).expect("utf8 index");
+    let at_max: String = text
+        .lines()
+        .map(|l| match l.strip_prefix("0000000000000003 ") {
+            Some(_) => format!("0000000000000003 {}\n", u64::MAX),
+            None => format!("{l}\n"),
+        })
+        .collect();
+    assert!(at_max.contains(&u64::MAX.to_string()), "{at_max}");
+    let seeds = [index, at_max.into_bytes()];
+    for seed in &seeds {
+        for fp in 1..=4 {
+            no_panic("StoreManager", seed.as_slice(), |s| {
+                exercise_store_dir(&mgr, &cache, s, fp)
+            });
+        }
+    }
+    let mut rng = SmallRng::seed_from_u64(0x5_70E);
+    for _ in 0..STORE_CASES {
+        let base = &seeds[rng.gen_index(seeds.len())];
+        let donor = &seeds[rng.gen_index(seeds.len())];
+        let input = mutate_bytes(&mut rng, base, donor);
+        let fp = 1 + rng.gen_index(4) as u64;
+        no_panic("StoreManager", input.as_slice(), |s| {
+            exercise_store_dir(&mgr, &cache, s, fp)
+        });
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The header `peek_meta` reads: magic, format version, fingerprint,
+/// semantics version, entry count, and the checksum that follows them.
+const HEADER_BYTES: usize = 8 + 4 + 8 + 4 + 4 + 8;
+
+#[test]
+fn store_header_survives_mutation() {
+    let dir = scratch_dir("header");
+    let mgr = StoreManager::new(&dir)
+        .expect("store dir")
+        .with_policy(WarmPolicy::keep_everything());
+    let cache = solved_cache();
+    mgr.save_from(1, &cache).expect("save");
+    let real = std::fs::read(mgr.path_for(1)).expect("real store");
+    assert!(real.len() > HEADER_BYTES && real[..8] == WARM_MAGIC);
+    let meta = peek_meta(mgr.path_for(1)).expect("real header reads");
+    assert_eq!((meta.fingerprint, meta.bytes), (1, real.len() as u64));
+    let (head, tail) = real.split_at(HEADER_BYTES);
+    let target = mgr.path_for(5);
+    let mut rng = SmallRng::seed_from_u64(0x4EAD);
+    for _ in 0..STORE_CASES {
+        let mut bytes = mutate_bytes(&mut rng, head, &real);
+        if rng.gen_index(2) == 0 {
+            bytes.extend_from_slice(tail);
+        }
+        std::fs::write(&target, &bytes).expect("write store");
+        no_panic("peek_meta", bytes.as_slice(), |b| {
+            let got = peek_meta(&target);
+            let readable = b.len() >= HEADER_BYTES && b[..8] == WARM_MAGIC;
+            assert_eq!(got.is_ok(), readable, "{got:?}");
+            if let Ok(meta) = got {
+                assert_eq!(meta.bytes, b.len() as u64);
+            }
+            assert_lists_every_readable_store(&mgr);
+            // Loading a damaged store is a clean `Err` or a keyed load.
+            if let Ok(report) = mgr.load_into(5, &SolverCache::new(2)) {
+                if report.rejected_fingerprint == 0 {
+                    assert_newest(&mgr, 5);
+                }
+            }
+        });
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -90,37 +90,6 @@ fn farm_knobs_do_not_change_verdicts() {
             cache_shards: 1,
             ..Default::default()
         },
-        FarmKnobs {
-            parallel_slices: false,
-            ..Default::default()
-        },
-        FarmKnobs {
-            // An aggressive cold-slice threshold dispatches as eagerly
-            // as the floor allows; still verdict-invariant.
-            parallel_min_cold_slices: 2,
-            solver_cache: false,
-            ..Default::default()
-        },
-        FarmKnobs {
-            single_flight: false,
-            ..Default::default()
-        },
-        FarmKnobs {
-            batch_dispatch: false,
-            ..Default::default()
-        },
-        FarmKnobs {
-            adaptive_dispatch: false,
-            ..Default::default()
-        },
-        FarmKnobs {
-            // All three scheduling features off together: the plain
-            // PR-5 dispatch path, still byte-identical.
-            single_flight: false,
-            batch_dispatch: false,
-            adaptive_dispatch: false,
-            ..Default::default()
-        },
     ];
     for (i, farm) in knob_sets.into_iter().enumerate() {
         let cfg = PortendConfig {

@@ -9,11 +9,10 @@
 
 use std::sync::Arc;
 
-use portend_repro::portend_farm::SliceHelpers;
 use portend_repro::portend_race::VectorClock;
 use portend_repro::portend_symex::{
-    BinOp, CmpOp, Expr, Model, ParallelSlices, SatResult, ScopedSolver, Solver, SolverCache,
-    SolverConfig, VarId, VarTable,
+    BinOp, CmpOp, Expr, Model, SatResult, ScopedSolver, Solver, SolverCache, SolverConfig, VarId,
+    VarTable,
 };
 use portend_repro::portend_vm::{
     drive, DriveCfg, DriveStop, InputMode, InputSource, InputSpec, Machine, Operand,
@@ -229,11 +228,6 @@ fn sliced_solver_is_transparent() {
     let solver = Solver::new();
     let cache = Arc::new(SolverCache::new(4));
     let cached = Solver::new().cached(Arc::clone(&cache));
-    // The parallel path (cold slices dispatched onto borrowed idle
-    // workers) must be byte-identical to the serial sliced path on
-    // every case — models included.
-    let helpers = SliceHelpers::new(2);
-    let parallel = Solver::new().parallel(ParallelSlices::new(helpers.executor()));
     for _case in 0..256 {
         let n = 1 + r.gen_index(4);
         let ts: Vec<ETree> = (0..n).map(|_| gen_etree(&mut r, 3)).collect();
@@ -243,11 +237,6 @@ fn sliced_solver_is_transparent() {
         assert_ne!(whole, SatResult::Unknown, "distribution stays in budget");
         let sliced = solver.check_sliced(&cs, &vars);
         assert_eq!(sliced, whole, "sliced != whole for {cs:?}");
-        assert_eq!(
-            parallel.check_sliced_parallel(&cs, &vars),
-            sliced,
-            "parallel sliced != serial sliced for {cs:?}"
-        );
         // Per-slice caching must not change the answer either — cold,
         // and again warm (every slice now memoized).
         assert_eq!(cached.check_sliced(&cs, &vars), whole, "cold cache: {cs:?}");
@@ -261,11 +250,6 @@ fn sliced_solver_is_transparent() {
         node_budget: 8,
         max_prune_passes: 1,
     });
-    let tiny_parallel = Solver::with_config(SolverConfig {
-        node_budget: 8,
-        max_prune_passes: 1,
-    })
-    .parallel(ParallelSlices::new(helpers.executor()));
     let mut improved = 0u64;
     for _case in 0..256 {
         let n = 1 + r.gen_index(4);
@@ -274,11 +258,6 @@ fn sliced_solver_is_transparent() {
         let cs: Vec<Expr> = ts.iter().map(build).collect();
         let whole = tiny.check(&cs, &vars);
         let sliced = tiny.check_sliced(&cs, &vars);
-        assert_eq!(
-            tiny_parallel.check_sliced_parallel(&cs, &vars),
-            sliced,
-            "parallel must equal serial sliced under starvation: {cs:?}"
-        );
         match &whole {
             SatResult::Unknown => match &sliced {
                 // Slicing may decide what the whole query could not;

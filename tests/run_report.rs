@@ -120,24 +120,6 @@ fn live_report_round_trips_to_structural_equality() {
         let c = result.cache.as_ref().unwrap();
         c.hits + c.misses
     });
-
-    // v3 sections: the single-flight counters ride along whenever the
-    // shared cache does, and the dispatch section whenever slice
-    // lending does — both must survive the round trip verbatim.
-    let live = report.farm.as_ref().unwrap();
-    assert_eq!(farm.single_flight, live.single_flight);
-    assert_eq!(farm.dispatch, live.dispatch);
-    let sf = farm
-        .single_flight
-        .expect("cache on by default carries single-flight counters");
-    assert!(sf.claims > 0, "cold slices claim flights: {sf:?}");
-    let d = farm
-        .dispatch
-        .expect("slice lending on by default carries dispatch counters");
-    assert!(
-        d.threshold_now.unwrap_or(2) >= 2,
-        "adaptive threshold never reports below the floor: {d:?}"
-    );
 }
 
 #[test]
@@ -222,25 +204,29 @@ fn chrome_export_is_well_formed_with_spans_per_worker_and_solver_check() {
             trace: Some(TraceConfig::new().with_label(name).with_chrome(&chrome)),
             ..Default::default()
         };
-        let workers = 2;
-        let result = w.analyze_parallel(cfg, workers);
+        let (result, stats) = w.analyze_parallel_with_stats(cfg, 2);
         let trace: &Trace = result.trace.as_ref().expect("traced");
 
         // The pipeline exported well-formed Chrome JSON to disk.
         let text = std::fs::read_to_string(&chrome).expect("chrome file written");
         let doc = portend_repro::portend_obs::json::parse(&text).expect("valid JSON");
 
-        // >= 1 span per farm worker: every worker lane shows up with a
-        // complete event (each worker classified or lent at least once
-        // on this corpus at 2 workers).
+        // >= 1 span per working farm worker: every worker lane that ran
+        // a job shows up with a complete event. Which worker runs which
+        // job is up to the pool (a late-starting worker may find every
+        // job already stolen), so the lanes are taken from the stats.
         let spanned = lanes_with_spans(&doc);
-        for wk in 0..workers {
+        assert_eq!(stats.per_worker.len(), 2);
+        for (wk, ws) in stats.per_worker.iter().enumerate() {
             let lane = format!("worker-{wk:02}");
-            assert!(
+            assert_eq!(
+                ws.jobs > 0,
                 spanned.contains(&lane),
-                "{name}: lane {lane} has no spans (got {spanned:?})"
+                "{name}: lane {lane} ran {} jobs (spanned lanes {spanned:?})",
+                ws.jobs
             );
         }
+        assert!(spanned.iter().any(|l| l.starts_with("worker-")));
         assert!(spanned.contains(&"main".to_string()));
 
         // >= 1 span per solver check: every SolverCheck event recorded
