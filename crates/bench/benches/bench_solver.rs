@@ -3,15 +3,24 @@
 //! comparison of whole-query vs slice-level caching on an Mp × Ma-style
 //! corpus (shared pre-race prefix, per-race / per-path / per-schedule
 //! suffixes — the paper's §3.3 query distribution), plus a warm-vs-cold
-//! comparison of the persistent cross-run cache (the warm store) on
-//! both the synthetic corpus and a real classification run (ctrace).
+//! comparison of the persistent cross-run cache (the warm store, read
+//! and written through a `StoreManager` directory) on both the
+//! synthetic corpus and a real classification run (ctrace).
 
 use std::sync::Arc;
 
-use portend::PortendConfig;
+use portend::{PortendConfig, WarmSource};
 use portend_bench::crit::Criterion;
 use portend_bench::{criterion_group, criterion_main, render_table};
-use portend_symex::{CmpOp, Expr, SatResult, Solver, SolverCache, VarTable, WarmPolicy};
+use portend_symex::{CmpOp, Expr, SatResult, Solver, SolverCache, StoreManager, VarTable};
+
+/// A store manager over a fresh per-process temp directory, with the
+/// default budget and export policy.
+fn scratch_store(name: &str) -> StoreManager {
+    let dir = std::env::temp_dir().join(format!("portend-bench-{name}-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    StoreManager::new(dir).expect("create store dir")
+}
 
 fn bench_solver(c: &mut Criterion) {
     // Path-condition feasibility: linear constraints (pruning-friendly).
@@ -169,8 +178,7 @@ fn report_slice_reduction() {
 /// builds of one program.
 fn report_warm_start() {
     let (vars, queries) = mp_ma_corpus(6, 5, 2);
-    let path = std::env::temp_dir().join(format!("portend-bench-{}.warm", std::process::id()));
-    std::fs::remove_file(&path).ok();
+    let store = scratch_store("corpus");
 
     let cold_cache = Arc::new(SolverCache::default());
     let cold = Solver::new().cached(Arc::clone(&cold_cache));
@@ -178,11 +186,10 @@ fn report_warm_start() {
         .iter()
         .map(|cs| cold.check_sliced(cs, &vars))
         .collect();
-    cold_cache
-        .save_to(&path, &WarmPolicy::default())
-        .expect("persist warm store");
+    store.save_from(1, &cold_cache).expect("persist warm store");
 
-    let warm_cache = Arc::new(SolverCache::load_from(&path).expect("load warm store"));
+    let warm_cache = Arc::new(SolverCache::default());
+    store.load_into(1, &warm_cache).expect("load warm store");
     let warm = Solver::new().cached(Arc::clone(&warm_cache));
     for (cs, expected) in queries.iter().zip(&cold_answers) {
         assert_eq!(
@@ -222,26 +229,27 @@ fn report_warm_start() {
         cold_solves as f64 / warm_solves.max(1) as f64,
         w.warm_validations
     );
-    std::fs::remove_file(&path).ok();
+    std::fs::remove_dir_all(store.dir()).ok();
 }
 
-/// The CI smoke for the real pipeline: two `analyze_parallel` runs of
-/// the ctrace workload sharing a warm store must classify identically
-/// while the second performs strictly fewer solver invocations.
+/// The CI smoke for the real pipeline: two farm runs of the ctrace
+/// workload sharing a store directory must classify identically while
+/// the second performs strictly fewer solver invocations.
 fn report_ctrace_warm_start() {
     let w = portend_workloads::by_name("ctrace").expect("ctrace workload");
-    let path =
-        std::env::temp_dir().join(format!("portend-bench-ctrace-{}.warm", std::process::id()));
-    std::fs::remove_file(&path).ok();
-    let mut config = PortendConfig::default();
-    config.farm.cache_path = Some(path.clone());
-
-    let first = w.analyze_parallel(config.clone(), 2);
-    let second = w.analyze_parallel(config, 2);
-    let solves = |r: &portend::PipelineResult| {
-        let c = r.cache.expect("cache enabled by default");
-        c.misses + c.slice_misses
+    let store = Arc::new(scratch_store("ctrace"));
+    let warm = WarmSource {
+        cache: None,
+        store: Some((Arc::clone(&store), w.fingerprint())),
     };
+    let run = || {
+        w.analyze_streamed(PortendConfig::default(), 2, &warm, &mut |_, _, _| {})
+            .0
+    };
+
+    let first = run();
+    let second = run();
+    let solves = |r: &portend::PipelineResult| r.cache.misses + r.cache.slice_misses;
     for (a, b) in first.analyzed.iter().zip(&second.analyzed) {
         assert_eq!(a.verdict, b.verdict, "warm run must not change verdicts");
     }
@@ -251,7 +259,7 @@ fn report_ctrace_warm_start() {
         solves(&second),
         solves(&first)
     );
-    let c2 = second.cache.expect("cache enabled");
+    let c2 = second.cache;
     assert_eq!(c2.warm_mismatches, 0);
     println!(
         "ctrace corpus warm start: {} -> {} solves ({} entries persisted, {} warm hits)\n",
@@ -260,21 +268,19 @@ fn report_ctrace_warm_start() {
         c2.warmed,
         c2.warm_hits
     );
-    std::fs::remove_file(&path).ok();
+    std::fs::remove_dir_all(store.dir()).ok();
 }
 
 fn bench_warm(c: &mut Criterion) {
     // Wall-clock: one corpus pass on a cold cache vs a warmed cache.
     let (vars, queries) = mp_ma_corpus(6, 5, 2);
-    let path = std::env::temp_dir().join(format!("portend-bench-wall-{}.warm", std::process::id()));
+    let store = scratch_store("wall");
     let seed_cache = Arc::new(SolverCache::default());
     let seed = Solver::new().cached(Arc::clone(&seed_cache));
     for cs in &queries {
         seed.check_sliced(cs, &vars);
     }
-    seed_cache
-        .save_to(&path, &WarmPolicy::default())
-        .expect("persist");
+    store.save_from(1, &seed_cache).expect("persist");
     c.bench_function("solver_corpus_cold_start", |b| {
         b.iter(|| {
             let solver = Solver::new().cached(Arc::new(SolverCache::default()));
@@ -285,14 +291,16 @@ fn bench_warm(c: &mut Criterion) {
     });
     c.bench_function("solver_corpus_warm_start", |b| {
         b.iter(|| {
-            let cache = Arc::new(SolverCache::load_from(&path).expect("load"));
+            // Includes the store-index touch every managed load pays.
+            let cache = Arc::new(SolverCache::default());
+            store.load_into(1, &cache).expect("load");
             let solver = Solver::new().cached(cache);
             for cs in &queries {
                 portend_bench::crit::black_box(solver.check_sliced(cs, &vars));
             }
         })
     });
-    std::fs::remove_file(&path).ok();
+    std::fs::remove_dir_all(store.dir()).ok();
     report_warm_start();
     report_ctrace_warm_start();
 }

@@ -112,13 +112,9 @@ pub fn analyze_workload(
                 .with_chrome(dir.join(format!("{}.trace.json", w.name))),
         );
     }
-    let warm = match manager {
-        Some(manager) => WarmSource::Manager {
-            manager: Arc::clone(manager),
-            fingerprint: w.fingerprint(),
-            cache: None,
-        },
-        None => WarmSource::Knobs,
+    let warm = WarmSource {
+        cache: None,
+        store: manager.map(|m| (Arc::clone(m), w.fingerprint())),
     };
 
     let mut io_err = None;

@@ -1,12 +1,8 @@
-//! Portend configuration: the Mp/Ma "dial", the analysis-stage toggles,
-//! and the parallel-classification farm knobs.
+//! Portend configuration: the Mp/Ma "dial" and the analysis-stage
+//! toggles.
 
-use std::path::PathBuf;
-use std::time::Duration;
-
-use portend_farm::FarmConfig;
 use portend_obs::TraceConfig;
-use portend_symex::{SolverConfig, WarmPolicy};
+use portend_symex::SolverConfig;
 
 /// Which analysis techniques are enabled — the axes of the paper's Fig. 7
 /// accuracy breakdown. All stages build on single-pre/single-post
@@ -95,9 +91,6 @@ pub struct PortendConfig {
     /// Mp × Ma path/schedule combinations. Disable to force whole-query
     /// solving.
     pub slice_solver: bool,
-    /// Parallel-classification farm knobs (used by
-    /// `Pipeline::run_parallel`; ignored by the serial path).
-    pub farm: FarmKnobs,
     /// Event tracing (`portend-obs`). `None` (the default) records
     /// nothing and costs nothing — every emission site collapses to one
     /// thread-local read. `Some` records phase/solver/farm/cache events
@@ -123,82 +116,7 @@ impl Default for PortendConfig {
             solver: SolverConfig::default(),
             static_pass: true,
             slice_solver: true,
-            farm: FarmKnobs::default(),
             trace: None,
-        }
-    }
-}
-
-/// Knobs for the parallel classification farm (`crates/farm`).
-///
-/// None of these can change a verdict: the farm only reorders *when* each
-/// race is classified, and the shared solver cache is answer-preserving
-/// by construction (its key captures the entire solver call).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FarmKnobs {
-    /// Default worker count when `run_parallel` is called with `0`.
-    /// `0` here too means "one worker per available CPU".
-    pub workers: usize,
-    /// Soft wall-clock budget per classification job, in milliseconds;
-    /// `0` disables it. Overruns are *counted* (`FarmStats`), never
-    /// killed — killing would make verdicts depend on host timing.
-    pub job_time_budget_ms: u64,
-    /// Share one sharded solver-query cache across all jobs of a run, so
-    /// equivalent path-constraint checks across races and schedules are
-    /// solved once.
-    pub solver_cache: bool,
-    /// Shard count of the shared solver cache.
-    pub cache_shards: usize,
-    /// Classify suspected-harmful races first (detector heuristics).
-    pub priority_order: bool,
-    /// Persistent warm store for the solver cache. When set, the
-    /// pipeline loads memoized answers from this path before
-    /// classifying (a missing or damaged file is a clean cold start)
-    /// and saves the cache's hot entries back after the run, so a
-    /// second run over the same program skips the solves the first one
-    /// already paid for. Cross-run reuse is answer-preserving: keys are
-    /// self-contained, the store is versioned and checksummed, and the
-    /// first warm hits are validation-sampled against fresh solves
-    /// (`CacheSnapshot::warm_mismatches`). Ignored when `solver_cache`
-    /// is off.
-    pub cache_path: Option<PathBuf>,
-    /// Which entries [`FarmKnobs::cache_path`] persists: entries that
-    /// survived an epoch flush or were hit at least `min_hits` times,
-    /// hottest first, up to a byte budget (see
-    /// [`portend_symex::WarmPolicy`]).
-    pub cache_save_policy: WarmPolicy,
-}
-
-impl Default for FarmKnobs {
-    fn default() -> Self {
-        FarmKnobs {
-            workers: 0,
-            job_time_budget_ms: 0,
-            solver_cache: true,
-            cache_shards: portend_symex::DEFAULT_SHARDS,
-            priority_order: true,
-            cache_path: None,
-            cache_save_policy: WarmPolicy::default(),
-        }
-    }
-}
-
-impl FarmKnobs {
-    /// Enables the persistent warm store at `path` with the default
-    /// save policy (the "run it twice" configuration).
-    pub fn with_cache_path(mut self, path: impl Into<PathBuf>) -> Self {
-        self.cache_path = Some(path.into());
-        self
-    }
-
-    /// The farm configuration for one run. `workers` overrides the knob
-    /// when non-zero.
-    pub fn farm_config(&self, workers: usize) -> FarmConfig {
-        FarmConfig {
-            workers: if workers == 0 { self.workers } else { workers },
-            job_time_budget: (self.job_time_budget_ms > 0)
-                .then(|| Duration::from_millis(self.job_time_budget_ms)),
-            priority_order: self.priority_order,
         }
     }
 }
@@ -299,21 +217,5 @@ mod tests {
     fn stage_presets() {
         assert!(!AnalysisStages::single_path().multi_path);
         assert!(AnalysisStages::full().multi_schedule);
-    }
-
-    #[test]
-    fn farm_knobs_translate_to_farm_config() {
-        let knobs = FarmKnobs {
-            workers: 2,
-            job_time_budget_ms: 250,
-            ..Default::default()
-        };
-        let fc = knobs.farm_config(0);
-        assert_eq!(fc.workers, 2);
-        assert_eq!(fc.job_time_budget, Some(Duration::from_millis(250)));
-        // A non-zero call-site worker count overrides the knob.
-        assert_eq!(knobs.farm_config(8).workers, 8);
-        // Budget 0 means unlimited.
-        assert_eq!(FarmKnobs::default().farm_config(4).job_time_budget, None);
     }
 }

@@ -51,7 +51,7 @@ mod warm;
 
 pub use case::{AnalysisCase, Predicate};
 pub use classify::{ClassifyError, Portend};
-pub use config::{AnalysisStages, FarmKnobs, PortendConfig};
+pub use config::{AnalysisStages, PortendConfig};
 pub use pipeline::{AnalyzedRace, Pipeline, PipelineResult};
 pub use portend_farm::{FarmStats, StaticHint, WorkerStats};
 pub use portend_obs::{Trace, TraceConfig};

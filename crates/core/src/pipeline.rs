@@ -7,13 +7,13 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use portend_farm::{
-    cluster_priority, static_adjusted_priority, Farm, FarmStats, JobSpec, StaticHint,
+    cluster_priority, static_adjusted_priority, Farm, FarmConfig, FarmStats, JobSpec, StaticHint,
 };
 use portend_obs::{EventKind, Recorder, Trace, TraceConfig};
 use portend_race::{DetectorConfig, RaceCluster};
 use portend_replay::{record, RecordConfig, RecordedRun};
 use portend_sa::StaticStats;
-use portend_symex::CacheSnapshot;
+use portend_symex::{CacheSnapshot, SolverCache, DEFAULT_SHARDS};
 use portend_vm::{InputSpec, Program, Scheduler, VmConfig};
 
 use crate::case::{AnalysisCase, Predicate};
@@ -121,10 +121,9 @@ pub struct PipelineResult {
     /// symbolic inputs, predicates).
     pub case: AnalysisCase,
     /// Solver-cache counters for the run (whole-query and slice-level
-    /// hits/misses), when `FarmKnobs::solver_cache` enabled one. Both
-    /// the serial and the parallel path share one cache across all of
-    /// the run's classifications.
-    pub cache: Option<CacheSnapshot>,
+    /// hits/misses). Both the serial and the parallel path share one
+    /// cache across all of the run's classifications.
+    pub cache: CacheSnapshot,
     /// The run's merged event trace, when
     /// [`PortendConfig::trace`](crate::PortendConfig::trace) enabled
     /// recording. `None` when tracing is off.
@@ -150,14 +149,9 @@ impl Pipeline {
     ///
     /// `inputs` is the concrete input log, `input_spec` declares the
     /// symbolic positions for multi-path analysis, and `predicates` are
-    /// the semantic properties to watch.
-    ///
-    /// With [`crate::FarmKnobs::cache_path`] set, the solver cache is
-    /// warmed from the persistent store before classification and its
-    /// hot entries are saved back afterwards, so a repeat run of the
-    /// same program performs strictly fewer solves
-    /// (`PipelineResult::cache` reports `warm_hits`). Verdicts are
-    /// unaffected either way.
+    /// the semantic properties to watch. All classifications share one
+    /// fresh solver cache (`PipelineResult::cache` reports its
+    /// counters).
     pub fn run(
         &self,
         program: &Arc<Program>,
@@ -165,29 +159,6 @@ impl Pipeline {
         input_spec: InputSpec,
         predicates: Vec<Predicate>,
         vm: VmConfig,
-    ) -> PipelineResult {
-        self.run_with_warm(
-            program,
-            inputs,
-            input_spec,
-            predicates,
-            vm,
-            &WarmSource::Knobs,
-        )
-    }
-
-    /// [`Pipeline::run`] with an explicit [`WarmSource`] governing where
-    /// the solver cache is warmed from and persisted to. `run` itself is
-    /// this with [`WarmSource::Knobs`] — the knob path is one lifecycle
-    /// among equals, not a special case.
-    pub fn run_with_warm(
-        &self,
-        program: &Arc<Program>,
-        inputs: Vec<i64>,
-        input_spec: InputSpec,
-        predicates: Vec<Predicate>,
-        vm: VmConfig,
-        warm: &WarmSource,
     ) -> PipelineResult {
         let recorder = self.portend.trace.as_ref().map(|_| Recorder::new());
         let main_lane = recorder.as_ref().map(|r| r.attach("main", 0));
@@ -201,12 +172,8 @@ impl Pipeline {
             .portend
             .static_pass
             .then(|| static_phase(program, &run.clusters, &self.record.detector).1);
-        let knobs = &self.portend.farm;
-        let cache = warm.acquire(knobs);
-        let portend = match &cache {
-            Some(c) => Portend::with_cache(self.portend.clone(), Arc::clone(c)),
-            None => Portend::new(self.portend.clone()),
-        };
+        let cache = Arc::new(SolverCache::new(DEFAULT_SHARDS));
+        let portend = Portend::with_cache(self.portend.clone(), Arc::clone(&cache));
         let mut analyzed = Vec::with_capacity(run.clusters.len());
         {
             let _ev = portend_obs::span_named(EventKind::Phase, "classify");
@@ -220,13 +187,12 @@ impl Pipeline {
                 });
             }
         }
-        warm.release(knobs, cache.as_ref());
         let mut result = PipelineResult {
             record: run,
             analyzed,
             record_time,
             case,
-            cache: cache.map(|c| c.snapshot()),
+            cache: cache.snapshot(),
             trace: None,
             static_stats,
         };
@@ -242,12 +208,11 @@ impl Pipeline {
     /// one sharded solver-query cache across all jobs. Each job solves
     /// its feasibility queries serially on the worker that owns it.
     ///
-    /// `workers` is the pool width; `0` defers to the
-    /// [`crate::config::FarmKnobs`] in the configuration (whose own `0`
-    /// means one worker per CPU). Verdicts are identical to the serial
-    /// path: classification is a pure function of (case, cluster, config)
-    /// and the cache is answer-preserving. Only `time` fields and
-    /// wall-clock totals differ.
+    /// `workers` is the pool width; `0` means one worker per CPU.
+    /// Verdicts are identical to the serial path: classification is a
+    /// pure function of (case, cluster, config) and the cache is
+    /// answer-preserving. Only `time` fields and wall-clock totals
+    /// differ.
     pub fn run_parallel(
         &self,
         program: &Arc<Program>,
@@ -280,7 +245,7 @@ impl Pipeline {
             predicates,
             vm,
             workers,
-            &WarmSource::Knobs,
+            &WarmSource::default(),
             &mut |_, _, _| {},
         )
     }
@@ -317,9 +282,8 @@ impl Pipeline {
             self.record_phase(program, inputs, input_spec, predicates, vm)
         };
         let case = Arc::new(case);
-        let knobs = &self.portend.farm;
-        let cache = warm.acquire(knobs);
-        let mut farm = Farm::new(knobs.farm_config(workers));
+        let cache = warm.acquire();
+        let mut farm = Farm::new(FarmConfig::with_workers(workers));
         if let Some(r) = &recorder {
             farm = farm.with_recorder(r.clone());
         }
@@ -348,19 +312,14 @@ impl Pipeline {
 
         let cfg = self.portend.clone();
         let job_case = Arc::clone(&case);
-        let job_cache = cache.clone();
+        let job_cache = Arc::clone(&cache);
         let classify_phase = portend_obs::span_named(EventKind::Phase, "classify");
         let mut frun = farm.run(jobs, move |_worker, cluster: RaceCluster| {
-            let portend = match &job_cache {
-                Some(c) => Portend::with_cache(cfg.clone(), Arc::clone(c)),
-                None => Portend::new(cfg.clone()),
-            };
+            let portend = Portend::with_cache(cfg.clone(), Arc::clone(&job_cache));
             let verdict = portend.classify(&job_case, &cluster.representative);
             (cluster, verdict)
         });
-        if let Some(c) = &cache {
-            frun.attach_cache(Arc::clone(c));
-        }
+        frun.attach_cache(Arc::clone(&cache));
         // Drain the run as an iterator — each output reaches the sink
         // the moment its worker finishes it — then join for the
         // aggregate stats (every output was consumed here, so join's
@@ -394,14 +353,14 @@ impl Pipeline {
             }
         }
         stats.static_pass = static_stats;
-        warm.release(knobs, cache.as_ref());
+        warm.release(&cache);
         let case = Arc::try_unwrap(case).unwrap_or_else(|arc| arc.as_ref().clone());
         let mut result = PipelineResult {
             record: run,
             analyzed,
             record_time,
             case,
-            cache: cache.map(|c| c.snapshot()),
+            cache: cache.snapshot(),
             trace: None,
             static_stats,
         };

@@ -13,7 +13,7 @@
 //! ```text
 //! {
 //!   "format":  "portend-run-report",   readers reject anything else
-//!   "version": 6,                      readers reject unknown versions
+//!   "version": 7,                      readers reject unknown versions
 //!   "label":   "...",                  free-form run label
 //!   "record_time_ns": …,
 //!   "races":   [ { race + verdict/error + counters } … ],
@@ -77,7 +77,9 @@ pub const REPORT_FORMAT_NAME: &str = "portend-run-report";
 ///   `"dispatch"`; each `"per_worker"` entry lost `"slice_jobs"`; the
 ///   `"events"` counts lost `"lend"`, `"slice_job"`, `"slice_offload"`,
 ///   `"slice_dedup"` and `"batch_dispatch"`.
-pub const REPORT_FORMAT_VERSION: u32 = 6;
+/// * v7 — the farm's soft per-job time budget was deleted: `"farm"`
+///   lost `"budget_overruns"`.
+pub const REPORT_FORMAT_VERSION: u32 = 7;
 
 /// Why a report document could not be read.
 #[derive(Debug)]
@@ -303,7 +305,8 @@ pub struct RunReport {
     pub races: Vec<RaceOutcome>,
     /// Farm statistics, when the run used the parallel pipeline.
     pub farm: Option<FarmStats>,
-    /// Solver-cache counters, when a cache was enabled.
+    /// Solver-cache counters. Every report this build writes carries
+    /// them; the field stays nullable for reading.
     pub cache: Option<CacheSnapshot>,
     /// Static pre-analysis counters, when
     /// `PortendConfig::static_pass` ran the lockset/MHP pass.
@@ -325,7 +328,7 @@ impl RunReport {
             record_time: result.record_time,
             races,
             farm: None,
-            cache: result.cache,
+            cache: Some(result.cache),
             static_pass: result.static_stats,
             events: None,
         }
@@ -580,7 +583,6 @@ fn farm_json(s: &FarmStats) -> Json {
         ("wall_ns".into(), dur_json(s.wall)),
         ("busy_total_ns".into(), dur_json(s.busy_total)),
         ("steals".into(), Json::from(s.steals)),
-        ("budget_overruns".into(), Json::from(s.budget_overruns)),
         (
             "cache".into(),
             s.cache.as_ref().map_or(Json::Null, cache_json),
@@ -794,7 +796,6 @@ fn farm_from(v: &Json) -> Result<FarmStats, ReportError> {
             })
             .collect::<Result<_, ReportError>>()?,
         steals: req_u64(v, "steals")?,
-        budget_overruns: req_u64(v, "budget_overruns")?,
         cache: match v.get("cache") {
             None | Some(Json::Null) => None,
             Some(c) => Some(cache_from(c)?),

@@ -1,40 +1,16 @@
-//! Farm configuration: pool width, per-job budgets, scheduling order.
-
-use std::time::Duration;
+//! Farm configuration: the pool width.
 
 /// Configuration of a [`crate::Farm`].
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FarmConfig {
     /// Worker threads. `0` means "one per available CPU".
     pub workers: usize,
-    /// Soft wall-clock budget per job. Jobs are never killed (that would
-    /// make verdicts depend on host timing); overruns are counted in
-    /// [`crate::FarmStats::budget_overruns`] so operators can spot
-    /// pathological races and tighten instruction budgets instead.
-    pub job_time_budget: Option<Duration>,
-    /// Classify suspected-harmful races first (see
-    /// [`crate::cluster_priority`]). Purely an ordering choice; results
-    /// are independent of it.
-    pub priority_order: bool,
-}
-
-impl Default for FarmConfig {
-    fn default() -> Self {
-        FarmConfig {
-            workers: 0,
-            job_time_budget: None,
-            priority_order: true,
-        }
-    }
 }
 
 impl FarmConfig {
     /// A configuration with an explicit worker count.
     pub fn with_workers(workers: usize) -> Self {
-        FarmConfig {
-            workers,
-            ..Default::default()
-        }
+        FarmConfig { workers }
     }
 
     /// The actual pool width: `workers`, or the machine's available

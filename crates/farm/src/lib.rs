@@ -17,9 +17,8 @@
 //! * [`FarmRun`] — a streaming results handle yielding each finished job
 //!   as soon as a worker completes it;
 //! * [`FarmStats`] — aggregate run statistics: jobs, wall/busy time,
-//!   per-worker utilization, steal counts, budget overruns, and the
-//!   solver-cache hit rate when a [`portend_symex::SolverCache`] is
-//!   attached.
+//!   per-worker utilization, steal counts, and the solver-cache hit rate
+//!   when a [`portend_symex::SolverCache`] is attached.
 //!
 //! The engine is generic over the job payload and result types, so the
 //! `portend` core can delegate `Pipeline::run_parallel` to it without a

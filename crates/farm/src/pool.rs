@@ -1,6 +1,5 @@
 //! The work-stealing worker pool.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread;
 use std::time::Instant;
@@ -72,25 +71,20 @@ impl Farm {
     {
         let started = Instant::now();
         let workers = self.cfg.effective_workers(jobs.len());
-        if self.cfg.priority_order {
-            // Stable sort: equal priorities keep detection order.
-            jobs.sort_by_key(|j| std::cmp::Reverse(j.priority));
-        }
+        // Stable sort: equal priorities keep detection order.
+        jobs.sort_by_key(|j| std::cmp::Reverse(j.priority));
         let total = jobs.len() as u64;
         let queue = Arc::new(StealSet::new(workers));
         queue.deal(jobs);
 
         let (tx, rx) = mpsc::channel::<JobOutput<R>>();
         let work = Arc::new(work);
-        let budget = self.cfg.job_time_budget;
-        let overruns = Arc::new(AtomicU64::new(0));
 
         let handles = (0..workers)
             .map(|w| {
                 let queue = Arc::clone(&queue);
                 let tx = tx.clone();
                 let work = Arc::clone(&work);
-                let overruns = Arc::clone(&overruns);
                 let recorder = self.recorder.clone();
                 thread::Builder::new()
                     .name(format!("portend-farm-{w}"))
@@ -118,10 +112,6 @@ impl Farm {
                             if taken == Taken::Stolen {
                                 ws.steals += 1;
                             }
-                            let over_budget = budget.is_some_and(|b| time > b);
-                            if over_budget {
-                                overruns.fetch_add(1, Ordering::Relaxed);
-                            }
                             // A send can only fail if the receiver was
                             // dropped — the caller abandoned the run, so
                             // drain the queue without reporting.
@@ -132,7 +122,6 @@ impl Farm {
                                 time,
                                 worker: w,
                                 stolen: taken == Taken::Stolen,
-                                over_budget,
                             });
                         }
                         (ws, Instant::now())
@@ -141,7 +130,7 @@ impl Farm {
             })
             .collect();
         drop(tx);
-        FarmRun::new(rx, handles, started, total, overruns)
+        FarmRun::new(rx, handles, started, total)
     }
 }
 
@@ -149,7 +138,6 @@ impl Farm {
 mod tests {
     use super::*;
     use std::collections::BTreeSet;
-    use std::time::Duration;
 
     #[test]
     fn every_job_runs_exactly_once_across_pool_sizes() {
@@ -188,21 +176,6 @@ mod tests {
         let run = farm.run(jobs, |_, s: &'static str| s);
         let order: Vec<&str> = run.map(|o| o.result).collect();
         assert_eq!(order, vec!["high", "mid", "low"]);
-    }
-
-    #[test]
-    fn soft_budget_counts_overruns_without_killing_jobs() {
-        let farm = Farm::new(FarmConfig {
-            workers: 2,
-            job_time_budget: Some(Duration::from_nanos(1)),
-            priority_order: true,
-        });
-        let jobs = (0..4).map(|i| JobSpec::new(i, ())).collect();
-        let (outputs, stats) = farm
-            .run(jobs, |_, ()| std::thread::sleep(Duration::from_millis(2)))
-            .join();
-        assert_eq!(outputs.len(), 4, "overrunning jobs still complete");
-        assert_eq!(stats.budget_overruns, 4);
     }
 
     /// A panicking classification job must surface through `join`:

@@ -30,8 +30,6 @@ pub struct FarmStats {
     pub per_worker: Vec<WorkerStats>,
     /// Jobs obtained by stealing (a measure of imbalance absorbed).
     pub steals: u64,
-    /// Jobs whose execution exceeded the configured soft time budget.
-    pub budget_overruns: u64,
     /// Solver-cache counters, when a cache was attached to the run.
     pub cache: Option<CacheSnapshot>,
     /// Bytes the jobs' copy-on-write exploration forks actually copied
@@ -147,13 +145,12 @@ impl FarmStats {
             None => String::new(),
         };
         format!(
-            "{} jobs on {} workers in {:.3}s (util {:.0}%, {} steals, {} overruns{cache}{forks}{sa})",
+            "{} jobs on {} workers in {:.3}s (util {:.0}%, {} steals{cache}{forks}{sa})",
             self.jobs,
             self.per_worker.len(),
             self.wall.as_secs_f64(),
             100.0 * self.utilization(),
             self.steals,
-            self.budget_overruns,
         )
     }
 }

@@ -1,6 +1,5 @@
 //! Streaming access to a running farm's results.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::Receiver;
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -25,8 +24,6 @@ pub struct JobOutput<R> {
     pub worker: usize,
     /// Whether the job was stolen from another worker's queue.
     pub stolen: bool,
-    /// Whether execution exceeded the soft per-job time budget.
-    pub over_budget: bool,
 }
 
 /// A handle on an in-flight farm run.
@@ -42,7 +39,6 @@ pub struct FarmRun<R> {
     handles: Vec<JoinHandle<(WorkerStats, Instant)>>,
     started: Instant,
     jobs: u64,
-    overruns: Arc<AtomicU64>,
     cache: Option<Arc<SolverCache>>,
 }
 
@@ -52,14 +48,12 @@ impl<R> FarmRun<R> {
         handles: Vec<JoinHandle<(WorkerStats, Instant)>>,
         started: Instant,
         jobs: u64,
-        overruns: Arc<AtomicU64>,
     ) -> Self {
         FarmRun {
             rx,
             handles,
             started,
             jobs,
-            overruns,
             cache: None,
         }
     }
@@ -94,7 +88,6 @@ impl<R> FarmRun<R> {
             wall: last_exit.duration_since(self.started),
             busy_total: per_worker.iter().map(|w| w.busy).sum(),
             steals: per_worker.iter().map(|w| w.steals).sum(),
-            budget_overruns: self.overruns.load(Ordering::Relaxed),
             per_worker,
             cache: self.cache.as_ref().map(|c| c.snapshot()),
             // The generic pool cannot see inside job results; callers

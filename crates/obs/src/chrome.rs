@@ -66,7 +66,7 @@ impl Trace {
 }
 
 /// Write-then-rename, the same discipline as the warm store's
-/// `save_to`: readers only ever observe complete files.
+/// `StoreManager::save_from`: readers only ever observe complete files.
 pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
     let tmp = path.with_extension("tmp");
     {

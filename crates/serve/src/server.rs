@@ -9,7 +9,7 @@ use std::sync::{Arc, Mutex};
 
 use portend::{PortendConfig, RaceOutcome, RunReport, WarmSource};
 use portend_obs::EventKind;
-use portend_symex::{SolverCache, StoreBudget, StoreManager, WarmStoreError};
+use portend_symex::{SolverCache, StoreBudget, StoreManager, WarmStoreError, DEFAULT_SHARDS};
 
 use crate::protocol::{Frame, Request};
 
@@ -141,18 +141,13 @@ impl Server {
         };
         let fingerprint = w.fingerprint();
         portend_obs::instant(EventKind::RequestStart, id, fingerprint);
-        let cache = self.resident_cache(fingerprint);
         // The manager path warms from (and saves back to) the
         // per-program store every request — touch-on-load keeps the
         // LRU honest; resident entries are never overwritten. Without
-        // a store directory the borrowed cache alone carries warmth.
-        let warm = match &self.manager {
-            Some(manager) => WarmSource::Manager {
-                manager: Arc::clone(manager),
-                fingerprint,
-                cache: Some(cache),
-            },
-            None => WarmSource::Borrowed(cache),
+        // a store directory the resident cache alone carries warmth.
+        let warm = WarmSource {
+            cache: Some(self.resident_cache(fingerprint)),
+            store: self.manager.clone().map(|m| (m, fingerprint)),
         };
         let workers = if workers > 0 { workers } else { self.workers };
         let (result, stats) = w.analyze_streamed(
@@ -176,13 +171,13 @@ impl Server {
     }
 
     /// The daemon's resident cache for `fingerprint`, created on first
-    /// use per the analysis configuration's farm knobs.
+    /// use.
     fn resident_cache(&self, fingerprint: u64) -> Arc<SolverCache> {
         let mut caches = self.caches.lock().expect("cache registry poisoned");
         Arc::clone(
             caches
                 .entry(fingerprint)
-                .or_insert_with(|| Arc::new(SolverCache::new(self.analysis.farm.cache_shards))),
+                .or_insert_with(|| Arc::new(SolverCache::new(DEFAULT_SHARDS))),
         )
     }
 

@@ -58,8 +58,8 @@ pub const DEFAULT_MAX_ENTRIES: usize = 1 << 16;
 const SECOND_CHANCE_HITS: u32 = 2;
 
 /// Cap on warm-store entries re-solved and compared against their
-/// persisted answer after a [`SolverCache::warm_from`] (answer-
-/// preservation sampling): the first few *hits* on warmed entries are
+/// persisted answer after a [`crate::StoreManager::load_into`]
+/// (answer-preservation sampling): the first few *hits* on warmed entries are
 /// returned as [`CacheAnswer::Probation`], asking the caller — who
 /// holds the actual constraints — to solve anyway and report back via
 /// [`SolverCache::confirm_warm`]. The actual sample is
@@ -499,7 +499,7 @@ pub struct CacheSnapshot {
     /// chance (cumulative across flushes).
     pub second_chances: u64,
     /// Entries loaded from a persistent warm store
-    /// ([`SolverCache::warm_from`]); `0` on a cold start.
+    /// ([`crate::StoreManager::load_into`]); `0` on a cold start.
     pub warmed: u64,
     /// Lookups answered by a warm-store entry — solves this process
     /// skipped because an earlier run already paid for them.

@@ -1,15 +1,17 @@
 //! Managed directories of per-program warm stores.
 //!
-//! [`super::warm`] persists *one* cache to *one* hand-pointed path. A
+//! [`super::warm`] defines the on-disk format of *one* cache's store. A
 //! resident analysis service outlives any single program: it needs a
 //! *directory* of stores, one per program fingerprint, with bounded disk
 //! usage and a recency order so the programs users actually resubmit
-//! keep their warm capital. [`StoreManager`] is that layer:
+//! keep their warm capital. [`StoreManager`] is that layer, and the
+//! only code that reads or writes a store (a single-store use is a
+//! directory with one entry):
 //!
 //! * **Keying** — the store for fingerprint `f` lives at
 //!   `dir/{f:016x}.warm`, and every save writes `f` into the store
-//!   header ([`SolverCache::save_keyed`]), so a renamed or copied file
-//!   still declares which program it belongs to. A load that finds a
+//!   header, so a renamed or copied file still declares which program
+//!   it belongs to. A load that finds a
 //!   foreign fingerprint inside the expected path reports it distinctly
 //!   ([`WarmLoadReport::rejected_fingerprint`]) and proceeds cold —
 //!   never silently.
@@ -24,10 +26,9 @@
 //!   both touch. The index is advisory: a missing or stale index makes
 //!   unknown stores *coldest* (sequence 0), it never loses data.
 //!
-//! Everything funnels through the existing accounting structs —
-//! [`WarmLoadReport`] / [`WarmSaveReport`] — so a front end composes a
-//! run's warm story from the same fields whether it pointed at a bare
-//! path or a managed directory.
+//! Loads and saves report through [`WarmLoadReport`] /
+//! [`WarmSaveReport`], so a front end composes a run's warm story from
+//! the same fields for every program.
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -192,11 +193,11 @@ impl StoreManager {
         fingerprint: u64,
         cache: &SolverCache,
     ) -> Result<WarmSaveReport, WarmStoreError> {
-        let report = cache.save_keyed(self.path_for(fingerprint), fingerprint, &self.policy)?;
+        let report = cache.save_keyed(&self.path_for(fingerprint), fingerprint, &self.policy)?;
         let _g = self.lock.lock().expect("store index lock poisoned");
         let mut index = self.read_index();
         self.touch(&mut index, fingerprint);
-        self.evict_over_budget(&mut index, Some(fingerprint))?;
+        self.evict_to_budget(&mut index, Some(fingerprint))?;
         self.write_index(&index);
         Ok(report)
     }
@@ -227,7 +228,7 @@ impl StoreManager {
     pub fn gc(&self) -> Result<Vec<u64>, WarmStoreError> {
         let _g = self.lock.lock().expect("store index lock poisoned");
         let mut index = self.read_index();
-        let evicted = self.evict_over_budget(&mut index, None)?;
+        let evicted = self.evict_to_budget(&mut index, None)?;
         self.write_index(&index);
         Ok(evicted)
     }
@@ -273,7 +274,7 @@ impl StoreManager {
     /// Evicts least-recently-used stores until both budget axes hold,
     /// never evicting `protect`. Returns the evicted fingerprints.
     /// Caller holds the index lock.
-    fn evict_over_budget(
+    fn evict_to_budget(
         &self,
         index: &mut HashMap<u64, u64>,
         protect: Option<u64>,

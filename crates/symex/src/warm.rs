@@ -20,7 +20,7 @@
 //! offset  size  field
 //! 0       8     magic  b"PTNDWARM"
 //! 8       4     format version (u32; readers reject unknown versions)
-//! 12      8     program fingerprint (u64; 0 = unkeyed/wildcard)
+//! 12      8     program fingerprint (u64)
 //! 20      4     solver-semantics version (u32; readers reject drift)
 //! 24      4     record count (u32)
 //!               records…                       (see below)
@@ -28,14 +28,15 @@
 //! ```
 //!
 //! The *program fingerprint* (format v2) keys a store to the program
-//! whose analysis produced it: a keyed load
-//! ([`SolverCache::warm_from_keyed`]) presented with a store whose
+//! whose analysis produced it: a load presented with a store whose
 //! fingerprint names a different program fails with the distinct
 //! [`WarmStoreError::ForeignFingerprint`] — "this store is from another
 //! program" — instead of silently warm-starting from answers that
-//! happen to share canonical keys. Fingerprint `0` is the unkeyed
-//! wildcard written by [`SolverCache::save_to`] and accepted by any
-//! expectation (the pre-v2 behavior for hand-pointed store paths).
+//! happen to share canonical keys. A store loads only for the
+//! fingerprint in its header; every value, `0` included, is an
+//! ordinary key. [`crate::StoreManager`] is the only reader and writer
+//! of stores: it keeps one store per fingerprint in a managed
+//! directory.
 //!
 //! The *solver-semantics version* ([`SOLVER_SEMANTICS_VERSION`]) is the
 //! cross-build invalidation hint: it is echoed into every store and
@@ -124,8 +125,8 @@ pub const WARM_FORMAT_VERSION: u32 = 2;
 /// [`WarmStoreError::SemanticsMismatch`] — a clean cold start.
 pub const SOLVER_SEMANTICS_VERSION: u32 = 1;
 
-/// Which cache entries a [`SolverCache::save_to`] persists, and how much
-/// disk it may use.
+/// Which cache entries a [`crate::StoreManager::save_from`] persists,
+/// and how much disk it may use.
 ///
 /// The defaults encode the eviction-aware export policy: an entry earns
 /// persistence by *heat* — it survived at least one second-chance epoch
@@ -176,7 +177,7 @@ pub(crate) struct WarmRecord {
     pub hits: u32,
 }
 
-/// What a [`SolverCache::save_to`] wrote.
+/// What a [`crate::StoreManager::save_from`] wrote.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WarmSaveReport {
     /// Entries serialized into the store.
@@ -187,7 +188,7 @@ pub struct WarmSaveReport {
     pub dropped_by_budget: u64,
 }
 
-/// What a [`SolverCache::warm_from`] loaded.
+/// What a [`crate::StoreManager::load_into`] loaded.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WarmLoadReport {
     /// Entries inserted into the cache.
@@ -198,11 +199,10 @@ pub struct WarmLoadReport {
     /// capacity (or their key already resident).
     pub skipped: u64,
     /// Stores rejected because their fingerprint named a different
-    /// program ([`WarmStoreError::ForeignFingerprint`]). A direct keyed
-    /// load reports the rejection as the error itself; lifecycle layers
-    /// that continue cold ([`crate::StoreManager::load_into`]) fold the
-    /// rejection into this counter so it is never silent. `0` on every
-    /// successful or unkeyed load.
+    /// program ([`WarmStoreError::ForeignFingerprint`]).
+    /// [`crate::StoreManager::load_into`] continues cold past such a
+    /// store and folds the rejection into this counter so it is never
+    /// silent. `0` on every successful load.
     pub rejected_fingerprint: u64,
 }
 
@@ -282,7 +282,9 @@ impl From<std::io::Error> for WarmStoreError {
 }
 
 impl SolverCache {
-    /// Persists this cache's hot entries to `path` under `policy`.
+    /// Persists this cache's hot entries to `path` under `policy`,
+    /// writing `fingerprint` into the store header so the store is
+    /// keyed to one program.
     ///
     /// The write is atomic-by-rename: the store is assembled in a
     /// sibling temporary file — with a per-process, per-save unique
@@ -292,26 +294,14 @@ impl SolverCache {
     /// a torn one (a torn file would be rejected by the checksum
     /// anyway); concurrent saves resolve to whichever rename lands
     /// last, each image complete.
-    pub fn save_to(
+    pub(crate) fn save_keyed(
         &self,
-        path: impl AsRef<Path>,
-        policy: &WarmPolicy,
-    ) -> Result<WarmSaveReport, WarmStoreError> {
-        self.save_keyed(path, 0, policy)
-    }
-
-    /// [`SolverCache::save_to`], writing `fingerprint` into the store
-    /// header so the store is keyed to one program. `0` writes an
-    /// unkeyed (wildcard) store that any keyed load accepts.
-    pub fn save_keyed(
-        &self,
-        path: impl AsRef<Path>,
+        path: &Path,
         fingerprint: u64,
         policy: &WarmPolicy,
     ) -> Result<WarmSaveReport, WarmStoreError> {
         static SAVE_SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
         let mut ev = portend_obs::span(portend_obs::EventKind::WarmSave);
-        let path = path.as_ref();
         let records = self.export_entries(policy);
         let (bytes, report) = serialize(&records, policy, fingerprint);
         let tmp = path.with_extension(format!(
@@ -328,35 +318,30 @@ impl SolverCache {
         Ok(report)
     }
 
-    /// Loads a warm store into this cache, marking every loaded entry
-    /// for `warm_hits` accounting and arming the answer-preservation
-    /// probation sampling. Entries already resident (or landing in a
-    /// full shard) are skipped, never overwritten.
+    /// Loads the warm store at `path` into this cache, marking every
+    /// loaded entry for `warm_hits` accounting and arming the
+    /// answer-preservation probation sampling. Entries already resident
+    /// (or landing in a full shard) are skipped, never overwritten.
     ///
-    /// On any error the cache is untouched — the run proceeds cold.
-    pub fn warm_from(&self, path: impl AsRef<Path>) -> Result<WarmLoadReport, WarmStoreError> {
-        self.warm_from_keyed(path, 0)
-    }
-
-    /// [`SolverCache::warm_from`], additionally requiring the store's
-    /// header fingerprint to match `expected` (the current program's
-    /// content hash — `portend_vm::Program::fingerprint`). A store keyed
-    /// to a *different* program fails with the distinct
+    /// The store's header fingerprint must equal `expected` (the current
+    /// program's content hash — `portend_vm::Program::fingerprint`). A
+    /// store keyed to a *different* program fails with the distinct
     /// [`WarmStoreError::ForeignFingerprint`] — and is counted on this
     /// cache's [`crate::CacheSnapshot::warm_rejected_fingerprint`] — so
     /// a foreign store is never silently treated as a cold start.
-    /// `expected == 0` accepts any store; an *unkeyed* store (header
-    /// fingerprint `0`) satisfies any expectation.
-    pub fn warm_from_keyed(
+    ///
+    /// On any error the cache's entries are untouched — the run
+    /// proceeds cold.
+    pub(crate) fn warm_from_keyed(
         &self,
-        path: impl AsRef<Path>,
+        path: &Path,
         expected: u64,
     ) -> Result<WarmLoadReport, WarmStoreError> {
         let mut ev = portend_obs::span(portend_obs::EventKind::WarmLoad);
         let mut bytes = Vec::new();
-        std::fs::File::open(path.as_ref())?.read_to_end(&mut bytes)?;
+        std::fs::File::open(path)?.read_to_end(&mut bytes)?;
         let (stored, records) = parse(&bytes)?;
-        if expected != 0 && stored != 0 && stored != expected {
+        if stored != expected {
             self.note_rejected_fingerprint();
             return Err(WarmStoreError::ForeignFingerprint { stored, expected });
         }
@@ -369,14 +354,6 @@ impl SolverCache {
             skipped: total - kept,
             rejected_fingerprint: 0,
         })
-    }
-
-    /// Constructs a default-shaped cache pre-warmed from `path` (the
-    /// one-call form of `SolverCache::default()` + [`SolverCache::warm_from`]).
-    pub fn load_from(path: impl AsRef<Path>) -> Result<SolverCache, WarmStoreError> {
-        let cache = SolverCache::default();
-        cache.warm_from(path)?;
-        Ok(cache)
     }
 }
 
@@ -603,7 +580,7 @@ fn parse(bytes: &[u8]) -> Result<(u64, Vec<WarmRecord>), WarmStoreError> {
 pub struct WarmStoreMeta {
     /// The store's format version.
     pub format_version: u32,
-    /// The program fingerprint the store is keyed to (`0` = unkeyed).
+    /// The program fingerprint the store is keyed to.
     pub fingerprint: u64,
     /// The solver-semantics generation the store was written under.
     pub semantics_version: u32,
@@ -816,23 +793,6 @@ mod tests {
             "rejection names the cause: {err}"
         );
 
-        // An unkeyed (wildcard) store satisfies any expectation, and an
-        // unkeyed load accepts any store.
-        cache
-            .save_to(&path, &WarmPolicy::keep_everything())
-            .unwrap();
-        assert_eq!(
-            SolverCache::new(4)
-                .warm_from_keyed(&path, 0xdead_beef)
-                .unwrap()
-                .entries,
-            1
-        );
-        cache
-            .save_keyed(&path, 0xaaaa_bbbb, &WarmPolicy::keep_everything())
-            .unwrap();
-        assert_eq!(SolverCache::new(4).warm_from(&path).unwrap().entries, 1);
-
         let meta = peek_meta(&path).unwrap();
         assert_eq!(meta.format_version, WARM_FORMAT_VERSION);
         assert_eq!(meta.fingerprint, 0xaaaa_bbbb);
@@ -856,10 +816,11 @@ mod tests {
             ));
         }
         cache.insert("cold".into(), SatResult::Unknown);
-        let report = cache.save_to(&path, &WarmPolicy::default()).unwrap();
+        let report = cache.save_keyed(&path, 9, &WarmPolicy::default()).unwrap();
         assert_eq!(report.entries, 1, "only the hot entry qualifies");
 
-        let warmed = SolverCache::load_from(&path).unwrap();
+        let warmed = SolverCache::default();
+        warmed.warm_from_keyed(&path, 9).unwrap();
         let snap = warmed.snapshot();
         assert_eq!((snap.warmed, snap.entries), (1, 1));
         // The warmed entry answers (first hits go through probation,
@@ -877,15 +838,16 @@ mod tests {
 
         // Keep-everything persists the cold entry too.
         let report = cache
-            .save_to(&path, &WarmPolicy::keep_everything())
+            .save_keyed(&path, 9, &WarmPolicy::keep_everything())
             .unwrap();
         assert_eq!(report.entries, 2);
-        let warmed = SolverCache::load_from(&path).unwrap();
+        let warmed = SolverCache::default();
+        warmed.warm_from_keyed(&path, 9).unwrap();
         assert_eq!(warmed.snapshot().warmed, 2);
 
         // A missing file is an Io error (the first-run case).
         assert!(matches!(
-            SolverCache::load_from(dir.join("absent.warm")),
+            SolverCache::default().warm_from_keyed(&dir.join("absent.warm"), 9),
             Err(WarmStoreError::Io(_))
         ));
         std::fs::remove_dir_all(&dir).ok();

@@ -197,8 +197,7 @@ impl Program {
     /// moves the hash. The warm-store manager keys per-program solver
     /// stores on this value, so a store written for one program is
     /// rejected distinctly (never silently reused) when presented for
-    /// another. `0` is reserved as the "unkeyed" wildcard, so the hash
-    /// is nudged off zero in the (astronomically unlikely) collision.
+    /// another.
     pub fn fingerprint(&self) -> u64 {
         let rendered = format!("{self:?}");
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -206,11 +205,7 @@ impl Program {
             h ^= u64::from(b);
             h = h.wrapping_mul(0x0000_0100_0000_01b3);
         }
-        if h == 0 {
-            1
-        } else {
-            h
-        }
+        h
     }
 
     /// Validates cross-references (block targets, register ranges,
@@ -482,7 +477,6 @@ mod tests {
     fn fingerprint_is_stable_and_content_sensitive() {
         let p = tiny();
         assert_eq!(p.fingerprint(), tiny().fingerprint(), "deterministic");
-        assert_ne!(p.fingerprint(), 0, "zero is the unkeyed wildcard");
         // Any semantic edit moves the hash: an instruction, a name, an
         // allocation's initial value.
         let mut edited = tiny();

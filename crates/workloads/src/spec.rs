@@ -162,12 +162,9 @@ impl Workload {
     /// Like [`Workload::analyze`], but classifies this workload's races
     /// concurrently on the `portend-farm` pool with `workers` threads
     /// (`0` = one per CPU). Verdicts are identical to [`Workload::analyze`].
-    ///
-    /// With `config.farm.cache_path` set, the run warm-starts from (and
-    /// persists back to) the on-disk solver cache, so a second call
-    /// over the same workload performs strictly fewer solver
-    /// invocations — see `PipelineResult::cache` and the workspace
-    /// `tests/warm_store.rs`.
+    /// To warm-start from (and persist back to) a store directory, use
+    /// [`Workload::analyze_streamed`] with a `WarmSource` naming a
+    /// `StoreManager`.
     pub fn analyze_parallel(&self, config: PortendConfig, workers: usize) -> PipelineResult {
         self.pipeline(config).run_parallel(
             &self.program,

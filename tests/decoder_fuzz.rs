@@ -2,8 +2,9 @@
 //! JSON parser (`portend_obs::json::parse`), the run-report reader
 //! (`RunReport::from_json`), the daemon's wire decoders
 //! (`Request::parse`, `Frame::parse`), and the store directory's
-//! readers (the `store.index` sidecar behind `StoreManager` and the
-//! warm-store header behind `warm::peek_meta`).
+//! readers (the `store.index` sidecar behind `StoreManager`, the
+//! warm-store header behind `warm::peek_meta`, and the store's record
+//! bodies behind `StoreManager::load_into`).
 //!
 //! Seeds are a live report from a real pipeline run, the frames a real
 //! daemon session emits, and the index and store files a real managed
@@ -17,7 +18,11 @@
 //! 4. a report carrying another `version` is rejected, standalone or
 //!    inside a `done` frame;
 //! 5. whatever the index says, a store just loaded or saved is strictly
-//!    the most recently used, and a listing shows every readable store.
+//!    the most recently used, and a listing shows every readable store;
+//! 6. a store whose record bodies were mutated (with the checksum
+//!    recomputed, so the record parser sees every mutation) is rejected
+//!    with the cache left empty, or warms at most the header's record
+//!    count.
 //!
 //! About 10,000 cases per in-memory decoder in release builds, fewer in
 //! debug and for the store directory (each of its cases does file I/O).
@@ -33,6 +38,7 @@ use portend_repro::portend_serve::{Frame, Request, Server, ServerConfig};
 use portend_repro::portend_symex::warm::WARM_MAGIC;
 use portend_repro::portend_symex::{
     peek_meta, CmpOp, Expr, Solver, SolverCache, StoreBudget, StoreManager, VarTable, WarmPolicy,
+    WarmStoreError,
 };
 use portend_repro::portend_vm::SmallRng;
 use portend_repro::portend_workloads::by_name;
@@ -396,5 +402,70 @@ fn store_header_survives_mutation() {
             }
         });
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Byte offset of the record-count field in a store header: after the
+/// magic, format version, fingerprint and semantics version.
+const RECORD_COUNT_AT: usize = 8 + 4 + 8 + 4;
+
+/// The store's trailing checksum: FNV-1a-64 of every preceding byte.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+#[test]
+fn store_record_bodies_survive_mutation() {
+    let dir = scratch_dir("records");
+    let mgr = StoreManager::new(&dir)
+        .expect("store dir")
+        .with_policy(WarmPolicy::keep_everything());
+    mgr.save_from(1, &solved_cache()).expect("save");
+    let real = std::fs::read(mgr.path_for(1)).expect("real store");
+    let footer = real.len() - 8;
+    assert_eq!(
+        fnv1a64(&real[..footer]).to_le_bytes(),
+        real[footer..],
+        "the test's checksum is the store's"
+    );
+    let (head, records) = real[..footer].split_at(RECORD_COUNT_AT);
+    let real_count = u32::from_le_bytes(records[..4].try_into().expect("count"));
+    assert!(real_count > 1, "the seed store holds several records");
+    let mut rng = SmallRng::seed_from_u64(0xB0D1E5);
+    let mut accepted = 0;
+    for _ in 0..STORE_CASES {
+        let mut bytes = head.to_vec();
+        bytes.extend(mutate_bytes(&mut rng, records, records));
+        let sum = fnv1a64(&bytes);
+        bytes.extend_from_slice(&sum.to_le_bytes());
+        std::fs::write(mgr.path_for(1), &bytes).expect("write store");
+        no_panic("load_into", bytes.as_slice(), |b| {
+            let cache = SolverCache::new(2);
+            let loaded = mgr.load_into(1, &cache);
+            let snap = cache.snapshot();
+            match loaded {
+                Ok(report) => {
+                    let count = b
+                        .get(RECORD_COUNT_AT..RECORD_COUNT_AT + 4)
+                        .map(|c| u64::from(u32::from_le_bytes(c.try_into().expect("4 bytes"))))
+                        .expect("an accepted store has a record count");
+                    assert_eq!(report.rejected_fingerprint, 0, "{report:?}");
+                    assert!(report.entries <= count, "{report:?} vs count {count}");
+                    assert!(snap.warmed <= count, "{snap:?} vs count {count}");
+                    accepted += 1;
+                }
+                Err(e) => {
+                    assert!(
+                        !matches!(e, WarmStoreError::ChecksumMismatch),
+                        "the recomputed checksum must hold"
+                    );
+                    assert_eq!((snap.entries, snap.warmed), (0, 0), "{snap:?}");
+                }
+            }
+        });
+    }
+    assert!(accepted > 0, "some mutants must parse");
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -1,7 +1,7 @@
 //! Farm equivalence suite: `Pipeline::run_parallel(N)` must produce
 //! verdicts identical to the serial `Pipeline::run` — across the entire
-//! workloads corpus, for any worker count, with or without the shared
-//! solver cache and priority ordering.
+//! workloads corpus, for any worker count — and identical to an
+//! uncached classification of each race.
 //!
 //! This is the farm's core contract: parallelism and caching change only
 //! *when* work happens, never what is computed. Classification is a pure
@@ -9,7 +9,7 @@
 //! the entire solver call, so full structural equality of verdicts (class,
 //! detail, k, states_differ, and work counters) must hold.
 
-use portend_repro::portend::{FarmKnobs, PipelineResult, PortendConfig};
+use portend_repro::portend::{PipelineResult, Portend, PortendConfig};
 use portend_repro::portend_workloads::{all, by_name};
 
 /// Asserts full per-cluster equality of two pipeline results.
@@ -61,43 +61,25 @@ fn any_worker_count_agrees_with_serial() {
     }
 }
 
-/// Every farm knob combination preserves verdicts: cache off, priority
-/// off, both off, and a tiny soft time budget (which may only *count*
-/// overruns, never alter results).
+/// The shared solver cache is answer-preserving: each farm verdict
+/// (4 workers, one cache shared by every job) equals the verdict of a
+/// `Portend` that classifies the same race without a shared cache.
 #[test]
-fn farm_knobs_do_not_change_verdicts() {
-    let w = by_name("bbuf").expect("workload exists");
-    let serial = w.analyze(PortendConfig::default());
-    let knob_sets = [
-        FarmKnobs {
-            solver_cache: false,
-            ..Default::default()
-        },
-        FarmKnobs {
-            priority_order: false,
-            ..Default::default()
-        },
-        FarmKnobs {
-            solver_cache: false,
-            priority_order: false,
-            ..Default::default()
-        },
-        FarmKnobs {
-            job_time_budget_ms: 1,
-            ..Default::default()
-        },
-        FarmKnobs {
-            cache_shards: 1,
-            ..Default::default()
-        },
-    ];
-    for (i, farm) in knob_sets.into_iter().enumerate() {
-        let cfg = PortendConfig {
-            farm,
-            ..Default::default()
-        };
-        let parallel = w.analyze_parallel(cfg, 4);
-        assert_equivalent(&format!("bbuf knobs#{i}"), &serial, &parallel);
+fn farm_verdicts_match_uncached_reference() {
+    let cfg = PortendConfig::default();
+    for name in ["bbuf", "ctrace"] {
+        let w = by_name(name).expect("workload exists");
+        let result = w.analyze_parallel(cfg.clone(), 4);
+        assert!(!result.analyzed.is_empty(), "{name}: detects races");
+        let uncached = Portend::new(cfg.clone());
+        for (i, a) in result.analyzed.iter().enumerate() {
+            let reference = uncached.classify(&result.case, &a.cluster.representative);
+            assert_eq!(
+                a.verdict, reference,
+                "{name}: farm verdict for cluster #{i} ({}) differs from the uncached one",
+                a.cluster.representative
+            );
+        }
     }
 }
 
@@ -117,7 +99,7 @@ fn farm_stats_are_coherent() {
     );
     let util = stats.utilization();
     assert!((0.0..=1.0).contains(&util), "utilization {util}");
-    let cache = stats.cache.expect("solver cache on by default");
+    let cache = stats.cache.expect("the pipeline attaches its cache");
     // Queries arrive at slice granularity by default (`slice_solver`),
     // at whole-query granularity when slicing is off.
     let lookups = cache.hits + cache.misses + cache.slice_hits + cache.slice_misses;

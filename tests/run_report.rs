@@ -6,6 +6,9 @@
 //! 1. **Tracing changes nothing.** A traced run's verdicts, work
 //!    counters, and cache snapshot are structurally identical to an
 //!    untraced run's — serial and parallel. The recorder only observes.
+//!    On the farm the cache's hit/miss split depends on which worker
+//!    misses a shared slice first, so a comparison involving a farm run
+//!    checks only the scheduling-independent cache counters.
 //! 2. **Reports are exact.** A `RunReport` assembled from a live run
 //!    round-trips through its JSON rendering to structural equality,
 //!    and the reader rejects documents from the future (version bumps)
@@ -16,8 +19,8 @@
 //! timestamps — two identical runs produce identical event skeletons.
 
 use portend_repro::portend::{
-    PipelineResult, PortendConfig, ReportError, RunReport, TraceConfig, REPORT_FORMAT_NAME,
-    REPORT_FORMAT_VERSION,
+    CacheSnapshot, PipelineResult, PortendConfig, ReportError, RunReport, TraceConfig,
+    REPORT_FORMAT_NAME, REPORT_FORMAT_VERSION,
 };
 use portend_repro::portend_obs::{json::Json, EventKind, Trace};
 use portend_repro::portend_workloads::by_name;
@@ -29,15 +32,53 @@ fn traced_cfg() -> PortendConfig {
     }
 }
 
-/// Structural equality of everything tracing must not perturb.
+/// Structural equality of everything tracing must not perturb, with
+/// full `CacheSnapshot` equality (both runs serial).
 fn assert_run_unchanged(name: &str, plain: &PipelineResult, traced: &PipelineResult) {
-    assert_eq!(
-        plain.record.clusters, traced.record.clusters,
-        "{name}: tracing changed detection"
-    );
     assert_eq!(
         plain.cache, traced.cache,
         "{name}: tracing changed solver-cache counters"
+    );
+    assert_verdicts_unchanged(name, plain, traced);
+}
+
+/// The cache counters a farm run fixes regardless of scheduling: lookup
+/// totals at both granularities, rendered key bytes, resident entries,
+/// and the warm-store counters. Which worker misses a shared slice
+/// first — and so the hit/miss split — is up to the pool.
+fn schedule_free_counters(c: &CacheSnapshot) -> [u64; 9] {
+    [
+        c.hits + c.misses,
+        c.slice_hits + c.slice_misses,
+        c.key_bytes,
+        c.entries,
+        c.warmed,
+        c.warm_hits,
+        c.warm_validations,
+        c.warm_mismatches,
+        c.warm_rejected_fingerprint,
+    ]
+}
+
+/// [`assert_run_unchanged`] for comparisons involving a farm run: the
+/// cache is compared through [`schedule_free_counters`] only.
+fn assert_farm_run_unchanged(name: &str, plain: &PipelineResult, traced: &PipelineResult) {
+    assert_eq!(
+        schedule_free_counters(&plain.cache),
+        schedule_free_counters(&traced.cache),
+        "{name}: tracing changed solver-cache counters ({:?} vs {:?})",
+        plain.cache,
+        traced.cache
+    );
+    assert_verdicts_unchanged(name, plain, traced);
+}
+
+/// Detection, race count and every verdict (with its work counters)
+/// are identical.
+fn assert_verdicts_unchanged(name: &str, plain: &PipelineResult, traced: &PipelineResult) {
+    assert_eq!(
+        plain.record.clusters, traced.record.clusters,
+        "{name}: tracing changed detection"
     );
     assert_eq!(
         plain.analyzed.len(),
@@ -71,10 +112,10 @@ fn tracing_on_changes_no_verdict_or_counter_parallel() {
     let w = by_name("ctrace").expect("workload exists");
     let plain = w.analyze_parallel(PortendConfig::default(), 4);
     let traced = w.analyze_parallel(traced_cfg(), 4);
-    assert_run_unchanged("ctrace/parallel", &plain, &traced);
+    assert_farm_run_unchanged("ctrace/parallel", &plain, &traced);
     // And the parallel traced run agrees with the serial traced run.
     let serial = w.analyze(traced_cfg());
-    assert_run_unchanged("ctrace/serial-vs-parallel", &serial, &traced);
+    assert_farm_run_unchanged("ctrace/serial-vs-parallel", &serial, &traced);
 }
 
 #[test]
@@ -116,10 +157,10 @@ fn live_report_round_trips_to_structural_equality() {
     assert_eq!(farm.jobs, report.races.len() as u64);
     assert_eq!(farm.per_worker.len(), 3);
     let cache = parsed.cache.as_ref().unwrap();
-    assert_eq!(cache.hits + cache.misses, {
-        let c = result.cache.as_ref().unwrap();
-        c.hits + c.misses
-    });
+    assert_eq!(
+        cache.hits + cache.misses,
+        result.cache.hits + result.cache.misses
+    );
 }
 
 #[test]

@@ -196,16 +196,22 @@ fn foreign_and_corrupt_stores_reject_distinctly_then_recover() {
     };
 
     // Plant a store at ctrace's path whose header names another
-    // program: a populated cache saved under a different fingerprint.
+    // program: a populated cache saved under a different fingerprint in
+    // a store directory of its own, then copied into ctrace's slot.
     {
         let foreign = Arc::new(SolverCache::new(2));
         let mut vars = VarTable::new();
         let x = vars.fresh("x", -4, 4);
         let cached = Solver::new().cached(Arc::clone(&foreign));
         cached.check_sliced(&[Expr::var(x).cmp(CmpOp::Ge, Expr::konst(0))], &vars);
-        foreign
-            .save_keyed(&store_path, 0xDEAD_BEEF, &WarmPolicy::keep_everything())
+        let other = StoreManager::new(scratch_dir("foreign-src"))
+            .expect("foreign store dir")
+            .with_policy(WarmPolicy::keep_everything());
+        other
+            .save_from(0xDEAD_BEEF, &foreign)
             .expect("save foreign store");
+        std::fs::copy(other.path_for(0xDEAD_BEEF), &store_path).expect("plant foreign store");
+        let _ = std::fs::remove_dir_all(other.dir());
     }
 
     let server = Server::new(config()).expect("server");

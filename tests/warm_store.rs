@@ -1,4 +1,5 @@
-//! Cross-run persistence of the solver cache (the "warm store").
+//! Cross-run persistence of the solver cache (the "warm store"),
+//! through `StoreManager`, the only code that reads or writes a store.
 //!
 //! Three contracts are pinned here:
 //!
@@ -9,26 +10,39 @@
 //! 2. **Damaged stores are rejected wholesale**: corruption, truncation,
 //!    or a format-version bump makes the load fail cleanly and the run
 //!    proceed cold; no partial store ever reaches the cache.
-//! 3. **Warm starts actually save work**: a second
-//!    `analyze_parallel` run over the same workload with
-//!    `FarmKnobs::cache_path` set performs strictly fewer solver
-//!    invocations than the first, with verdicts byte-identical to a
-//!    cold run (the ISSUE 4 acceptance criterion).
+//! 3. **Warm starts actually save work**: a second `analyze_streamed`
+//!    run over the same workload, warmed from and saved to a store
+//!    directory, performs strictly fewer solver invocations than the
+//!    first, with verdicts byte-identical to a cold run.
+//!
+//! Plus a regression: fingerprint `0` is an ordinary key, not a
+//! wildcard any program accepts.
 
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use portend_repro::portend::{PortendConfig, WarmPolicy};
-use portend_repro::portend_symex::Solver;
-use portend_repro::portend_symex::{CmpOp, Expr, SatResult, SolverCache, VarTable, WarmStoreError};
+use portend_repro::portend::{PortendConfig, WarmPolicy, WarmSource};
+use portend_repro::portend_symex::{
+    CmpOp, Expr, SatResult, Solver, SolverCache, StoreManager, VarTable, WarmLoadReport,
+};
 use portend_repro::portend_vm::SmallRng;
 use portend_repro::portend_workloads as workloads;
 
-/// A unique scratch path under the system temp dir (the suite may run
-/// concurrently with itself under `cargo test`'s process-per-binary
-/// model, so the file name carries the pid).
+/// A fresh store directory under the system temp dir (the suite may
+/// run concurrently with itself under `cargo test`'s process-per-binary
+/// model, so the directory name carries the pid).
 fn scratch(name: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("portend-warm-{}-{name}", std::process::id()))
+    let dir = std::env::temp_dir().join(format!("portend-warm-{}-{name}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    dir
+}
+
+/// A manager over a fresh `scratch` directory that persists every
+/// entry.
+fn keep_everything_store(name: &str) -> StoreManager {
+    StoreManager::new(scratch(name))
+        .expect("store dir")
+        .with_policy(WarmPolicy::keep_everything())
 }
 
 /// Random small constraint sets over two bounded variables, the same
@@ -75,7 +89,7 @@ fn random_queries(r: &mut SmallRng, cases: usize) -> (VarTable, Vec<Vec<Expr>>) 
 fn warm_round_trip_preserves_every_answer() {
     let mut r = SmallRng::seed_from_u64(0x3A9A57u64);
     let (vars, queries) = random_queries(&mut r, 160);
-    let path = scratch("roundtrip.warm");
+    let store = keep_everything_store("roundtrip");
 
     let cold_cache = Arc::new(SolverCache::new(4));
     let cold = Solver::new().cached(Arc::clone(&cold_cache));
@@ -88,11 +102,10 @@ fn warm_round_trip_preserves_every_answer() {
         s.misses + s.slice_misses
     };
     assert!(cold_solves > 0, "corpus must require solving");
-    cold_cache
-        .save_to(&path, &WarmPolicy::keep_everything())
-        .expect("save");
+    store.save_from(1, &cold_cache).expect("save");
 
-    let warm_cache = Arc::new(SolverCache::load_from(&path).expect("load"));
+    let warm_cache = Arc::new(SolverCache::new(4));
+    store.load_into(1, &warm_cache).expect("load");
     let snap = warm_cache.snapshot();
     assert!(snap.warmed > 0, "store must not be empty: {snap:?}");
     let warm = Solver::new().cached(Arc::clone(&warm_cache));
@@ -112,7 +125,7 @@ fn warm_round_trip_preserves_every_answer() {
         "sampling must have probed some warm entries: {snap:?}"
     );
     assert!(snap.warm_hits > 0, "warm entries must serve hits: {snap:?}");
-    std::fs::remove_file(&path).ok();
+    std::fs::remove_dir_all(store.dir()).ok();
 }
 
 /// Corrupted, truncated, and version-bumped stores are rejected cleanly
@@ -121,16 +134,15 @@ fn warm_round_trip_preserves_every_answer() {
 fn damaged_stores_are_rejected_and_run_proceeds_cold() {
     let mut r = SmallRng::seed_from_u64(0xDEAD57u64);
     let (vars, queries) = random_queries(&mut r, 24);
-    let path = scratch("damaged.warm");
+    let store = keep_everything_store("damaged");
+    let path = store.path_for(1);
 
     let cache = Arc::new(SolverCache::new(2));
     let solver = Solver::new().cached(Arc::clone(&cache));
     for cs in &queries {
         solver.check_sliced(cs, &vars);
     }
-    cache
-        .save_to(&path, &WarmPolicy::keep_everything())
-        .expect("save");
+    store.save_from(1, &cache).expect("save");
     let bytes = std::fs::read(&path).expect("read back");
 
     let cases: Vec<(&str, Vec<u8>)> = vec![
@@ -158,7 +170,7 @@ fn damaged_stores_are_rejected_and_run_proceeds_cold() {
     for (what, damaged) in cases {
         std::fs::write(&path, &damaged).expect("write damaged");
         let fresh = SolverCache::new(2);
-        let err = fresh.warm_from(&path);
+        let err = store.load_into(1, &fresh);
         assert!(err.is_err(), "{what}: damaged store must be rejected");
         let snap = fresh.snapshot();
         assert_eq!(snap.entries, 0, "{what}: no partial load");
@@ -169,44 +181,54 @@ fn damaged_stores_are_rejected_and_run_proceeds_cold() {
         assert_eq!(s.check_sliced(&queries[0], &vars), reference);
     }
 
-    // A missing file (the first-run case) is an I/O error, also cold.
+    // A missing store (the first-run case) is an all-zero report, also
+    // cold.
     std::fs::remove_file(&path).ok();
-    assert!(matches!(
-        SolverCache::new(2).warm_from(&path),
-        Err(WarmStoreError::Io(_))
-    ));
+    let fresh = SolverCache::new(2);
+    assert_eq!(
+        store
+            .load_into(1, &fresh)
+            .expect("missing store is no error"),
+        WarmLoadReport::default()
+    );
+    assert_eq!(fresh.snapshot().warmed, 0);
+    std::fs::remove_dir_all(store.dir()).ok();
 }
 
-/// The acceptance criterion: a second `analyze_parallel` run over the
-/// same corpus with `cache_path` set performs strictly fewer solver
+/// A second farm run over the same workload, warmed from the store
+/// directory the first run saved to, performs strictly fewer solver
 /// invocations than the first, and its verdicts are byte-identical to
 /// a cold run's.
 #[test]
 fn second_run_solves_strictly_less_with_identical_verdicts() {
     for name in ["ctrace", "bbuf"] {
         let w = workloads::by_name(name).expect("workload exists");
-        let path = scratch(&format!("{name}.warm"));
-        std::fs::remove_file(&path).ok(); // pristine first run
-
-        let mut config = PortendConfig::default();
-        config.farm.cache_path = Some(path.clone());
-        config.farm.cache_save_policy = WarmPolicy::default();
+        let dir = scratch(name); // pristine first run
+        let warm = WarmSource {
+            cache: None,
+            store: Some((
+                Arc::new(StoreManager::new(&dir).expect("store dir")),
+                w.fingerprint(),
+            )),
+        };
+        let run = || {
+            w.analyze_streamed(PortendConfig::default(), 2, &warm, &mut |_, _, _| {})
+                .0
+        };
 
         let cold_reference = w.analyze_parallel(PortendConfig::default(), 2);
-        let first = w.analyze_parallel(config.clone(), 2);
-        let second = w.analyze_parallel(config, 2);
+        let first = run();
+        let second = run();
 
-        let solves = |r: &portend_repro::portend::PipelineResult| {
-            let c = r.cache.expect("cache enabled");
-            c.misses + c.slice_misses
-        };
+        let solves =
+            |r: &portend_repro::portend::PipelineResult| r.cache.misses + r.cache.slice_misses;
         assert!(
             solves(&second) < solves(&first),
             "{name}: warm run must solve strictly less ({} vs {})",
             solves(&second),
             solves(&first)
         );
-        let c2 = second.cache.expect("cache enabled");
+        let c2 = second.cache;
         assert!(c2.warmed > 0, "{name}: second run must load the store");
         assert_eq!(c2.warm_mismatches, 0, "{name}: store is faithful");
 
@@ -223,6 +245,32 @@ fn second_run_solves_strictly_less_with_identical_verdicts() {
                 );
             }
         }
-        std::fs::remove_file(&path).ok();
+        std::fs::remove_dir_all(&dir).ok();
     }
+}
+
+/// Fingerprint `0` is an ordinary key: a store saved under `0` and
+/// copied into the slot of program `7` is another program's store, so
+/// loading it for `7` is the distinct fingerprint rejection and warms
+/// nothing.
+#[test]
+fn fingerprint_zero_is_an_ordinary_key() {
+    let store = keep_everything_store("zero");
+    let mut vars = VarTable::new();
+    let x = vars.fresh("x", -4, 4);
+    let populated = Arc::new(SolverCache::new(2));
+    Solver::new()
+        .cached(Arc::clone(&populated))
+        .check_sliced(&[Expr::var(x).cmp(CmpOp::Ge, Expr::konst(0))], &vars);
+    let saved = store.save_from(0, &populated).expect("save under 0");
+    assert!(saved.entries > 0, "the store holds answers: {saved:?}");
+    std::fs::copy(store.path_for(0), store.path_for(7)).expect("copy");
+
+    let cache = SolverCache::new(2);
+    let report = store
+        .load_into(7, &cache)
+        .expect("foreign store is no error");
+    assert_eq!(report.rejected_fingerprint, 1, "{report:?}");
+    assert_eq!(cache.snapshot().warmed, 0, "nothing loads for program 7");
+    std::fs::remove_dir_all(store.dir()).ok();
 }
