@@ -318,7 +318,6 @@ impl Portend {
                     &m.output,
                     &primary.concrete_inputs,
                     &self.solver,
-                    cfg.slice_solver,
                 ) {
                     OutputMatch::Match => AltOutcome::Match,
                     OutputMatch::Mismatch(ev) => AltOutcome::Mismatch(ev),

@@ -70,27 +70,9 @@ pub struct PortendConfig {
     pub max_exploration_states: usize,
     /// Seed for alternate-schedule randomization.
     pub schedule_seed: u64,
-    /// Solver configuration.
+    /// Solver configuration. Path-condition queries are always solved
+    /// by constraint slicing (see `portend_symex::slice`).
     pub solver: SolverConfig,
-    /// Run the static lockset/MHP pre-analysis (`portend-sa`) over the
-    /// program before classification. The pass is pure scheduling and
-    /// reporting: clusters whose representative pair the analysis
-    /// proves ordered (lock-protected or never parallel) are demoted in
-    /// the farm's priority queue, statically race-like pairs (may
-    /// happen in parallel, no common lock) are boosted, and the pass's
-    /// counters surface as `StaticStats` on `FarmStats`/`RunReport`.
-    /// Verdicts are byte-identical with the pass on or off (pinned by
-    /// `tests/static_differential.rs`).
-    pub static_pass: bool,
-    /// Solve path-condition queries by constraint slicing (partitioning
-    /// on variable connectivity and memoizing per slice — see
-    /// `portend_symex::slice`). Slicing never flips a decided
-    /// satisfiability answer; it can only decide queries whole-query
-    /// solving would abandon at the node budget, and it is what lets
-    /// the shared pre-race constraint prefix hit the solver cache across
-    /// Mp × Ma path/schedule combinations. Disable to force whole-query
-    /// solving.
-    pub slice_solver: bool,
     /// Event tracing (`portend-obs`). `None` (the default) records
     /// nothing and costs nothing — every emission site collapses to one
     /// thread-local read. `Some` records phase/solver/farm/cache events
@@ -114,8 +96,6 @@ impl Default for PortendConfig {
             max_exploration_states: 256,
             schedule_seed: 0x9e3779b9,
             solver: SolverConfig::default(),
-            static_pass: true,
-            slice_solver: true,
             trace: None,
         }
     }
@@ -125,33 +105,6 @@ impl PortendConfig {
     /// The `k` this configuration can certify: `Mp × Ma` (paper §3.4).
     pub fn k(&self) -> u64 {
         (self.mp * self.ma.max(1)) as u64
-    }
-
-    /// The knob matrix the conformance suite sweeps: the full square
-    /// over `slice_solver` × `static_pass`, each cell labeled
-    /// `slice=±,static=±`. Every configuration must produce verdicts
-    /// byte-identical to the default — these knobs are performance and
-    /// scheduling dials, never classification dials — so the
-    /// differential table in `tests/conformance.rs` runs each labeled
-    /// idiom under all four.
-    pub fn knob_grid() -> Vec<(String, PortendConfig)> {
-        let mut grid = Vec::with_capacity(4);
-        for &slice in &[true, false] {
-            for &stat in &[true, false] {
-                let label = format!(
-                    "slice={},static={}",
-                    if slice { "+" } else { "-" },
-                    if stat { "+" } else { "-" },
-                );
-                let cfg = PortendConfig {
-                    slice_solver: slice,
-                    static_pass: stat,
-                    ..Default::default()
-                };
-                grid.push((label, cfg));
-            }
-        }
-        grid
     }
 
     /// A configuration targeting a specific `k` by adjusting `Mp` while
@@ -191,26 +144,6 @@ mod tests {
         assert_eq!(PortendConfig::with_k(6).k(), 6);
         assert_eq!(PortendConfig::with_k(7).k(), 7);
         assert_eq!(PortendConfig::with_k(10).k(), 10);
-    }
-
-    #[test]
-    fn knob_grid_covers_the_cube() {
-        let grid = PortendConfig::knob_grid();
-        assert_eq!(grid.len(), 4);
-        // Labels are unique and each axis takes both values.
-        let labels: std::collections::BTreeSet<_> = grid.iter().map(|(l, _)| l.clone()).collect();
-        assert_eq!(labels.len(), 4);
-        assert!(grid.iter().any(|(_, c)| c.slice_solver));
-        assert!(grid.iter().any(|(_, c)| !c.slice_solver));
-        assert!(grid.iter().any(|(_, c)| c.static_pass));
-        assert!(grid.iter().any(|(_, c)| !c.static_pass));
-        // The all-on cell is the default configuration.
-        let all_on = &grid
-            .iter()
-            .find(|(l, _)| l == "slice=+,static=+")
-            .expect("all-on cell")
-            .1;
-        assert_eq!(*all_on, PortendConfig::default());
     }
 
     #[test]

@@ -136,17 +136,12 @@ pub(crate) fn explore_primaries(
         fast_forwarded: 0,
         base_cow_bytes: 0,
     };
-    let scoped = if cfg.slice_solver {
-        ScopedSolver::new(solver.clone())
-    } else {
-        ScopedSolver::whole_query(solver.clone())
-    };
     let mut ex = Exploration {
         stats: ExploreStats::default(),
         primaries: Vec::new(),
         worklist: vec![root],
         forked: 0,
-        scoped,
+        scoped: ScopedSolver::new(solver.clone()),
     };
 
     while let Some(mut st) = ex.worklist.pop() {
@@ -496,31 +491,5 @@ mod tests {
             stats.instructions <= states * deepest,
             "sum is per-segment, not per-state-cumulative: {stats:?}"
         );
-    }
-
-    /// Sliced and whole-query feasibility checking explore the same
-    /// primaries and count the same work.
-    #[test]
-    fn sliced_and_whole_query_exploration_agree() {
-        let (case, race) = forking_case();
-        let mut cfg = PortendConfig::default();
-        let located = locate_race(&case, &race, cfg.step_budget * 2).expect("locatable");
-        let solver = Solver::with_config(cfg.solver);
-
-        cfg.slice_solver = true;
-        let (sliced, s_stats) = explore_primaries(&case, &race, &located, &cfg, &solver);
-        cfg.slice_solver = false;
-        let (whole, w_stats) = explore_primaries(&case, &race, &located, &cfg, &solver);
-        let (sliced, whole) = match (sliced, whole) {
-            (ExploreResult::Primaries(a), ExploreResult::Primaries(b)) => (a, b),
-            other => panic!("both explorations yield primaries: {other:?}"),
-        };
-        assert_eq!(sliced.len(), whole.len());
-        for (a, b) in sliced.iter().zip(&whole) {
-            assert_eq!(a.concrete_inputs, b.concrete_inputs);
-            assert_eq!(a.machine.steps, b.machine.steps);
-        }
-        assert_eq!(s_stats.instructions, w_stats.instructions);
-        assert_eq!(s_stats.forks, w_stats.forks);
     }
 }

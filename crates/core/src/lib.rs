@@ -53,9 +53,8 @@ pub use case::{AnalysisCase, Predicate};
 pub use classify::{ClassifyError, Portend};
 pub use config::{AnalysisStages, PortendConfig};
 pub use pipeline::{AnalyzedRace, Pipeline, PipelineResult};
-pub use portend_farm::{FarmStats, StaticHint, WorkerStats};
+pub use portend_farm::{FarmStats, WorkerStats};
 pub use portend_obs::{Trace, TraceConfig};
-pub use portend_sa::{StaticAnalysis, StaticCandidate, StaticStats};
 pub use portend_symex::{CacheSnapshot, WarmPolicy};
 pub use report::render_report;
 pub use runreport::{

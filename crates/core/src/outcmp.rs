@@ -35,15 +35,8 @@ pub(crate) fn symbolic_match(
     alternate_out: &OutputLog,
     alternate_inputs: &[i64],
     solver: &Solver,
-    sliced: bool,
 ) -> OutputMatch {
-    let check = |cs: &[Expr]| {
-        if sliced {
-            solver.check_sliced(cs, &primary.vars)
-        } else {
-            solver.check(cs, &primary.vars)
-        }
-    };
+    let check = |cs: &[Expr]| solver.check_sliced(cs, &primary.vars);
     let p = &primary.output;
     let n = p.len().min(alternate_out.len());
 
@@ -209,19 +202,17 @@ mod tests {
     fn positive_value_satisfies_constraint() {
         let m = machine_with_sym_output();
         let solver = Solver::new();
-        for sliced in [false, true] {
-            assert_eq!(
-                symbolic_match(&m, &concrete_log(&[42]), &[], &solver, sliced),
-                OutputMatch::Match
-            );
-        }
+        assert_eq!(
+            symbolic_match(&m, &concrete_log(&[42]), &[], &solver),
+            OutputMatch::Match
+        );
     }
 
     #[test]
     fn negative_value_is_a_proven_mismatch() {
         let m = machine_with_sym_output();
         let solver = Solver::new();
-        match symbolic_match(&m, &concrete_log(&[-3]), &[9], &solver, true) {
+        match symbolic_match(&m, &concrete_log(&[-3]), &[9], &solver) {
             OutputMatch::Mismatch(ev) => {
                 assert_eq!(ev.position, 0);
                 assert_eq!(ev.alternate, "-3");
@@ -236,16 +227,14 @@ mod tests {
     fn length_mismatch_with_matching_prefix_points_at_first_extra_op() {
         let m = machine_with_sym_output();
         let solver = Solver::new();
-        for sliced in [false, true] {
-            match symbolic_match(&m, &concrete_log(&[1, 2]), &[], &solver, sliced) {
-                OutputMatch::Mismatch(ev) => {
-                    assert_eq!(ev.position, 1, "first extra op, not a prefix entry");
-                    assert_eq!((ev.primary_len, ev.alternate_len), (1, 2));
-                    assert_eq!(ev.primary, "<missing>");
-                    assert_eq!(ev.alternate, "2");
-                }
-                other => panic!("{other:?}"),
+        match symbolic_match(&m, &concrete_log(&[1, 2]), &[], &solver) {
+            OutputMatch::Mismatch(ev) => {
+                assert_eq!(ev.position, 1, "first extra op, not a prefix entry");
+                assert_eq!((ev.primary_len, ev.alternate_len), (1, 2));
+                assert_eq!(ev.primary, "<missing>");
+                assert_eq!(ev.alternate, "2");
             }
+            other => panic!("{other:?}"),
         }
     }
 
@@ -257,16 +246,14 @@ mod tests {
         // that happens to hold a matching entry in other scenarios.
         let m = machine_with_sym_output();
         let solver = Solver::new();
-        for sliced in [false, true] {
-            match symbolic_match(&m, &concrete_log(&[-3, 7]), &[4], &solver, sliced) {
-                OutputMatch::Mismatch(ev) => {
-                    assert_eq!(ev.position, 0, "divergence inside the common prefix");
-                    assert_eq!((ev.primary_len, ev.alternate_len), (1, 2));
-                    assert_eq!(ev.alternate, "-3");
-                    assert!(ev.primary.contains('i'));
-                }
-                other => panic!("{other:?}"),
+        match symbolic_match(&m, &concrete_log(&[-3, 7]), &[4], &solver) {
+            OutputMatch::Mismatch(ev) => {
+                assert_eq!(ev.position, 0, "divergence inside the common prefix");
+                assert_eq!((ev.primary_len, ev.alternate_len), (1, 2));
+                assert_eq!(ev.alternate, "-3");
+                assert!(ev.primary.contains('i'));
             }
+            other => panic!("{other:?}"),
         }
     }
 }

@@ -6,13 +6,10 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use portend_farm::{
-    cluster_priority, static_adjusted_priority, Farm, FarmConfig, FarmStats, JobSpec, StaticHint,
-};
+use portend_farm::{cluster_priority, Farm, FarmConfig, FarmStats, JobSpec};
 use portend_obs::{EventKind, Recorder, Trace, TraceConfig};
 use portend_race::{DetectorConfig, RaceCluster};
 use portend_replay::{record, RecordConfig, RecordedRun};
-use portend_sa::StaticStats;
 use portend_symex::{CacheSnapshot, SolverCache, DEFAULT_SHARDS};
 use portend_vm::{InputSpec, Program, Scheduler, VmConfig};
 
@@ -49,53 +46,6 @@ fn finish_trace(
     result.trace = Some(trace);
 }
 
-/// Runs the static lockset/MHP pre-analysis over the program and maps
-/// its candidate set onto the run's clusters: a scheduling hint per
-/// cluster plus the pass's counters (including how many clusters the
-/// candidate set corroborates). Purely advisory — hints only reorder
-/// the farm queue, and the serial path ignores them entirely.
-fn static_phase(
-    program: &Program,
-    clusters: &[RaceCluster],
-    detector: &DetectorConfig,
-) -> (Vec<Option<StaticHint>>, StaticStats) {
-    let mut span = portend_obs::span_named(EventKind::StaticPass, "static_pass");
-    let sa = portend_sa::analyze(program);
-    let mut stats = sa.stats();
-    // Lock-based pruning mirrors the detector's mutex happens-before
-    // edges; when those are configured away (§5.2's imperfect-detector
-    // experiment), a lock-protected pair can genuinely be reported.
-    let respect_locks = !detector.ignore_mutexes;
-    let hints = clusters
-        .iter()
-        .enumerate()
-        .map(|(i, c)| {
-            let rep = &c.representative;
-            let (lo, hi) = rep.pc_pair();
-            if sa.covers(rep.alloc, lo, hi, respect_locks) {
-                stats.corroborated += 1;
-            }
-            match sa.lookup(rep.alloc, lo, hi) {
-                Some(cand) if cand.mhp && cand.common_locks.is_empty() => Some(StaticHint::Boost),
-                Some(cand) => {
-                    portend_obs::instant(
-                        EventKind::StaticPrune,
-                        i as u64,
-                        if cand.mhp { 1 } else { 2 },
-                    );
-                    Some(StaticHint::Demote)
-                }
-                // The detector reported a pair the enumerator never saw;
-                // the differential suite treats this as a soundness bug,
-                // the pipeline just declines to hint.
-                None => None,
-            }
-        })
-        .collect();
-    span.args(stats.candidates, stats.pruned);
-    (hints, stats)
-}
-
 /// One classified race: the cluster, the verdict (or failure), and how
 /// long classification took (feeds Table 4 and Fig. 9).
 #[derive(Debug, Clone)]
@@ -128,11 +78,6 @@ pub struct PipelineResult {
     /// [`PortendConfig::trace`](crate::PortendConfig::trace) enabled
     /// recording. `None` when tracing is off.
     pub trace: Option<Trace>,
-    /// Counters from the static lockset/MHP pre-analysis, when
-    /// [`PortendConfig::static_pass`](crate::PortendConfig::static_pass)
-    /// ran it (both the serial and the parallel path). `None` when the
-    /// pass is disabled.
-    pub static_stats: Option<StaticStats>,
 }
 
 /// The full pipeline configuration.
@@ -166,12 +111,6 @@ impl Pipeline {
             let _ev = portend_obs::span_named(EventKind::Phase, "record");
             self.record_phase(program, inputs, input_spec, predicates, vm)
         };
-        // The serial path has no queue to reorder, so only the pass's
-        // counters (and its trace events) are kept.
-        let static_stats = self
-            .portend
-            .static_pass
-            .then(|| static_phase(program, &run.clusters, &self.record.detector).1);
         let cache = Arc::new(SolverCache::new(DEFAULT_SHARDS));
         let portend = Portend::with_cache(self.portend.clone(), Arc::clone(&cache));
         let mut analyzed = Vec::with_capacity(run.clusters.len());
@@ -194,7 +133,6 @@ impl Pipeline {
             case,
             cache: cache.snapshot(),
             trace: None,
-            static_stats,
         };
         drop(main_lane); // flush the main lane before the merge
         if let (Some(cfg), Some(recorder)) = (&self.portend.trace, &recorder) {
@@ -287,27 +225,11 @@ impl Pipeline {
         if let Some(r) = &recorder {
             farm = farm.with_recorder(r.clone());
         }
-        // Static pre-analysis: compute per-cluster scheduling hints and
-        // the pass's counters. Hints only nudge queue priorities —
-        // whether a cluster is classified, and what the verdict is, is
-        // untouched (pinned by `tests/static_differential.rs`).
-        let (hints, static_stats) = match self
-            .portend
-            .static_pass
-            .then(|| static_phase(program, &run.clusters, &self.record.detector))
-        {
-            Some((hints, stats)) => (hints, Some(stats)),
-            None => (Vec::new(), None),
-        };
         let jobs: Vec<JobSpec<RaceCluster>> = run
             .clusters
             .iter()
             .enumerate()
-            .map(|(i, c)| {
-                let hint = hints.get(i).copied().flatten();
-                JobSpec::new(i, c.clone())
-                    .with_priority(static_adjusted_priority(cluster_priority(c), hint))
-            })
+            .map(|(i, c)| JobSpec::new(i, c.clone()).with_priority(cluster_priority(c)))
             .collect();
 
         let cfg = self.portend.clone();
@@ -352,7 +274,6 @@ impl Pipeline {
                 stats.fork_slices_reused += v.stats.slices_reused_at_fork;
             }
         }
-        stats.static_pass = static_stats;
         warm.release(&cache);
         let case = Arc::try_unwrap(case).unwrap_or_else(|arc| arc.as_ref().clone());
         let mut result = PipelineResult {
@@ -362,7 +283,6 @@ impl Pipeline {
             case,
             cache: cache.snapshot(),
             trace: None,
-            static_stats,
         };
         drop(main_lane); // flush the main lane before the merge
         if let (Some(cfg), Some(recorder)) = (&self.portend.trace, &recorder) {

@@ -13,13 +13,12 @@
 //! ```text
 //! {
 //!   "format":  "portend-run-report",   readers reject anything else
-//!   "version": 7,                      readers reject unknown versions
+//!   "version": 8,                      readers reject unknown versions
 //!   "label":   "...",                  free-form run label
 //!   "record_time_ns": …,
 //!   "races":   [ { race + verdict/error + counters } … ],
 //!   "farm":    { FarmStats + per_worker } | null,
 //!   "cache":   { CacheSnapshot } | null,
-//!   "static":  { StaticStats } | null,
 //!   "events":  { trace summary } | null
 //! }
 //! ```
@@ -47,7 +46,6 @@ use std::time::Duration;
 use portend_farm::{FarmStats, WorkerStats};
 use portend_obs::json::{self, Json};
 use portend_obs::{EventKind, Trace};
-use portend_sa::StaticStats;
 use portend_symex::CacheSnapshot;
 
 use crate::pipeline::{AnalyzedRace, PipelineResult};
@@ -59,9 +57,8 @@ pub const REPORT_FORMAT_NAME: &str = "portend-run-report";
 /// Current report schema version. See the module docs for the rules on
 /// when this must be bumped.
 ///
-/// * v2 — added the `"static"` section ([`portend_sa::StaticStats`]:
-///   static candidate pairs, statically pruned pairs, dynamically
-///   corroborated clusters).
+/// * v2 — added the `"static"` section (static candidate pairs,
+///   statically pruned pairs, dynamically corroborated clusters).
 /// * v3 — added the nullable `"single_flight"` (claims, deduped
 ///   slices, waits) and `"dispatch"` (batches, batched jobs, current
 ///   adaptive threshold) objects inside `"farm"`.
@@ -79,7 +76,10 @@ pub const REPORT_FORMAT_NAME: &str = "portend-run-report";
 ///   `"slice_dedup"` and `"batch_dispatch"`.
 /// * v7 — the farm's soft per-job time budget was deleted: `"farm"`
 ///   lost `"budget_overruns"`.
-pub const REPORT_FORMAT_VERSION: u32 = 7;
+/// * v8 — the static pre-analysis left the pipeline: the top-level
+///   `"static"` member and `"farm"`'s `"static"` member are gone, and
+///   the `"events"` counts lost `"static_pass"` and `"static_prune"`.
+pub const REPORT_FORMAT_VERSION: u32 = 8;
 
 /// Why a report document could not be read.
 #[derive(Debug)]
@@ -308,9 +308,6 @@ pub struct RunReport {
     /// Solver-cache counters. Every report this build writes carries
     /// them; the field stays nullable for reading.
     pub cache: Option<CacheSnapshot>,
-    /// Static pre-analysis counters, when
-    /// `PortendConfig::static_pass` ran the lockset/MHP pass.
-    pub static_pass: Option<StaticStats>,
     /// Event-trace summary, when the run recorded one.
     pub events: Option<EventSummary>,
 }
@@ -329,7 +326,6 @@ impl RunReport {
             races,
             farm: None,
             cache: Some(result.cache),
-            static_pass: result.static_stats,
             events: None,
         }
     }
@@ -384,10 +380,6 @@ impl RunReport {
             self.cache.as_ref().map_or(Json::Null, cache_json),
         ));
         members.push((
-            "static".into(),
-            self.static_pass.as_ref().map_or(Json::Null, static_json),
-        ));
-        members.push((
             "events".into(),
             self.events.as_ref().map_or(Json::Null, events_json),
         ));
@@ -431,10 +423,6 @@ impl RunReport {
             cache: match doc.get("cache") {
                 None | Some(Json::Null) => None,
                 Some(v) => Some(cache_from(v)?),
-            },
-            static_pass: match doc.get("static") {
-                None | Some(Json::Null) => None,
-                Some(v) => Some(static_from(v)?),
             },
             events: match doc.get("events") {
                 None | Some(Json::Null) => None,
@@ -594,10 +582,6 @@ fn farm_json(s: &FarmStats) -> Json {
             Json::from(s.fork_slices_reused),
         ),
         (
-            "static".into(),
-            s.static_pass.as_ref().map_or(Json::Null, static_json),
-        ),
-        (
             "per_worker".into(),
             Json::Arr(
                 s.per_worker
@@ -633,14 +617,6 @@ fn cache_json(c: &CacheSnapshot) -> Json {
             "warm_rejected_fingerprint".into(),
             Json::from(c.warm_rejected_fingerprint),
         ),
-    ])
-}
-
-fn static_json(s: &StaticStats) -> Json {
-    Json::Obj(vec![
-        ("candidates".into(), Json::from(s.candidates)),
-        ("pruned".into(), Json::from(s.pruned)),
-        ("corroborated".into(), Json::from(s.corroborated)),
     ])
 }
 
@@ -803,10 +779,6 @@ fn farm_from(v: &Json) -> Result<FarmStats, ReportError> {
         fork_bytes_copied: req_u64(v, "fork_bytes_copied")?,
         fork_bytes_shared: req_u64(v, "fork_bytes_shared")?,
         fork_slices_reused: req_u64(v, "fork_slices_reused")?,
-        static_pass: match v.get("static") {
-            None | Some(Json::Null) => None,
-            Some(s) => Some(static_from(s)?),
-        },
     })
 }
 
@@ -825,14 +797,6 @@ fn cache_from(v: &Json) -> Result<CacheSnapshot, ReportError> {
         warm_validations: req_u64(v, "warm_validations")?,
         warm_mismatches: req_u64(v, "warm_mismatches")?,
         warm_rejected_fingerprint: req_u64(v, "warm_rejected_fingerprint")?,
-    })
-}
-
-fn static_from(v: &Json) -> Result<StaticStats, ReportError> {
-    Ok(StaticStats {
-        candidates: req_u64(v, "candidates")?,
-        pruned: req_u64(v, "pruned")?,
-        corroborated: req_u64(v, "corroborated")?,
     })
 }
 
@@ -943,11 +907,6 @@ mod tests {
                 warm_validations: 3,
                 warm_mismatches: 0,
                 warm_rejected_fingerprint: 1,
-            }),
-            static_pass: Some(StaticStats {
-                candidates: 14,
-                pruned: 6,
-                corroborated: 2,
             }),
             events: Some(EventSummary {
                 total: 60,

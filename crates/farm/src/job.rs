@@ -69,36 +69,6 @@ pub fn cluster_priority(cluster: &RaceCluster) -> u64 {
     p
 }
 
-/// What the static pre-analysis concluded about a cluster's
-/// representative access pair, expressed as a scheduling nudge.
-///
-/// Hints only ever *reorder* the farm's queue — a demoted cluster is
-/// still classified, its verdict is still computed by the same code on
-/// the same inputs, and the equivalence suites pin the output
-/// byte-identical with hints on or off.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StaticHint {
-    /// Statically may-happen-in-parallel with no common lock: the
-    /// most race-like shape, worth classifying first.
-    Boost,
-    /// Statically lock-protected or provably ordered: almost certainly
-    /// benign or spurious, classify last.
-    Demote,
-}
-
-/// Applies a [`StaticHint`] to a base [`cluster_priority`] value.
-///
-/// A boost dominates every base-heuristic band (+8000 on top of a
-/// 0..=5400 base); a demotion divides the base so demoted clusters
-/// keep their relative order at the back of the queue.
-pub fn static_adjusted_priority(base: u64, hint: Option<StaticHint>) -> u64 {
-    match hint {
-        Some(StaticHint::Boost) => base + 8_000,
-        Some(StaticHint::Demote) => base / 4,
-        None => base,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -173,26 +143,5 @@ mod tests {
         let many = cluster_priority(&cluster(true, true, 1_000, 1_000_000));
         assert!(many > few);
         assert!(many - few <= 400);
-    }
-
-    #[test]
-    fn static_hints_dominate_and_demote() {
-        let weakest_boosted = static_adjusted_priority(0, Some(StaticHint::Boost));
-        let strongest_base = static_adjusted_priority(5_400, None);
-        assert!(
-            weakest_boosted > strongest_base,
-            "a statically race-like cluster outranks every unhinted one"
-        );
-        let demoted = static_adjusted_priority(5_400, Some(StaticHint::Demote));
-        assert!(
-            demoted < cluster_priority(&cluster(true, false, 1_000, 1)),
-            "a demoted top-band cluster falls below a plain read/write one"
-        );
-        // Relative order among demoted clusters is preserved.
-        assert!(
-            static_adjusted_priority(4_000, Some(StaticHint::Demote))
-                < static_adjusted_priority(5_400, Some(StaticHint::Demote))
-        );
-        assert_eq!(static_adjusted_priority(123, None), 123);
     }
 }

@@ -41,7 +41,7 @@ mod stats;
 mod stream;
 
 pub use config::FarmConfig;
-pub use job::{cluster_priority, static_adjusted_priority, JobSpec, StaticHint};
+pub use job::{cluster_priority, JobSpec};
 pub use pool::Farm;
 pub use stats::{FarmStats, WorkerStats};
 pub use stream::{FarmRun, JobOutput};

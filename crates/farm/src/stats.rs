@@ -2,7 +2,6 @@
 
 use std::time::Duration;
 
-use portend_sa::StaticStats;
 use portend_symex::CacheSnapshot;
 
 /// What one worker thread did during a run.
@@ -43,10 +42,6 @@ pub struct FarmStats {
     /// Constraint slices the jobs' scoped solvers reused from their
     /// memos at fork feasibility checks instead of re-solving.
     pub fork_slices_reused: u64,
-    /// Counters from the static lockset/MHP pre-analysis, when the
-    /// pipeline ran it ahead of this farm run (`None` when the pass is
-    /// disabled or the run was not fed by the pipeline).
-    pub static_pass: Option<StaticStats>,
 }
 
 impl FarmStats {
@@ -66,8 +61,8 @@ impl FarmStats {
     }
 
     /// Solver-cache *slice-level* hit fraction, when a cache was
-    /// attached and the run issued sliced queries (the default
-    /// `slice_solver` path). This is the rate at which independent
+    /// attached and the run issued sliced queries (every classification
+    /// does). This is the rate at which independent
     /// constraint slices — e.g. the pre-race prefix shared by all
     /// Mp × Ma combinations — were answered without solving.
     pub fn slice_hit_rate(&self) -> Option<f64> {
@@ -137,15 +132,8 @@ impl FarmStats {
             ),
             None => String::new(),
         };
-        let sa = match &self.static_pass {
-            Some(s) => format!(
-                ", static {} candidates / {} pruned / {} corroborated",
-                s.candidates, s.pruned, s.corroborated
-            ),
-            None => String::new(),
-        };
         format!(
-            "{} jobs on {} workers in {:.3}s (util {:.0}%, {} steals{cache}{forks}{sa})",
+            "{} jobs on {} workers in {:.3}s (util {:.0}%, {} steals{cache}{forks})",
             self.jobs,
             self.per_worker.len(),
             self.wall.as_secs_f64(),
@@ -281,26 +269,5 @@ mod tests {
             ..Default::default()
         };
         assert!(!clean.summary().contains("foreign"), "{}", clean.summary());
-    }
-
-    /// The static pre-analysis clause appears only when the pass ran.
-    #[test]
-    fn static_pass_surfaces_in_summary() {
-        let with_pass = FarmStats {
-            static_pass: Some(StaticStats {
-                candidates: 12,
-                pruned: 30,
-                corroborated: 3,
-            }),
-            ..Default::default()
-        };
-        assert!(
-            with_pass
-                .summary()
-                .contains("static 12 candidates / 30 pruned / 3 corroborated"),
-            "{}",
-            with_pass.summary()
-        );
-        assert!(!FarmStats::default().summary().contains("static"));
     }
 }

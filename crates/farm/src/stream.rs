@@ -95,7 +95,6 @@ impl<R> FarmRun<R> {
             fork_bytes_copied: 0,
             fork_bytes_shared: 0,
             fork_slices_reused: 0,
-            static_pass: None,
         };
         (remaining, stats)
     }

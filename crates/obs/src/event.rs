@@ -18,8 +18,6 @@
 /// | [`Fork`] | vm | no | bytes copied | bytes shared |
 /// | [`WarmLoad`] | warm store | yes | entries loaded | 1 if load succeeded |
 /// | [`WarmSave`] | warm store | yes | entries written | bytes written |
-/// | [`StaticPass`] | static pre-analysis | yes | candidate pairs | pruned pairs |
-/// | [`StaticPrune`] | static pre-analysis | no | cluster index | 1 lock-protected / 2 not-parallel |
 /// | [`RequestStart`] | serve front end | no | request id | program fingerprint |
 /// | [`StoreEvict`] | store manager | no | evicted fingerprint | bytes reclaimed |
 ///
@@ -32,8 +30,6 @@
 /// [`Fork`]: EventKind::Fork
 /// [`WarmLoad`]: EventKind::WarmLoad
 /// [`WarmSave`]: EventKind::WarmSave
-/// [`StaticPass`]: EventKind::StaticPass
-/// [`StaticPrune`]: EventKind::StaticPrune
 /// [`RequestStart`]: EventKind::RequestStart
 /// [`StoreEvict`]: EventKind::StoreEvict
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -57,11 +53,6 @@ pub enum EventKind {
     WarmLoad,
     /// Persisting the solver cache's hot entries back to the store.
     WarmSave,
-    /// The static lockset/MHP pre-analysis running over the program.
-    StaticPass,
-    /// One race cluster demoted because the static pre-analysis proved
-    /// its representative pair ordered.
-    StaticPrune,
     /// An analysis request accepted by a front end (the CLI's one-shot
     /// `analyze` or the daemon's protocol loop).
     RequestStart,
@@ -72,7 +63,7 @@ pub enum EventKind {
 
 impl EventKind {
     /// Every kind, in rendering order.
-    pub const ALL: [EventKind; 13] = [
+    pub const ALL: [EventKind; 11] = [
         EventKind::Phase,
         EventKind::Job,
         EventKind::Steal,
@@ -82,8 +73,6 @@ impl EventKind {
         EventKind::Fork,
         EventKind::WarmLoad,
         EventKind::WarmSave,
-        EventKind::StaticPass,
-        EventKind::StaticPrune,
         EventKind::RequestStart,
         EventKind::StoreEvict,
     ];
@@ -101,8 +90,6 @@ impl EventKind {
             EventKind::Fork => "fork",
             EventKind::WarmLoad => "warm_load",
             EventKind::WarmSave => "warm_save",
-            EventKind::StaticPass => "static_pass",
-            EventKind::StaticPrune => "static_prune",
             EventKind::RequestStart => "request_start",
             EventKind::StoreEvict => "store_evict",
         }
@@ -118,7 +105,6 @@ impl EventKind {
             EventKind::CacheProbe => "cache",
             EventKind::Fork => "vm",
             EventKind::WarmLoad | EventKind::WarmSave | EventKind::StoreEvict => "warm",
-            EventKind::StaticPass | EventKind::StaticPrune => "static",
             EventKind::RequestStart => "serve",
         }
     }
@@ -131,7 +117,6 @@ impl EventKind {
             EventKind::Steal
                 | EventKind::CacheProbe
                 | EventKind::Fork
-                | EventKind::StaticPrune
                 | EventKind::RequestStart
                 | EventKind::StoreEvict
         )
@@ -193,9 +178,6 @@ mod tests {
         assert!(!EventKind::CacheProbe.is_span());
         assert_eq!(EventKind::Fork.category(), "vm");
         assert_eq!(EventKind::Job.category(), "farm");
-        assert!(EventKind::StaticPass.is_span());
-        assert!(!EventKind::StaticPrune.is_span());
-        assert_eq!(EventKind::StaticPrune.category(), "static");
         assert_eq!(EventKind::SliceSolve.category(), "solver");
         assert!(!EventKind::RequestStart.is_span());
         assert!(!EventKind::StoreEvict.is_span());

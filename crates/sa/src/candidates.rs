@@ -45,8 +45,7 @@ impl StaticCandidate {
     }
 }
 
-/// Counters summarizing one static pass, reported through
-/// `FarmStats`/`RunReport`.
+/// Counters summarizing one static pass.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StaticStats {
     /// Conflicting pairs that remain possible races after pruning.
@@ -54,10 +53,6 @@ pub struct StaticStats {
     /// Conflicting pairs proved ordered (lock-protected or not
     /// may-happen-in-parallel).
     pub pruned: u64,
-    /// Dynamic race clusters whose representative pair was found in
-    /// the candidate set (filled in by the pipeline integration;
-    /// `0` until then).
-    pub corroborated: u64,
 }
 
 /// The full result of the static pre-analysis over one program.
@@ -173,14 +168,12 @@ impl StaticAnalysis {
             .unwrap_or(false)
     }
 
-    /// Pair counters for this analysis (with `corroborated` zero; the
-    /// pipeline fills that in after matching dynamic clusters).
+    /// Pair counters for this analysis.
     pub fn stats(&self) -> StaticStats {
         let candidates = self.candidates.iter().filter(|c| c.possible(true)).count() as u64;
         StaticStats {
             candidates,
             pruned: self.candidates.len() as u64 - candidates,
-            corroborated: 0,
         }
     }
 }

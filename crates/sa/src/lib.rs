@@ -24,11 +24,11 @@
 //!    the workspace root): every dynamic `RaceReport` must map into
 //!    the candidate set — a gap is a detector soundness bug caught in
 //!    CI.
-//! 2. **Scheduling pre-pass**: the pipeline demotes clusters whose
-//!    pair the analysis proves ordered and boosts pairs that are
-//!    `mhp` with no common lock, feeding the farm's harmful-first
-//!    priority order. Pruning only ever reorders work — verdicts are
-//!    pinned byte-identical with the pass on or off.
+//! 2. **Triage front end** (paper §5.1): a third-party detector's
+//!    reports can be filtered through [`StaticAnalysis::covers`] before
+//!    anything is classified. The classification pipeline itself does
+//!    not run this pass; `examples/static_report.rs` runs it beside the
+//!    recorder as the corpus-wide corroboration gate.
 //!
 //! The soundness direction is the crate's one invariant: every proof
 //! used to prune mirrors a happens-before edge the dynamic detector

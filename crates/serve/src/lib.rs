@@ -31,7 +31,7 @@ pub mod protocol;
 mod server;
 
 pub use protocol::{Frame, Request};
-pub use server::{Server, ServerConfig};
+pub use server::{Server, ServerConfig, SESSION_IO_TIMEOUT};
 
 #[cfg(test)]
 mod tests {

@@ -40,6 +40,12 @@
 //! `{"frame":"error","request":N,"message":"…"}` — `request` is `0`
 //! when the line was too broken to carry an id. A request line over
 //! 1 MiB answers one such error frame and ends the session.
+//!
+//! Over a Unix socket the daemon serves one connection at a time, and
+//! each connection reads and writes under a 5 s timeout
+//! ([`crate::SESSION_IO_TIMEOUT`]): a client that sends no request line,
+//! or takes no frame, for that long has its session closed, and the
+//! next connection is served.
 
 use portend_obs::json::{self, Json};
 

@@ -6,6 +6,7 @@ use std::io::{BufRead, Read, Write};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 use portend::{PortendConfig, RaceOutcome, RunReport, WarmSource};
 use portend_obs::EventKind;
@@ -17,6 +18,12 @@ use crate::protocol::{Frame, Request};
 /// newline excluded. Requests are a few dozen bytes; the cap only bounds
 /// what one client can make the daemon buffer.
 pub(crate) const MAX_REQUEST_LINE: usize = 1 << 20;
+
+/// How long [`Server::serve_unix`] waits on one connection — for the
+/// next request line, or for the client to take a frame — before it
+/// ends that session. The daemon serves one connection at a time, so
+/// this bounds how long a silent or stalled client can hold it.
+pub const SESSION_IO_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// How a [`Server`] is assembled.
 #[derive(Debug, Clone, Default)]
@@ -242,27 +249,77 @@ impl Server {
         self.serve_io(&mut stdin.lock(), &mut stdout.lock())
     }
 
-    /// Serves requests on a Unix domain socket at `path` (replacing any
-    /// stale socket file), one connection at a time, until a client
-    /// sends `shutdown`. Connections are independent sessions over the
-    /// *same* server state — warm capital compounds across them.
+    /// Serves requests on a Unix domain socket at `path`, one
+    /// connection at a time, until a client sends `shutdown`.
+    /// Connections are independent sessions over the *same* server
+    /// state — warm capital compounds across them.
+    ///
+    /// Every accepted connection reads and writes under
+    /// [`SESSION_IO_TIMEOUT`] (5 s): a client that sends no request line,
+    /// or takes no frame, for that long has its session ended with an
+    /// I/O error, and the daemon accepts the next connection. The
+    /// timeout never interrupts an analysis; it only bounds waiting on
+    /// the client.
+    ///
+    /// A stale socket at `path` (one that refuses connections, left by
+    /// a daemon that exited without unlinking it) is replaced. Anything
+    /// else there is left untouched and returned as an error: a path
+    /// that is not a socket, or a socket a live daemon still accepts on.
     #[cfg(unix)]
     pub fn serve_unix(&self, path: &std::path::Path) -> std::io::Result<()> {
-        let _ = std::fs::remove_file(path);
+        claim_socket_path(path)?;
         let listener = std::os::unix::net::UnixListener::bind(path)?;
         for conn in listener.incoming() {
-            let stream = conn?;
-            let mut reader = std::io::BufReader::new(stream.try_clone()?);
-            let mut writer = stream;
-            // A per-connection I/O failure (client hung up mid-stream)
-            // ends that session, not the daemon.
-            let _ = self.serve_io(&mut reader, &mut writer);
+            // A per-connection I/O failure (client hung up mid-stream,
+            // or stayed silent past the timeout) ends that session, not
+            // the daemon.
+            let _ = self.serve_connection(conn?);
             if self.shutting_down() {
                 break;
             }
         }
         let _ = std::fs::remove_file(path);
         Ok(())
+    }
+
+    /// One [`Server::serve_unix`] session, under [`SESSION_IO_TIMEOUT`].
+    #[cfg(unix)]
+    fn serve_connection(&self, stream: std::os::unix::net::UnixStream) -> std::io::Result<()> {
+        stream.set_read_timeout(Some(SESSION_IO_TIMEOUT))?;
+        stream.set_write_timeout(Some(SESSION_IO_TIMEOUT))?;
+        let mut reader = std::io::BufReader::new(stream.try_clone()?);
+        let mut writer = stream;
+        self.serve_io(&mut reader, &mut writer)
+    }
+}
+
+/// Frees `path` for a new listener. Nothing there is fine, and a socket
+/// that refuses connections is stale and removed. A path that is not a
+/// socket, or a socket that accepts a connection (a live daemon), is an
+/// error and stays as it is.
+#[cfg(unix)]
+fn claim_socket_path(path: &std::path::Path) -> std::io::Result<()> {
+    use std::io::{Error, ErrorKind};
+    use std::os::unix::fs::FileTypeExt;
+
+    let meta = match std::fs::symlink_metadata(path) {
+        Ok(meta) => meta,
+        Err(e) if e.kind() == ErrorKind::NotFound => return Ok(()),
+        Err(e) => return Err(e),
+    };
+    if !meta.file_type().is_socket() {
+        return Err(Error::new(
+            ErrorKind::AlreadyExists,
+            format!("{} exists and is not a socket", path.display()),
+        ));
+    }
+    match std::os::unix::net::UnixStream::connect(path) {
+        Ok(_) => Err(Error::new(
+            ErrorKind::AddrInUse,
+            format!("a daemon is already serving on {}", path.display()),
+        )),
+        Err(e) if e.kind() == ErrorKind::ConnectionRefused => std::fs::remove_file(path),
+        Err(e) => Err(e),
     }
 }
 

@@ -34,9 +34,9 @@ use std::collections::HashMap;
 use std::fmt;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
-use crate::domain::{Interval, VarId, VarTable};
+use crate::domain::{VarId, VarTable};
 use crate::expr::Expr;
 use crate::solver::{SatResult, SolverConfig};
 use crate::warm::{WarmPolicy, WarmRecord};
@@ -91,13 +91,6 @@ struct CacheEntry {
     /// computed in this process (drives `warm_hits` accounting and the
     /// probation sampling).
     warm: bool,
-    /// The solver's post-fixpoint pruned interval box for this query,
-    /// when it was captured (slice-keyed entries solved through the
-    /// sliced path). A deterministic byproduct of solving, so storing
-    /// it — and persisting it — preserves the byte-identical-to-
-    /// recompute contract. `ScopedSolver` uses it to refute merged
-    /// slices by interval evaluation without solving.
-    domain: Option<Arc<[(VarId, Interval)]>>,
 }
 
 /// Outcome of a cache lookup, as seen by the solver.
@@ -283,62 +276,21 @@ impl SolverCache {
     /// agreement the entry is confirmed; on disagreement the freshly
     /// solved result replaces the stale persisted one (and the mismatch
     /// is counted — see [`CacheSnapshot::warm_mismatches`]).
-    ///
-    /// The domain box is refreshed, not merely kept: a box captured by
-    /// *this* solve is definitively sound for this key under the
-    /// current solver, so it always replaces a persisted one; when the
-    /// re-solve captured no box and the result mismatched, the
-    /// persisted box is dropped too (an entry whose result drifted
-    /// cannot be trusted to carry a faithful box either).
-    pub(crate) fn confirm_warm(
-        &self,
-        key: &str,
-        expected: &SatResult,
-        fresh: &SatResult,
-        domain: Option<&[(VarId, Interval)]>,
-    ) {
+    pub(crate) fn confirm_warm(&self, key: &str, expected: &SatResult, fresh: &SatResult) {
         let shard = &self.shards[self.shard_of(key)];
         let mut map = shard.lock().expect("cache shard poisoned");
         let Some(e) = map.get_mut(key) else { return };
-        let matched = expected == fresh;
-        if !matched {
+        if expected != fresh {
             self.warm_mismatches.fetch_add(1, Ordering::Relaxed);
             e.result = fresh.clone();
         }
         e.warm = false; // validated (or corrected): now a regular entry
-        match domain {
-            Some(d) => e.domain = Some(Arc::from(d)),
-            None if !matched => e.domain = None,
-            None => {}
-        }
-    }
-
-    /// The captured pruned-domain box memoized under a canonical slice
-    /// key, when one exists. Sound for the exact query the key renders
-    /// (and as an over-approximation for any query that conjoins more
-    /// constraints onto it — how [`crate::ScopedSolver`] uses it).
-    pub(crate) fn domain_of(&self, key: &str) -> Option<Arc<[(VarId, Interval)]>> {
-        let shard = &self.shards[self.shard_of(key)];
-        let map = shard.lock().expect("cache shard poisoned");
-        map.get(key).and_then(|e| e.domain.clone())
     }
 
     /// Stores the result for a canonical key, flushing the target shard
     /// first if it is at capacity (high-hit entries get a second
     /// chance — see the type docs).
     pub(crate) fn insert(&self, key: String, result: SatResult) {
-        self.insert_with_domain(key, result, None);
-    }
-
-    /// [`SolverCache::insert`], additionally attaching the solver's
-    /// captured post-fixpoint domain box (a deterministic byproduct of
-    /// the same solve the result came from).
-    pub(crate) fn insert_with_domain(
-        &self,
-        key: String,
-        result: SatResult,
-        domain: Option<Vec<(VarId, Interval)>>,
-    ) {
         let shard = &self.shards[self.shard_of(&key)];
         let mut map = shard.lock().expect("cache shard poisoned");
         if map.len() >= self.per_shard_cap && !map.contains_key(&key) {
@@ -366,25 +318,13 @@ impl SolverCache {
         // Re-inserting an existing key (two workers racing to solve the
         // same query) must not reset the hit count that earns the entry
         // its second chance; the result is identical by the cache's
-        // determinism contract. A newly captured domain box still
-        // attaches when the resident entry lacks one.
-        match map.entry(key) {
-            std::collections::hash_map::Entry::Occupied(mut o) => {
-                let e = o.get_mut();
-                if e.domain.is_none() {
-                    e.domain = domain.map(Arc::from);
-                }
-            }
-            std::collections::hash_map::Entry::Vacant(v) => {
-                v.insert(CacheEntry {
-                    result,
-                    hits: 0,
-                    survived_flush: false,
-                    warm: false,
-                    domain: domain.map(Arc::from),
-                });
-            }
-        }
+        // determinism contract.
+        map.entry(key).or_insert_with(|| CacheEntry {
+            result,
+            hits: 0,
+            survived_flush: false,
+            warm: false,
+        });
     }
 
     /// Entries qualifying for warm-store export under `policy`: hot
@@ -400,7 +340,6 @@ impl SolverCache {
                     out.push(WarmRecord {
                         key: key.clone(),
                         result: e.result.clone(),
-                        domain: e.domain.as_ref().map(|d| d.to_vec()),
                         hits: e
                             .hits
                             .saturating_add(u32::from(e.survived_flush) * SECOND_CHANCE_HITS),
@@ -434,7 +373,6 @@ impl SolverCache {
                     hits: 0,
                     survived_flush: false,
                     warm: true,
-                    domain: rec.domain.map(Arc::from),
                 }
             });
         }
@@ -752,13 +690,11 @@ mod tests {
             WarmRecord {
                 key: "wa".into(),
                 result: SatResult::Unsat,
-                domain: None,
                 hits: 0,
             },
             WarmRecord {
                 key: "wb".into(),
                 result: SatResult::Unknown, // "stale": fresh solve disagrees
-                domain: None,
                 hits: 0,
             },
         ];
@@ -767,7 +703,6 @@ mod tests {
         records.extend((0..6).map(|i| WarmRecord {
             key: format!("fill{i}"),
             result: SatResult::Unsat,
-            domain: None,
             hits: 0,
         }));
         assert_eq!(cache.absorb_warm(records), 8);
@@ -778,7 +713,7 @@ mod tests {
             panic!("first warm lookup must probe");
         };
         assert_eq!(expected, SatResult::Unsat);
-        cache.confirm_warm("wa", &expected, &SatResult::Unsat, None);
+        cache.confirm_warm("wa", &expected, &SatResult::Unsat);
         // Validated: subsequent lookups are plain hits (no longer warm).
         assert!(matches!(cache.lookup_slice("wa"), CacheAnswer::Hit(_)));
 
@@ -786,7 +721,7 @@ mod tests {
         let CacheAnswer::Probation(expected) = cache.lookup("wb") else {
             panic!("warm lookup must probe while probes remain");
         };
-        cache.confirm_warm("wb", &expected, &SatResult::Unsat, None);
+        cache.confirm_warm("wb", &expected, &SatResult::Unsat);
         assert_eq!(hit(cache.lookup("wb")), Some(SatResult::Unsat));
         let s = cache.snapshot();
         assert_eq!(s.warm_validations, 2);
@@ -803,7 +738,6 @@ mod tests {
             .map(|i| WarmRecord {
                 key: format!("w{i}"),
                 result: SatResult::Unsat,
-                domain: None,
                 hits: 0,
             })
             .collect();
@@ -814,7 +748,7 @@ mod tests {
             match cache.lookup_slice(&format!("w{i}")) {
                 CacheAnswer::Probation(r) => {
                     probes += 1;
-                    cache.confirm_warm(&format!("w{i}"), &r, &SatResult::Unsat, None);
+                    cache.confirm_warm(&format!("w{i}"), &r, &SatResult::Unsat);
                 }
                 CacheAnswer::Hit(_) => warm_hits += 1,
                 CacheAnswer::Miss => panic!("warm entry lost"),
@@ -826,24 +760,6 @@ mod tests {
         assert_eq!(s.warm_hits, warm_hits as u64);
         assert_eq!(s.warm_validations, probes as u64);
         assert_eq!(s.warm_mismatches, 0);
-    }
-
-    /// Domain boxes attach to entries, survive export/absorb, and are
-    /// readable through `domain_of`.
-    #[test]
-    fn domain_boxes_attach_and_export() {
-        let cache = SolverCache::new(2);
-        let boxed = vec![(VarId(0), Interval::new(3, 9))];
-        cache.insert_with_domain("k".into(), SatResult::Unsat, Some(boxed.clone()));
-        assert_eq!(cache.domain_of("k").as_deref(), Some(boxed.as_slice()));
-        assert_eq!(cache.domain_of("absent"), None);
-        // Re-insert without a domain keeps the attached one.
-        cache.insert("k".into(), SatResult::Unsat);
-        assert_eq!(cache.domain_of("k").as_deref(), Some(boxed.as_slice()));
-        // Export keeps the box alongside the entry.
-        let recs = cache.export_entries(&WarmPolicy::keep_everything());
-        assert_eq!(recs.len(), 1);
-        assert_eq!(recs[0].domain.as_deref(), Some(boxed.as_slice()));
     }
 
     /// An all-hot shard still respects the entry bound (full flush

@@ -29,18 +29,11 @@
 //!   maintained partition always equals a fresh [`partition_slices`] of
 //!   the stack (workspace property test
 //!   `incremental_partition_matches_fresh`).
-//! * **Per-slice result *and domain* memoization.** Besides memoizing
-//!   each slice's [`SatResult`], the scoped solver caches the slice's
-//!   *pruned interval domains* (the solver's post-fixpoint box, which
-//!   soundly over-approximates the slice's solution set). When a new
-//!   constraint merges into an already-solved slice — the child state at
-//!   a fork — the merged slice is first checked against the cached box
-//!   by interval evaluation: a definite contradiction refutes the slice
-//!   with no solving at all, and that is the common case for the
-//!   infeasible side of a branch probe. The refutation is sound (the box
-//!   contains every solution of the sub-slice, hence of the merged
-//!   slice), so it can only turn `Unknown` into `Unsat`, never flip a
-//!   decided answer.
+//! * **Per-slice result memoization.** The scoped solver memoizes each
+//!   slice's [`SatResult`] under its canonical key, so the slices a
+//!   child state inherits from its parent at a fork are answered
+//!   without solving; only the slice the new branch constraint touches
+//!   is solved.
 //!
 //! Transparency: every slice is solved by the same solver backend
 //! under the same configuration (full node budget per slice), so sliced
@@ -54,10 +47,9 @@
 //! test `sliced_solver_is_transparent` pins this.
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
 use crate::cache::{config_prefix, push_domains, render_constraint, CacheAnswer};
-use crate::domain::{Interval, VarId, VarTable};
+use crate::domain::{VarId, VarTable};
 use crate::expr::Expr;
 use crate::model::Model;
 use crate::solver::{SatResult, Solver, SolverStats};
@@ -274,71 +266,48 @@ impl IncrementalPartition {
     }
 }
 
-/// One slice prepared for solving: its constraints (original order),
-/// its canonical key (when a cache or memo will be consulted), and an
-/// optional sound interval box inherited from previously-solved
-/// sub-slices (see [`ScopedSolver`]).
+/// One slice prepared for solving: its constraints (original order) and
+/// its canonical key (when a cache or memo will be consulted).
 pub(crate) struct SliceQuery {
     pub exprs: Vec<Expr>,
     pub key: Option<String>,
-    pub hint: Option<Vec<(VarId, Interval)>>,
 }
 
-/// Per-slice pruned-domain memo: canonical slice key → the solver's
-/// post-fixpoint interval box for that slice's variables.
-type DomainMemo = HashMap<String, Vec<(VarId, Interval)>>;
-
 /// Result of [`solve_slices`]: the combined answer plus how many of the
-/// examined slices were served by the local memo, refuted by cached
-/// interval domains, and actually solved (an UNSAT short-circuit leaves
-/// later slices unexamined, so these can sum to less than the partition
-/// size; the shared-cache hits are counted in the [`SolverStats`]).
+/// examined slices were served by the local memo and actually solved
+/// (an UNSAT short-circuit leaves later slices unexamined, so these can
+/// sum to less than the partition size; the shared-cache hits are
+/// counted in the [`SolverStats`]).
 pub(crate) struct SliceOutcome {
     pub result: SatResult,
     pub memo_hits: u64,
-    pub domain_unsat: u64,
     pub solved: u64,
 }
 
 /// Solves prepared slices in order, combining their answers.
 ///
-/// Resolution order per slice: local `memo` → shared cache → cached
-/// interval-domain refutation (hint) → solve (each solve under the
-/// solver's full node budget, so memoized slice results are
-/// budget-exact and reusable under the same key). An UNSAT slice
-/// decides the query immediately; `Unknown` is sticky unless a later
-/// slice is UNSAT.
-///
-/// Hint-refuted results go into the *local* memo only, never the shared
-/// cache: the shared cache's contract is byte-identical-to-recompute,
-/// and an interval refutation may decide what a budgeted solve would
-/// answer `Unknown` (a sound improvement this solver's local scope is
-/// allowed to keep).
+/// Resolution order per slice: local `memo` → shared cache → solve
+/// (each solve under the solver's full node budget, so memoized slice
+/// results are budget-exact and reusable under the same key). An UNSAT
+/// slice decides the query immediately; `Unknown` is sticky unless a
+/// later slice is UNSAT.
 pub(crate) fn solve_slices(
     solver: &Solver,
     vars: &VarTable,
     queries: &[SliceQuery],
     mut memo: Option<&mut HashMap<String, SatResult>>,
-    mut domains: Option<&mut DomainMemo>,
     stats: &mut SolverStats,
 ) -> SliceOutcome {
     let mut merged = Model::new();
     let mut unknown = false;
     let mut memo_hits = 0u64;
-    let mut domain_unsat = 0u64;
     let mut solved = 0u64;
-    // Capture pruned-domain boxes whenever anyone can store them: the
-    // local memo, or the shared cache (which persists them across runs
-    // through the warm store).
-    let capture = domains.is_some() || solver.query_cache().is_some();
     for (pos, q) in queries.iter().enumerate() {
         // Counted per *examined* slice: an UNSAT short-circuit below
         // leaves later slices unexamined, and they are not counted.
         stats.slices += 1;
         let mut from_memo = false;
         let mut from_cache = false;
-        let mut from_hint = false;
-        let mut captured: Option<Vec<(VarId, Interval)>> = None;
         let result = 'resolve: {
             if let (Some(memo), Some(key)) = (memo.as_deref(), q.key.as_deref()) {
                 if let Some(r) = memo.get(key) {
@@ -360,23 +329,8 @@ pub(crate) fn solve_slices(
                     CacheAnswer::Miss => {}
                 }
             }
-            if let (None, Some(hint)) = (&probation, &q.hint) {
-                let env = |id: VarId| {
-                    hint.iter()
-                        .find(|(v, _)| *v == id)
-                        .map(|&(_, i)| i)
-                        .unwrap_or_else(|| vars.info(id).interval())
-                };
-                if q.exprs
-                    .iter()
-                    .any(|e| e.eval_interval(&env).definitely_false())
-                {
-                    from_hint = true;
-                    break 'resolve SatResult::Unsat;
-                }
-            }
             let mut ev = portend_obs::span(portend_obs::EventKind::SliceSolve);
-            let (r, s, doms) = solver.solve_capture(&q.exprs, vars, capture);
+            let (r, s) = solver.solve(&q.exprs, vars);
             ev.args(pos as u64, s.nodes);
             drop(ev);
             solved += 1;
@@ -385,32 +339,24 @@ pub(crate) fn solve_slices(
             stats.budget_exhausted |= s.budget_exhausted;
             if let (Some(cache), Some(key)) = (solver.query_cache(), q.key.as_deref()) {
                 match &probation {
-                    Some(expected) => cache.confirm_warm(key, expected, &r, doms.as_deref()),
-                    None => cache.insert_with_domain(key.to_string(), r.clone(), doms.clone()),
+                    Some(expected) => cache.confirm_warm(key, expected, &r),
+                    None => cache.insert(key.to_string(), r.clone()),
                 }
             }
-            captured = doms;
             r
         };
-        if let Some(key) = &q.key {
-            if let (Some(dm), Some(doms)) = (domains.as_deref_mut(), captured) {
-                dm.insert(key.clone(), doms);
-            }
-            if let Some(memo) = memo.as_deref_mut() {
-                if !from_memo {
-                    memo.insert(key.clone(), result.clone());
-                }
+        if let (Some(memo), Some(key)) = (memo.as_deref_mut(), &q.key) {
+            if !from_memo {
+                memo.insert(key.clone(), result.clone());
             }
         }
         memo_hits += from_memo as u64;
-        domain_unsat += from_hint as u64;
         stats.slice_cache_hits += from_cache as u64;
         match result {
             SatResult::Unsat => {
                 return SliceOutcome {
                     result: SatResult::Unsat,
                     memo_hits,
-                    domain_unsat,
                     solved,
                 }
             }
@@ -429,7 +375,6 @@ pub(crate) fn solve_slices(
             SatResult::Sat(merged)
         },
         memo_hits,
-        domain_unsat,
         solved,
     }
 }
@@ -481,7 +426,6 @@ fn build_query(
     SliceQuery {
         exprs: members.iter().map(|v| v.expr.clone()).collect(),
         key,
-        hint: None,
     }
 }
 
@@ -545,7 +489,7 @@ pub(crate) fn check_sliced(
     let (result, stats) = match prepare_slices(&views, prefix.as_deref(), vars) {
         Prepared::Decided(r) => (r, stats),
         Prepared::Queries(queries) => {
-            let outcome = solve_slices(solver, vars, &queries, None, None, &mut stats);
+            let outcome = solve_slices(solver, vars, &queries, None, &mut stats);
             (outcome.result, stats)
         }
     };
@@ -565,22 +509,8 @@ pub struct ScopedStats {
     pub memo_hits: u64,
     /// Slices answered from the shared [`crate::SolverCache`].
     pub cache_hits: u64,
-    /// Slices refuted by cached pruned interval domains alone (a new
-    /// constraint contradicting an already-solved sub-slice's box) —
-    /// no solving performed.
-    pub domain_unsat: u64,
     /// Slices actually solved.
     pub solved: u64,
-}
-
-/// The slice a frame belonged to at the last check: its canonical key
-/// and its member frame indices at that time. Used to decide whether a
-/// cached domain box is still sound for a merged slice (every recorded
-/// member must still be on the stack under the same key).
-#[derive(Debug, Clone)]
-struct SliceTag {
-    key: Arc<str>,
-    members: Arc<[usize]>,
 }
 
 /// An incremental, scope-structured front end to [`Solver`].
@@ -592,17 +522,11 @@ struct SliceTag {
 /// *incrementally* under push/pop (merge-on-push, undo log on pop — see
 /// [`ScopedSolver::current_partition`]), so [`ScopedSolver::check`]
 /// never re-partitions. Each check resolves every slice through a local
-/// result memo, then the shared cache, then a cached-domain refutation,
-/// then the solver — so after a fork, a child state's feasibility check
-/// only solves the slice actually touched by the new branch constraint;
-/// everything inherited from the parent is a memo hit, its key bytes
-/// re-concatenated from the frames' cached renderings rather than
-/// re-rendered, and the touched slice itself is often refuted from the
-/// parent slice's pruned domains without solving.
-///
-/// Constructed in whole-query mode ([`ScopedSolver::whole_query`]) it
-/// degrades to `Solver::check` over the frame stack — the knob-off
-/// configuration with identical call structure.
+/// result memo, then the shared cache, then the solver — so after a
+/// fork, a child state's feasibility check only solves the slice
+/// actually touched by the new branch constraint; everything inherited
+/// from the parent is a memo hit, its key bytes re-concatenated from
+/// the frames' cached renderings rather than re-rendered.
 ///
 /// ```
 /// use portend_symex::{CmpOp, Expr, SatResult, ScopedSolver, Solver, VarTable};
@@ -619,13 +543,11 @@ struct SliceTag {
 #[derive(Debug, Clone)]
 pub struct ScopedSolver {
     solver: Solver,
-    sliced: bool,
     prefix: String,
     frames: Vec<Frame>,
     marks: Vec<usize>,
     part: IncrementalPartition,
     memo: HashMap<String, SatResult>,
-    domains: DomainMemo,
     stats: ScopedStats,
 }
 
@@ -635,7 +557,6 @@ struct Frame {
     rendered: String,
     vars: Vec<VarId>,
     konst: Option<i64>,
-    tag: Option<SliceTag>,
 }
 
 impl Frame {
@@ -650,7 +571,6 @@ impl Frame {
             rendered,
             vars,
             konst,
-            tag: None,
         }
     }
 }
@@ -658,27 +578,14 @@ impl Frame {
 impl ScopedSolver {
     /// A scoped solver that slices and memoizes per slice.
     pub fn new(solver: Solver) -> Self {
-        Self::with_mode(solver, true)
-    }
-
-    /// A scoped solver that issues whole queries (no slicing, no local
-    /// memo) — behaviorally the plain [`Solver::check`] over the current
-    /// frame stack.
-    pub fn whole_query(solver: Solver) -> Self {
-        Self::with_mode(solver, false)
-    }
-
-    fn with_mode(solver: Solver, sliced: bool) -> Self {
         let prefix = config_prefix(solver.config());
         ScopedSolver {
             solver,
-            sliced,
             prefix,
             frames: Vec::new(),
             marks: Vec::new(),
             part: IncrementalPartition::default(),
             memo: HashMap::new(),
-            domains: DomainMemo::new(),
             stats: ScopedStats::default(),
         }
     }
@@ -686,11 +593,6 @@ impl ScopedSolver {
     /// The underlying solver.
     pub fn solver(&self) -> &Solver {
         &self.solver
-    }
-
-    /// Whether checks are sliced (vs whole-query mode).
-    pub fn is_sliced(&self) -> bool {
-        self.sliced
     }
 
     /// Opens a scope; constraints assumed after this call are discarded
@@ -774,30 +676,21 @@ impl ScopedSolver {
     }
 
     /// Satisfiability of the stack plus one extra constraint (the
-    /// classic branch-feasibility probe), without disturbing the stack.
-    /// The probe frame's partition merges are reverted through the undo
-    /// log, and the surviving frames' slice tags are restored so cached
-    /// domain boxes keep working across repeated probes.
+    /// classic branch-feasibility probe), without disturbing the stack:
+    /// the probe frame's partition merges are reverted through the undo
+    /// log.
     pub fn check_assuming(&mut self, extra: Expr, vars: &VarTable) -> SatResult {
-        let saved: Vec<Option<SliceTag>> = self.frames.iter().map(|f| f.tag.clone()).collect();
         self.assume(extra);
         let r = self.check(vars);
         let mark = self.frames.len() - 1;
         self.frames.truncate(mark);
         self.part.truncate(mark);
-        for (f, tag) in self.frames.iter_mut().zip(saved) {
-            f.tag = tag;
-        }
         r
     }
 
     /// Like [`ScopedSolver::check`], reporting per-query work counters.
     pub fn check_with_stats(&mut self, vars: &VarTable) -> (SatResult, SolverStats) {
         self.stats.checks += 1;
-        if !self.sliced {
-            let constraints: Vec<Expr> = self.frames.iter().map(|f| f.constraint.clone()).collect();
-            return self.solver.check_with_stats(&constraints, vars);
-        }
         let mut ev = portend_obs::span(portend_obs::EventKind::SolverCheck);
         let mut stats = SolverStats::default();
         // Constant filtering, identical to `prepare_slices`.
@@ -814,8 +707,7 @@ impl ScopedSolver {
         }
         // Slice queries straight off the incremental partition, through
         // the same `build_query` as the stateless path (cached per-frame
-        // renderings pass through, nothing is re-rendered), plus hints
-        // from previously-solved sub-slices' domain boxes.
+        // renderings pass through, nothing is re-rendered).
         let views: Vec<ConstraintView<'_>> = self
             .frames
             .iter()
@@ -826,88 +718,28 @@ impl ScopedSolver {
                 konst: f.konst,
             })
             .collect();
-        let groups = self.part.groups(|i| self.frames[i].konst.is_none());
-        let mut queries = Vec::with_capacity(groups.len());
-        for group in &groups {
-            let members: Vec<&ConstraintView<'_>> = group.iter().map(|&i| &views[i]).collect();
-            let mut q = build_query(&members, Some(&self.prefix), vars);
-            q.hint = self.assemble_hint(group, q.key.as_deref().expect("scoped keys always built"));
-            queries.push(q);
-        }
-        drop(views);
-        // Re-tag frames with their current slice so future checks can
-        // validate and reuse this check's domain boxes.
-        for (group, q) in groups.iter().zip(&queries) {
-            let key: Arc<str> = Arc::from(q.key.as_deref().expect("scoped keys always built"));
-            let members: Arc<[usize]> = Arc::from(group.as_slice());
-            for &i in group {
-                self.frames[i].tag = Some(SliceTag {
-                    key: Arc::clone(&key),
-                    members: Arc::clone(&members),
-                });
-            }
-        }
+        let queries: Vec<SliceQuery> = self
+            .part
+            .groups(|i| self.frames[i].konst.is_none())
+            .iter()
+            .map(|group| {
+                let members: Vec<&ConstraintView<'_>> = group.iter().map(|&i| &views[i]).collect();
+                build_query(&members, Some(&self.prefix), vars)
+            })
+            .collect();
         let outcome = solve_slices(
             &self.solver,
             vars,
             &queries,
             Some(&mut self.memo),
-            Some(&mut self.domains),
             &mut stats,
         );
         self.stats.slices += stats.slices;
         self.stats.memo_hits += outcome.memo_hits;
         self.stats.cache_hits += stats.slice_cache_hits;
-        self.stats.domain_unsat += outcome.domain_unsat;
         self.stats.solved += outcome.solved;
         ev.args(stats.slices, stats.nodes);
         (outcome.result, stats)
-    }
-
-    /// A sound interval box for `group` assembled from its members'
-    /// previously-solved slices. A previous slice contributes only when
-    /// every frame it covered is still on the stack under the same tag
-    /// (⇒ its constraint set is a subset of this group's, so its pruned
-    /// box over-approximates this group's solutions too). Previous
-    /// slices were variable-disjoint, so their boxes concatenate without
-    /// conflicts. Boxes come from the local per-slice memo first, then
-    /// from the shared cache (where solves deposit them and the warm
-    /// store persists them across runs — the cached key renders the
-    /// identical query, so the box is sound by the same argument).
-    /// `None` when the group's own key is already memoized (the memo
-    /// will answer) or no valid box exists.
-    fn assemble_hint(&self, group: &[usize], key: &str) -> Option<Vec<(VarId, Interval)>> {
-        if self.memo.contains_key(key) {
-            return None;
-        }
-        let mut out: Vec<(VarId, Interval)> = Vec::new();
-        let mut seen: Vec<&str> = Vec::new();
-        for &i in group {
-            let Some(tag) = &self.frames[i].tag else {
-                continue;
-            };
-            let k: &str = &tag.key;
-            if k == key || seen.contains(&k) {
-                continue;
-            }
-            let valid = tag.members.iter().all(|&m| {
-                self.frames
-                    .get(m)
-                    .and_then(|f| f.tag.as_ref())
-                    .is_some_and(|t| *t.key == *k)
-            });
-            if !valid {
-                continue;
-            }
-            if let Some(doms) = self.domains.get(k) {
-                seen.push(k);
-                out.extend_from_slice(doms);
-            } else if let Some(doms) = self.solver.query_cache().and_then(|c| c.domain_of(k)) {
-                seen.push(k);
-                out.extend_from_slice(&doms);
-            }
-        }
-        (!out.is_empty()).then_some(out)
     }
 
     /// Cumulative work counters for this solver.
@@ -1034,40 +866,6 @@ mod tests {
         assert_eq!(st.solved - base_solved, 2, "only the new x1 slices solved");
     }
 
-    #[test]
-    fn cached_domains_refute_merged_slice_without_solving() {
-        let vars = vt(&[(0, 100)]);
-        let mut scoped = ScopedSolver::new(Solver::new());
-        // Solving this slice prunes x0's box to [40, 60].
-        scoped.assume(x(0).cmp(CmpOp::Ge, Expr::konst(40)));
-        scoped.assume(x(0).cmp(CmpOp::Le, Expr::konst(60)));
-        assert!(matches!(scoped.check(&vars), SatResult::Sat(_)));
-        let solved_before = scoped.stats().solved;
-        // The probe contradicts the cached box: refuted by interval
-        // evaluation, no solve.
-        let r = scoped.check_assuming(x(0).cmp(CmpOp::Gt, Expr::konst(90)), &vars);
-        assert_eq!(r, SatResult::Unsat);
-        let st = scoped.stats();
-        assert_eq!(st.solved, solved_before, "no solving for the refutation");
-        assert_eq!(st.domain_unsat, 1, "{st:?}");
-        // The tag survived the probe: a second contradicting probe is
-        // refuted the same way (not via a stale memo miss).
-        let r2 = scoped.check_assuming(x(0).cmp(CmpOp::Lt, Expr::konst(10)), &vars);
-        assert_eq!(r2, SatResult::Unsat);
-        assert_eq!(scoped.stats().domain_unsat, 2);
-        // A compatible probe still solves and agrees with a fresh check.
-        let r3 = scoped.check_assuming(x(0).cmp(CmpOp::Gt, Expr::konst(50)), &vars);
-        let fresh = Solver::new().check(
-            &[
-                x(0).cmp(CmpOp::Ge, Expr::konst(40)),
-                x(0).cmp(CmpOp::Le, Expr::konst(60)),
-                x(0).cmp(CmpOp::Gt, Expr::konst(50)),
-            ],
-            &vars,
-        );
-        assert_eq!(r3, fresh);
-    }
-
     /// Regression for the slice-counter bugfix: `solve_slices` used to
     /// add the whole partition size to `SolverStats::slices` up front
     /// and then short-circuit on the first UNSAT slice, counting slices
@@ -1140,63 +938,11 @@ mod tests {
     }
 
     #[test]
-    fn whole_query_mode_matches_plain_solver() {
-        let vars = vt(&[(0, 9)]);
-        let mut scoped = ScopedSolver::whole_query(Solver::new());
-        assert!(!scoped.is_sliced());
-        scoped.assume(x(0).cmp(CmpOp::Gt, Expr::konst(3)));
-        scoped.assume(x(0).cmp(CmpOp::Lt, Expr::konst(5)));
-        let plain = Solver::new().check(
-            &[
-                x(0).cmp(CmpOp::Gt, Expr::konst(3)),
-                x(0).cmp(CmpOp::Lt, Expr::konst(5)),
-            ],
-            &vars,
-        );
-        assert_eq!(scoped.check(&vars), plain);
-    }
-
-    #[test]
     fn constant_false_frame_short_circuits() {
         let vars = vt(&[(0, 9)]);
         let mut scoped = ScopedSolver::new(Solver::new());
         scoped.assume(x(0).cmp(CmpOp::Ge, Expr::konst(0)));
         scoped.assume(Expr::konst(0));
         assert_eq!(scoped.check(&vars), SatResult::Unsat);
-    }
-
-    /// Regression (PR 4 follow-up): a shared-cache *hit* on a slice
-    /// must still supply domain boxes for later hint refutation. On
-    /// `CacheAnswer::Hit` nothing is captured locally, so the box can
-    /// only come from `assemble_hint`'s shared-cache fallback
-    /// (`SolverCache::domain_of`) — this pins that path.
-    #[test]
-    fn shared_cache_hit_still_supplies_domain_boxes_for_hints() {
-        let vars = vt(&[(0, 100)]);
-        let cache = Arc::new(crate::cache::SolverCache::new(2));
-        // Solver A deposits the slice result *and* its pruned box
-        // ([40, 60]) into the shared cache.
-        let mut a = ScopedSolver::new(Solver::new().cached(Arc::clone(&cache)));
-        a.assume(x(0).cmp(CmpOp::Ge, Expr::konst(40)));
-        a.assume(x(0).cmp(CmpOp::Le, Expr::konst(60)));
-        assert!(matches!(a.check(&vars), SatResult::Sat(_)));
-
-        // Solver B resolves the same slice via a shared-cache hit: no
-        // local capture happens, so its domain memo stays empty.
-        let mut b = ScopedSolver::new(Solver::new().cached(Arc::clone(&cache)));
-        b.assume(x(0).cmp(CmpOp::Ge, Expr::konst(40)));
-        b.assume(x(0).cmp(CmpOp::Le, Expr::konst(60)));
-        assert!(matches!(b.check(&vars), SatResult::Sat(_)));
-        let st = b.stats();
-        assert_eq!(st.cache_hits, 1, "B must hit A's entry: {st:?}");
-        assert_eq!(st.solved, 0, "B never solves: {st:?}");
-
-        // A contradicting probe on B must be refuted by the *cached*
-        // box alone — no solving — via the shared-cache fallback.
-        let r = b.check_assuming(x(0).cmp(CmpOp::Gt, Expr::konst(90)), &vars);
-        assert_eq!(r, SatResult::Unsat);
-        let st = b.stats();
-        assert_eq!(st.domain_unsat, 1, "refuted from the shared box: {st:?}");
-        assert_eq!(st.solved, 0, "still no solving: {st:?}");
     }
 }

@@ -192,7 +192,7 @@ impl Solver {
                         // solve and compare (a faithful store always
                         // agrees; a stale one is corrected in place).
                         let (result, stats) = self.solve(constraints, vars);
-                        cache.confirm_warm(&key, &expected, &result, None);
+                        cache.confirm_warm(&key, &expected, &result);
                         (result, stats)
                     }
                     CacheAnswer::Miss => {
@@ -240,36 +240,19 @@ impl Solver {
 
     /// The uncached solving path.
     pub(crate) fn solve(&self, constraints: &[Expr], vars: &VarTable) -> (SatResult, SolverStats) {
-        let (result, stats, _) = self.solve_capture(constraints, vars, false);
-        (result, stats)
-    }
-
-    /// Like [`Solver::solve`], optionally capturing the pruned interval
-    /// domains of every mentioned variable (the post-fixpoint state of
-    /// step 3). The captured box is *sound*: every satisfying assignment
-    /// of `constraints` lies inside it — which is what lets
-    /// [`crate::ScopedSolver`] reuse it to refute a merged slice by
-    /// interval evaluation alone. `None` when the query is decided
-    /// before pruning or is unsatisfiable.
-    pub(crate) fn solve_capture(
-        &self,
-        constraints: &[Expr],
-        vars: &VarTable,
-        capture: bool,
-    ) -> (SatResult, SolverStats, Option<Vec<(VarId, Interval)>>) {
         let mut stats = SolverStats::default();
 
         // 1. Constant filtering.
         let mut active: Vec<Expr> = Vec::with_capacity(constraints.len());
         for c in constraints {
             match c.as_const() {
-                Some(0) => return (SatResult::Unsat, stats, None),
+                Some(0) => return (SatResult::Unsat, stats),
                 Some(_) => {}
                 None => active.push(c.clone()),
             }
         }
         if active.is_empty() {
-            return (SatResult::Sat(Model::new()), stats, None);
+            return (SatResult::Sat(Model::new()), stats);
         }
 
         // 2. Domain initialization for the mentioned variables.
@@ -286,12 +269,11 @@ impl Solver {
         for _ in 0..self.cfg.max_prune_passes {
             stats.prune_passes += 1;
             match prune_pass(&active, &mut domains) {
-                PruneOutcome::Unsat => return (SatResult::Unsat, stats, None),
+                PruneOutcome::Unsat => return (SatResult::Unsat, stats),
                 PruneOutcome::Changed => continue,
                 PruneOutcome::Fixpoint => break,
             }
         }
-        let captured = capture.then(|| domains.iter().map(|(&v, &i)| (v, i)).collect::<Vec<_>>());
 
         // 4. Drop constraints already decided by the pruned domains.
         let env = |id: VarId| domains[&id];
@@ -301,12 +283,12 @@ impl Solver {
         });
         for c in &active {
             if c.eval_interval(&env).definitely_false() {
-                return (SatResult::Unsat, stats, None);
+                return (SatResult::Unsat, stats);
             }
         }
         if active.is_empty() {
             let model = domains.iter().map(|(&v, i)| (v, i.lo)).collect();
-            return (SatResult::Sat(model), stats, captured);
+            return (SatResult::Sat(model), stats);
         }
 
         // 5. Search, branching on the smallest domain first.
@@ -332,12 +314,12 @@ impl Solver {
                         assignment.set(v, i.lo);
                     }
                 }
-                (SatResult::Sat(assignment), stats, captured)
+                (SatResult::Sat(assignment), stats)
             }
-            SearchOutcome::Exhausted => (SatResult::Unsat, stats, None),
+            SearchOutcome::Exhausted => (SatResult::Unsat, stats),
             SearchOutcome::Budget => {
                 stats.budget_exhausted = true;
-                (SatResult::Unknown, stats, captured)
+                (SatResult::Unknown, stats)
             }
         }
     }

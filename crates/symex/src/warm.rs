@@ -52,8 +52,6 @@
 //! 4+n   key length + canonical key (UTF-8)
 //! 1     result tag: 0 = Unsat, 1 = Unknown, 2 = Sat
 //! [Sat] 4 + m × (4 var id + 8 value)   witness model
-//! 1     domain flag: 1 = a pruned-domain box follows
-//! [dom] 4 + d × (4 var id + 8 lo + 8 hi)
 //! ```
 //!
 //! ## Versioning rules
@@ -73,8 +71,8 @@
 //! processes two additional hazards appear, each with its own guard:
 //!
 //! 1. **Bit rot / truncation** — the trailing checksum plus strict
-//!    structural validation (lengths, tags, interval orientation) reject
-//!    a damaged file wholesale before any entry is inserted.
+//!    structural validation (lengths, tags) reject a damaged file
+//!    wholesale before any entry is inserted.
 //! 2. **Semantic drift** — a store written by a *different solver build*
 //!    under the same format version. The format version is the primary
 //!    guard (rule (b) above); as a defense-in-depth smoke detector, the
@@ -84,16 +82,6 @@
 //!    and a caught mismatch replaces the stale entry with the fresh
 //!    answer).
 //!
-//! Persisted *domain boxes* ride the same guards. A box's claim —
-//! "every solution of the key's query lies inside it" — is a property
-//! of the *query*, which the key renders exactly, so any soundly
-//! pruning solver produces a valid (if differently tight) box for the
-//! same key; only a semantic change to the key rendering or an unsound
-//! pruner could break it, both covered by rule (b). As additional
-//! hygiene, a probation re-solve always *replaces* the persisted box
-//! with its freshly captured one, and drops the box outright when the
-//! persisted result mismatched.
-//!
 //! [`CacheSnapshot::warm_mismatches`]: crate::CacheSnapshot::warm_mismatches
 
 use std::fmt;
@@ -101,7 +89,7 @@ use std::io::Read as _;
 use std::path::Path;
 
 use crate::cache::SolverCache;
-use crate::domain::{Interval, VarId};
+use crate::domain::VarId;
 use crate::model::Model;
 use crate::solver::SatResult;
 
@@ -114,7 +102,10 @@ pub const WARM_MAGIC: [u8; 8] = *b"PTNDWARM";
 /// * v2 — the header grew a program fingerprint (next to the magic) and
 ///   the solver-semantics version echo; v1 stores are rejected cleanly
 ///   as [`WarmStoreError::UnsupportedVersion`].
-pub const WARM_FORMAT_VERSION: u32 = 2;
+/// * v3 — each record lost its trailing domain flag and the optional
+///   pruned-domain box after it (the solver no longer captures boxes);
+///   a record now ends with its result.
+pub const WARM_FORMAT_VERSION: u32 = 3;
 
 /// The solver-semantics generation this build writes into (and requires
 /// of) every warm store. Bump it whenever the solver's search order,
@@ -172,7 +163,6 @@ impl WarmPolicy {
 pub(crate) struct WarmRecord {
     pub key: String,
     pub result: SatResult,
-    pub domain: Option<Vec<(VarId, Interval)>>,
     /// Export-ordering heat (hits, boosted for flush survivors).
     pub hits: u32,
 }
@@ -382,18 +372,6 @@ fn record_body(rec: &WarmRecord) -> Vec<u8> {
             }
         }
     }
-    match &rec.domain {
-        None => out.push(0),
-        Some(doms) => {
-            out.push(1);
-            push_u32(&mut out, doms.len() as u32);
-            for (var, iv) in doms {
-                push_u32(&mut out, var.0);
-                push_i64(&mut out, iv.lo);
-                push_i64(&mut out, iv.hi);
-            }
-        }
-    }
     out
 }
 
@@ -541,31 +519,12 @@ fn parse(bytes: &[u8]) -> Result<(u64, Vec<WarmRecord>), WarmStoreError> {
             }
             _ => return Err(WarmStoreError::Corrupt("unknown result tag")),
         };
-        let domain = match r.u8()? {
-            0 => None,
-            1 => {
-                let n = r.u32()? as usize;
-                let mut doms = Vec::with_capacity(n.min(1 << 12));
-                for _ in 0..n {
-                    let var = VarId(r.u32()?);
-                    let lo = r.i64()?;
-                    let hi = r.i64()?;
-                    if lo > hi {
-                        return Err(WarmStoreError::Corrupt("inverted domain interval"));
-                    }
-                    doms.push((var, Interval { lo, hi }));
-                }
-                Some(doms)
-            }
-            _ => return Err(WarmStoreError::Corrupt("unknown domain flag")),
-        };
         if r.pos != rec_end {
             return Err(WarmStoreError::Corrupt("record length mismatch"));
         }
         records.push(WarmRecord {
             key,
             result,
-            domain,
             hits: 0,
         });
     }
@@ -641,19 +600,16 @@ mod tests {
             WarmRecord {
                 key: "b2000000;p64;v0>3;v0:[0,10];".into(),
                 result: SatResult::Sat(model),
-                domain: Some(vec![(VarId(0), Interval::new(4, 10))]),
                 hits: 5,
             },
             WarmRecord {
                 key: "b2000000;p64;v1<0;v1:[0,9];".into(),
                 result: SatResult::Unsat,
-                domain: None,
                 hits: 2,
             },
             WarmRecord {
                 key: "b10;p1;v2*v2==7;v2:[0,63];".into(),
                 result: SatResult::Unknown,
-                domain: Some(vec![(VarId(2), Interval::new(0, 63))]),
                 hits: 3,
             },
         ]

@@ -1,11 +1,11 @@
-//! The differential idiom × knob verdict table.
+//! The idiom conformance verdict table.
 //!
-//! Each cell records, for one (idiom, allocation, knob configuration)
-//! triple, the expected and the produced verdict label. The table
-//! renders as an ASCII summary for test logs and serializes to a small
-//! JSON document (`portend-conformance-table` v1, built on the same
-//! hand-rolled [`portend_obs::json`] layer as the run reports) that CI
-//! uploads as an artifact.
+//! Each cell records, for one (idiom, allocation) pair, the expected
+//! and the produced verdict label. The table renders as an ASCII
+//! summary for test logs and serializes to a small JSON document
+//! (`portend-conformance-table` v2, built on the same hand-rolled
+//! [`portend_obs::json`] layer as the run reports) that CI uploads as
+//! an artifact.
 
 use std::io::Write as _;
 use std::path::Path;
@@ -15,9 +15,12 @@ use portend_obs::json::Json;
 /// Format name embedded in the JSON artifact.
 pub const TABLE_FORMAT_NAME: &str = "portend-conformance-table";
 /// Format version embedded in the JSON artifact.
-pub const TABLE_FORMAT_VERSION: u64 = 1;
+///
+/// * v2 — rows lost `"config"`: only one analysis configuration is
+///   left, so a table holds one cell per (idiom, allocation).
+pub const TABLE_FORMAT_VERSION: u64 = 2;
 
-/// One (idiom, allocation, config) cell of the differential table.
+/// One (idiom, allocation) cell of the conformance table.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VerdictCell {
     /// Idiom name.
@@ -25,8 +28,6 @@ pub struct VerdictCell {
     /// Allocation the verdict is about (`"*"` for whole-program rows,
     /// e.g. a negative idiom's "no races at all" assertion).
     pub alloc: String,
-    /// Knob-configuration label (from `PortendConfig::knob_grid`).
-    pub config: String,
     /// Expected verdict label (`"none"` for must-not-race rows).
     pub expected: String,
     /// Produced verdict label.
@@ -40,7 +41,7 @@ impl VerdictCell {
     }
 }
 
-/// The collected differential table.
+/// The collected conformance table.
 #[derive(Debug, Clone, Default)]
 pub struct ConformanceTable {
     /// All recorded cells.
@@ -54,11 +55,10 @@ impl ConformanceTable {
     }
 
     /// Records one cell.
-    pub fn push(&mut self, idiom: &str, alloc: &str, config: &str, expected: &str, produced: &str) {
+    pub fn push(&mut self, idiom: &str, alloc: &str, expected: &str, produced: &str) {
         self.cells.push(VerdictCell {
             idiom: idiom.to_string(),
             alloc: alloc.to_string(),
-            config: config.to_string(),
             expected: expected.to_string(),
             produced: produced.to_string(),
         });
@@ -69,7 +69,7 @@ impl ConformanceTable {
         self.cells.iter().filter(|c| !c.ok()).collect()
     }
 
-    /// Serializes the table as a `portend-conformance-table` v1 JSON
+    /// Serializes the table as a `portend-conformance-table` v2 JSON
     /// document.
     pub fn to_json(&self) -> Json {
         Json::Obj(vec![
@@ -92,7 +92,6 @@ impl ConformanceTable {
                             Json::Obj(vec![
                                 ("idiom".into(), Json::Str(c.idiom.clone())),
                                 ("alloc".into(), Json::Str(c.alloc.clone())),
-                                ("config".into(), Json::Str(c.config.clone())),
                                 ("expected".into(), Json::Str(c.expected.clone())),
                                 ("produced".into(), Json::Str(c.produced.clone())),
                                 ("ok".into(), Json::Bool(c.ok())),
@@ -116,48 +115,26 @@ impl ConformanceTable {
     }
 
     /// Renders the expected-vs-produced table as aligned ASCII, one row
-    /// per (idiom, alloc) pair, collapsing configs that agree into a
-    /// single entry and spelling out any disagreeing config explicitly.
+    /// per cell, marking every mismatching cell.
     pub fn render(&self) -> String {
-        // Group cells by (idiom, alloc) preserving first-seen order.
-        let mut keys: Vec<(String, String)> = Vec::new();
-        for c in &self.cells {
-            let k = (c.idiom.clone(), c.alloc.clone());
-            if !keys.contains(&k) {
-                keys.push(k);
-            }
-        }
         let mut rows: Vec<[String; 4]> = vec![[
             "idiom".into(),
             "alloc".into(),
             "expected".into(),
             "produced".into(),
         ]];
-        for (idiom, alloc) in keys {
-            let group: Vec<_> = self
-                .cells
-                .iter()
-                .filter(|c| c.idiom == idiom && c.alloc == alloc)
-                .collect();
-            let expected = group[0].expected.clone();
-            let uniform = group.iter().all(|c| c.produced == group[0].produced);
-            let produced = if uniform {
-                group[0].produced.clone()
+        for c in &self.cells {
+            let produced = if c.ok() {
+                c.produced.clone()
             } else {
-                // Disagreement across configs: show each deviating cell.
-                group
-                    .iter()
-                    .filter(|c| !c.ok())
-                    .map(|c| format!("{}={}", c.config, c.produced))
-                    .collect::<Vec<_>>()
-                    .join(" ")
+                format!("{} <-- MISMATCH", c.produced)
             };
-            let mark = if group.iter().all(|c| c.ok()) {
-                produced
-            } else {
-                format!("{produced} <-- MISMATCH")
-            };
-            rows.push([idiom, alloc, expected, mark]);
+            rows.push([
+                c.idiom.clone(),
+                c.alloc.clone(),
+                c.expected.clone(),
+                produced,
+            ]);
         }
         let mut widths = [0usize; 4];
         for row in &rows {
@@ -184,21 +161,9 @@ mod tests {
 
     fn sample() -> ConformanceTable {
         let mut t = ConformanceTable::new();
-        t.push(
-            "adhoc_flag",
-            "handoff_data",
-            "cfg_a",
-            "singleOrd",
-            "singleOrd",
-        );
-        t.push(
-            "adhoc_flag",
-            "handoff_data",
-            "cfg_b",
-            "singleOrd",
-            "outDiff",
-        );
-        t.push("neg_join_handoff", "*", "cfg_a", "none", "none");
+        t.push("adhoc_flag", "handoff_data", "singleOrd", "singleOrd");
+        t.push("adhoc_flag", "flag", "singleOrd", "outDiff");
+        t.push("neg_join_handoff", "*", "none", "none");
         t
     }
 
@@ -211,18 +176,19 @@ mod tests {
             doc.get("format").and_then(Json::as_str),
             Some(TABLE_FORMAT_NAME)
         );
-        assert_eq!(doc.get("version").and_then(Json::as_u64), Some(1));
+        assert_eq!(doc.get("version").and_then(Json::as_u64), Some(2));
         assert_eq!(doc.get("mismatches").and_then(Json::as_u64), Some(1));
         let rows = doc.get("rows").and_then(Json::as_arr).expect("rows array");
         assert_eq!(rows.len(), 3);
         assert_eq!(rows[1].get("ok").and_then(Json::as_bool), Some(false));
+        assert!(rows[1].get("config").is_none(), "v2 rows carry no config");
     }
 
     #[test]
     fn render_marks_mismatching_groups() {
         let r = sample().render();
-        assert!(r.contains("MISMATCH"), "{r}");
-        assert!(r.contains("cfg_b=outDiff"), "{r}");
-        assert!(r.lines().count() == 3, "{r}");
+        assert_eq!(r.matches("MISMATCH").count(), 1, "{r}");
+        assert!(r.contains("outDiff <-- MISMATCH"), "{r}");
+        assert_eq!(r.lines().count(), 4, "header plus one line per cell: {r}");
     }
 }

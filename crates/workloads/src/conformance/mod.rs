@@ -14,10 +14,10 @@
 //! **no** race report at all, pinning the detector's soundness side the
 //! same way the positive idioms pin the classifier's.
 //!
-//! `tests/conformance.rs` runs every idiom through the full knob matrix
-//! ([`portend::PortendConfig::knob_grid`]) serially and on the farm,
-//! asserting produced == expected for every cell and rendering the
-//! differential table ([`ConformanceTable`]) as a CI artifact.
+//! `tests/conformance.rs` runs every idiom once serially and once on
+//! the farm, asserting that both equal each other and produced ==
+//! expected for every cell, and renders the table
+//! ([`ConformanceTable`]) as a CI artifact.
 
 use std::sync::Arc;
 

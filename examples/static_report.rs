@@ -1,27 +1,19 @@
-//! Static pre-analysis report: run the lockset/MHP pass on every
-//! modeled workload, cross-check its candidate set against what the
-//! dynamic detector actually reported, and emit one `RunReport` JSON
-//! per workload whose `"static"` section carries the pass's counters.
+//! Static pre-analysis report: record every modeled workload the way
+//! its pipeline does, run the lockset/MHP pass over its program, and
+//! count how many of the recorded race clusters the static candidate
+//! set covers.
 //!
-//! Run with: `cargo run --example static_report [output-dir]`
-//! (reports default to `target/static-reports/<workload>.json`).
+//! Run with: `cargo run --release --example static_report`
 //!
-//! Exits non-zero if any workload's dynamic clusters are not fully
-//! corroborated by the static candidate set — the same invariant
-//! `tests/static_differential.rs` pins, restated as a CI artifact.
+//! Exits non-zero if any workload has a dynamic cluster that the static
+//! candidate set does not cover — the inclusion
+//! `tests/static_differential.rs` checks race by race, restated as a
+//! per-workload table.
 
-use std::path::PathBuf;
-
-use portend::{PortendConfig, RunReport, TraceConfig};
+use portend_replay::{record, RecordConfig};
 use portend_workloads::all;
 
 fn main() {
-    let out_dir = std::env::args()
-        .nth(1)
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("target/static-reports"));
-    std::fs::create_dir_all(&out_dir).expect("create report directory");
-
     println!("=== static lockset/MHP pre-analysis, per workload ===\n");
     println!(
         "{:<12} {:>10} {:>8} {:>12} {:>8}",
@@ -30,44 +22,45 @@ fn main() {
 
     let mut failures = 0usize;
     for w in all() {
-        let report_path = out_dir.join(format!("{}.json", w.name));
-        let cfg = PortendConfig {
-            trace: Some(
-                TraceConfig::new()
-                    .with_label(w.name)
-                    .with_report(&report_path),
-            ),
-            ..Default::default()
-        };
-        let result = w.analyze(cfg);
-        let stats = result.static_stats.expect("static pass is on by default");
-        let clusters = result.analyzed.len() as u64;
-        let ok = stats.corroborated == clusters;
+        // The recording `Workload::analyze` makes: the workload's
+        // scheduler and VM under the default (mutex-tracking) detector.
+        let run = record(
+            &w.program,
+            w.inputs.clone(),
+            RecordConfig {
+                scheduler: w.record_scheduler.clone(),
+                vm: w.vm,
+                ..Default::default()
+            },
+        );
+        let sa = portend_sa::analyze(&w.program);
+        let stats = sa.stats();
+        // The detector tracks mutex edges, so lock pruning applies.
+        let corroborated = run
+            .clusters
+            .iter()
+            .filter(|c| {
+                let rep = &c.representative;
+                let (lo, hi) = rep.pc_pair();
+                sa.covers(rep.alloc, lo, hi, true)
+            })
+            .count();
+        let clusters = run.clusters.len();
+        let ok = corroborated == clusters;
         println!(
             "{:<12} {:>10} {:>8} {:>12} {:>8}{}",
             w.name,
             stats.candidates,
             stats.pruned,
-            stats.corroborated,
+            corroborated,
             clusters,
             if ok { "" } else { "  <-- NOT COVERED" }
         );
         if !ok {
             failures += 1;
         }
-
-        // The emitted report must carry the same counters — parse it
-        // back through the versioned reader.
-        let report = RunReport::read_from(&report_path).expect("report round-trips");
-        assert_eq!(
-            report.static_pass,
-            Some(stats),
-            "{}: RunReport static section diverged from the run",
-            w.name
-        );
     }
 
-    println!("\nreports written to {}", out_dir.display());
     if failures > 0 {
         eprintln!("{failures} workload(s) with uncorroborated dynamic clusters");
         std::process::exit(1);

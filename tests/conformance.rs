@@ -1,16 +1,14 @@
-//! Scenario conformance suite: the labeled idiom corpus against the
-//! full knob matrix.
+//! Scenario conformance suite: the labeled idiom corpus, serially and
+//! on the farm.
 //!
-//! Every idiom in `portend_workloads::conformance` runs under every
-//! configuration of [`PortendConfig::knob_grid`] (slice solver ×
-//! static pass), serially and on the farm. For each
-//! (idiom, allocation, config) cell the suite records expected vs
-//! produced verdict labels into a [`ConformanceTable`], printed with
-//! the test output and written as a JSON artifact (plus one
+//! Every idiom in `portend_workloads::conformance` runs once through
+//! the serial pipeline and once on the farm (3 workers). For each
+//! (idiom, allocation) cell the suite records expected vs produced
+//! verdict labels into a [`ConformanceTable`], printed with the test
+//! output and written as a JSON artifact (plus one
 //! `portend-run-report` document per idiom) for CI to upload. Any cell
 //! mismatch — a wrong class, a missed race, a phantom race on a
-//! negative program, or a serial/parallel divergence — fails the
-//! suite.
+//! negative program — or a serial/farm divergence fails the suite.
 //!
 //! Artifacts land in `$CONFORMANCE_TABLE_DIR` (default
 //! `target/conformance/`).
@@ -73,65 +71,49 @@ fn assert_equivalent(name: &str, a: &PipelineResult, b: &PipelineResult) {
     }
 }
 
-/// The headline differential: every idiom × every knob configuration,
-/// serial and parallel, produced verdicts == ground-truth labels.
+/// The headline check: every idiom once serially and once on the farm
+/// (3 workers); the two runs must equal each other, and the produced
+/// verdicts must equal the ground-truth labels.
 #[test]
 fn idiom_by_knob_matrix_matches_labels() {
-    let grid = PortendConfig::knob_grid();
     let mut table = ConformanceTable::new();
     for idiom in all_idioms() {
-        let baseline = idiom.analyze(PortendConfig::default());
-        for (config_label, config) in &grid {
-            let serial = idiom.analyze(config.clone());
-            let parallel = idiom.analyze_parallel(config.clone(), 3);
-            // The knobs are performance/scheduling only: verdicts must
-            // be identical to the all-on default, serially and on the
-            // farm.
-            assert_equivalent(
-                &format!("{} [{config_label}] serial", idiom.name),
-                &baseline,
-                &serial,
-            );
-            assert_equivalent(
-                &format!("{} [{config_label}] parallel", idiom.name),
-                &baseline,
-                &parallel,
-            );
+        let serial = idiom.analyze(PortendConfig::default());
+        let farm = idiom.analyze_parallel(PortendConfig::default(), 3);
+        assert_equivalent(&format!("{} serial vs farm", idiom.name), &serial, &farm);
 
-            let produced = produced_labels(&serial);
-            if idiom.negative {
-                // Negative programs: no race report under any knobs.
-                let got = if produced.is_empty() {
-                    "none".to_string()
-                } else {
-                    produced
-                        .iter()
-                        .map(|(a, ls)| format!("{a}:{}", join_or_none(ls)))
-                        .collect::<Vec<_>>()
-                        .join(" ")
-                };
-                table.push(idiom.name, "*", config_label, "none", &got);
-            }
-            // Every racing allocation must carry a label.
-            for alloc in produced.keys() {
-                assert!(
-                    idiom.labeled_allocs().contains(&alloc.as_str()),
-                    "{} [{config_label}]: unlabeled racy allocation `{alloc}`",
-                    idiom.name
-                );
-            }
-            // Every labeled allocation: produced multiset == expected.
-            for alloc in idiom.labeled_allocs() {
-                let expected = idiom.expected_labels(alloc);
-                let got = produced.get(alloc).cloned().unwrap_or_default();
-                table.push(
-                    idiom.name,
-                    alloc,
-                    config_label,
-                    &join_or_none(&expected),
-                    &join_or_none(&got),
-                );
-            }
+        let produced = produced_labels(&serial);
+        if idiom.negative {
+            // Negative programs: no race report at all.
+            let got = if produced.is_empty() {
+                "none".to_string()
+            } else {
+                produced
+                    .iter()
+                    .map(|(a, ls)| format!("{a}:{}", join_or_none(ls)))
+                    .collect::<Vec<_>>()
+                    .join(" ")
+            };
+            table.push(idiom.name, "*", "none", &got);
+        }
+        // Every racing allocation must carry a label.
+        for alloc in produced.keys() {
+            assert!(
+                idiom.labeled_allocs().contains(&alloc.as_str()),
+                "{}: unlabeled racy allocation `{alloc}`",
+                idiom.name
+            );
+        }
+        // Every labeled allocation: produced multiset == expected.
+        for alloc in idiom.labeled_allocs() {
+            let expected = idiom.expected_labels(alloc);
+            let got = produced.get(alloc).cloned().unwrap_or_default();
+            table.push(
+                idiom.name,
+                alloc,
+                &join_or_none(&expected),
+                &join_or_none(&got),
+            );
         }
     }
 

@@ -9,7 +9,8 @@
 //! the entire solver call, so full structural equality of verdicts (class,
 //! detail, k, states_differ, and work counters) must hold.
 
-use portend_repro::portend::{PipelineResult, Portend, PortendConfig};
+use portend_repro::portend::{PipelineResult, Portend, PortendConfig, WarmSource};
+use portend_repro::portend_farm::cluster_priority;
 use portend_repro::portend_workloads::{all, by_name};
 
 /// Asserts full per-cluster equality of two pipeline results.
@@ -100,8 +101,8 @@ fn farm_stats_are_coherent() {
     let util = stats.utilization();
     assert!((0.0..=1.0).contains(&util), "utilization {util}");
     let cache = stats.cache.expect("the pipeline attaches its cache");
-    // Queries arrive at slice granularity by default (`slice_solver`),
-    // at whole-query granularity when slicing is off.
+    // Classification queries arrive at slice granularity; only direct
+    // `Solver::check` callers count as whole-query lookups.
     let lookups = cache.hits + cache.misses + cache.slice_hits + cache.slice_misses;
     assert!(
         lookups > 0,
@@ -116,4 +117,25 @@ fn farm_stats_are_coherent() {
         "slice-level keys must hit across the Mp x Ma combinations: {cache:?}"
     );
     assert!(cache.key_bytes > 0, "lookups render keys: {cache:?}");
+}
+
+/// With one worker the farm classifies in queue order, and the queue
+/// order is `cluster_priority` alone: descending priority, ties in
+/// detection order. Pinned per corpus workload through the streaming
+/// entry point, whose sink sees clusters in completion order.
+#[test]
+fn one_worker_streams_in_cluster_priority_order() {
+    for w in all() {
+        let mut streamed = Vec::new();
+        let (result, _) = w.analyze_streamed(
+            PortendConfig::default(),
+            1,
+            &WarmSource::default(),
+            &mut |_, index, _| streamed.push(index),
+        );
+        let mut expected: Vec<usize> = (0..result.analyzed.len()).collect();
+        // Stable: equal priorities keep detection order.
+        expected.sort_by_key(|&i| std::cmp::Reverse(cluster_priority(&result.analyzed[i].cluster)));
+        assert_eq!(streamed, expected, "{}: stream order", w.name);
+    }
 }

@@ -15,6 +15,15 @@
 //! 4. **The store manager is an LRU**: under a seeded insert/touch
 //!    sequence the directory never exceeds its budget and exactly the
 //!    most recently used stores survive.
+//! 5. **A silent client cannot wedge the socket daemon**: a connection
+//!    that sends nothing is dropped after the session timeout, and the
+//!    next client is answered.
+//! 6. **The socket daemon deletes only its own stale socket**: a path
+//!    that is not a socket, or a live daemon's socket, is refused and
+//!    left untouched; a stale socket file is replaced and served.
+//!
+//! The socket tests wait on channels with deadlines, so a daemon that
+//! never answers fails the test instead of hanging it.
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -344,4 +353,160 @@ fn store_manager_lru_matches_a_shadow_model() {
     assert_eq!(listed, expected, "listing is most-recently-used first");
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Contracts 5 and 6, over a real Unix socket.
+#[cfg(unix)]
+mod socket {
+    use std::os::unix::net::{UnixListener, UnixStream};
+    use std::path::Path;
+    use std::sync::mpsc;
+    use std::time::{Duration, Instant};
+
+    use portend_repro::portend_cli;
+    use portend_repro::portend_serve::{Frame, Request, Server, ServerConfig, SESSION_IO_TIMEOUT};
+
+    use super::scratch_dir;
+
+    /// A socket daemon with default configuration, serving on `socket` in
+    /// a thread. The receiver yields `serve_unix`'s result when it returns.
+    fn spawn_daemon(socket: &Path) -> mpsc::Receiver<std::io::Result<()>> {
+        let server = Server::new(ServerConfig::default()).expect("server");
+        let socket = socket.to_path_buf();
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(server.serve_unix(&socket));
+        });
+        rx
+    }
+
+    /// Submits `request` from a thread and waits at most `deadline` for its
+    /// terminating frame; `None` when the daemon did not answer in time.
+    fn submit_within(socket: &Path, request: Request, deadline: Duration) -> Option<Frame> {
+        let socket = socket.to_path_buf();
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let mut out = Vec::new();
+            let frame = portend_cli::submit(&socket, &request, &mut out)
+                .ok()
+                .and_then(|_| {
+                    let text = String::from_utf8(out).ok()?;
+                    Frame::parse(text.lines().last()?).ok()
+                });
+            let _ = tx.send(frame);
+        });
+        rx.recv_timeout(deadline).ok().flatten()
+    }
+
+    /// Pings until a freshly spawned daemon answers (it binds in its own
+    /// thread), panicking if it never does.
+    fn await_daemon(socket: &Path) {
+        let start = Instant::now();
+        while start.elapsed() < Duration::from_secs(10) {
+            if socket.exists() {
+                let ping = Request::Ping { id: 0 };
+                if let Some(Frame::Pong { .. }) =
+                    submit_within(socket, ping, Duration::from_secs(5))
+                {
+                    return;
+                }
+            }
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        panic!("daemon at {} never answered a ping", socket.display());
+    }
+
+    /// Sends `shutdown` and waits for the daemon thread to return cleanly.
+    fn shut_down(socket: &Path, daemon: mpsc::Receiver<std::io::Result<()>>) {
+        let bye = submit_within(
+            socket,
+            Request::Shutdown { id: 99 },
+            Duration::from_secs(10),
+        );
+        assert!(matches!(bye, Some(Frame::Bye { request: 99 })), "{bye:?}");
+        let exit = daemon
+            .recv_timeout(Duration::from_secs(10))
+            .expect("daemon returns after shutdown");
+        assert!(exit.is_ok(), "{exit:?}");
+    }
+
+    /// Contract 5: a client that connects and sends nothing holds the
+    /// one-connection-at-a-time daemon only until the session timeout; a
+    /// second client's ping is answered within that timeout plus slack.
+    #[test]
+    fn silent_client_cannot_wedge_the_daemon() {
+        let dir = scratch_dir("silent");
+        std::fs::create_dir_all(&dir).expect("dir");
+        let socket = dir.join("d.sock");
+        let daemon = spawn_daemon(&socket);
+        await_daemon(&socket);
+
+        let silent = UnixStream::connect(&socket).expect("silent client connects");
+        let deadline = SESSION_IO_TIMEOUT + Duration::from_secs(5);
+        let pong = submit_within(&socket, Request::Ping { id: 7 }, deadline);
+        assert!(
+            matches!(pong, Some(Frame::Pong { request: 7 })),
+            "a silent client kept the ping unanswered for {deadline:?}: {pong:?}"
+        );
+        drop(silent);
+        shut_down(&socket, daemon);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Contract 6a: a regular file at the socket path is not deleted;
+    /// `serve_unix` returns an error instead of serving.
+    #[test]
+    fn serve_unix_refuses_a_regular_file() {
+        let dir = scratch_dir("regular");
+        std::fs::create_dir_all(&dir).expect("dir");
+        let path = dir.join("not-a-socket");
+        std::fs::write(&path, b"precious bytes").expect("write file");
+        let daemon = spawn_daemon(&path);
+        let exit = daemon
+            .recv_timeout(Duration::from_secs(5))
+            .expect("serve_unix must return, not serve over the file");
+        assert!(exit.is_err(), "{exit:?}");
+        assert_eq!(std::fs::read(&path).expect("file kept"), b"precious bytes");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Contract 6b: a second daemon on a live daemon's socket path returns
+    /// an error, and the first daemon keeps answering.
+    #[test]
+    fn serve_unix_refuses_a_live_daemons_socket() {
+        let dir = scratch_dir("live");
+        std::fs::create_dir_all(&dir).expect("dir");
+        let socket = dir.join("d.sock");
+        let first = spawn_daemon(&socket);
+        await_daemon(&socket);
+
+        let second = spawn_daemon(&socket);
+        let exit = second
+            .recv_timeout(Duration::from_secs(5))
+            .expect("the second serve_unix must return, not take over the path");
+        assert!(exit.is_err(), "{exit:?}");
+        let pong = submit_within(&socket, Request::Ping { id: 3 }, Duration::from_secs(10));
+        assert!(
+            matches!(pong, Some(Frame::Pong { request: 3 })),
+            "the first daemon still answers: {pong:?}"
+        );
+        shut_down(&socket, first);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Contract 6c: a socket file whose listener is gone (dropped without
+    /// unlinking) is stale; `serve_unix` replaces it and serves.
+    #[test]
+    fn serve_unix_replaces_a_stale_socket() {
+        let dir = scratch_dir("stale");
+        std::fs::create_dir_all(&dir).expect("dir");
+        let socket = dir.join("d.sock");
+        drop(UnixListener::bind(&socket).expect("bind"));
+        assert!(socket.exists(), "dropping a listener leaves its file");
+
+        let daemon = spawn_daemon(&socket);
+        await_daemon(&socket);
+        shut_down(&socket, daemon);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

@@ -359,9 +359,9 @@ fn incremental_partition_matches_fresh() {
 }
 
 /// The starvation regime: under a tiny node budget the scoped solver
-/// (slicing + memo + cached-domain refutation) may decide what the
-/// whole query cannot, but must never flip a decided answer; any extra
-/// decision is verified against the domains.
+/// (slicing + per-slice memo) may decide what the whole query cannot,
+/// but must never flip a decided answer; any extra decision is verified
+/// against the domains.
 #[test]
 fn incremental_scoped_solver_never_flips_under_starvation() {
     const N_VARS: u8 = 3;

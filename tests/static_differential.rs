@@ -6,14 +6,14 @@
 //! same unordered pc pair, may-happen-in-parallel, and — while the
 //! detector tracks mutex edges — no common must-held lock). The suite
 //! checks that inclusion on the whole workloads corpus and on
-//! randomized builder programs, checks the `respect_locks` mirror
-//! against the §5.2 imperfect-detector configuration, and pins the
-//! integration contract: the pass is scheduling and reporting only, so
-//! verdicts with `static_pass` on are identical to off.
+//! randomized builder programs, and checks the `respect_locks` mirror
+//! against the §5.2 imperfect-detector configuration. The
+//! classification pipeline does not run the pass, so it cannot change a
+//! verdict; `examples/static_report.rs` restates the corpus inclusion as
+//! a per-workload table.
 
 use std::sync::Arc;
 
-use portend_repro::portend::{PipelineResult, PortendConfig};
 use portend_repro::portend_race::DetectorConfig;
 use portend_repro::portend_replay::{record, RecordConfig};
 use portend_repro::portend_sa::{analyze, StaticAnalysis};
@@ -158,9 +158,9 @@ fn imperfect_detector_races_covered_without_lock_pruning() {
     );
     let sa = analyze(&program);
     assert_all_covered("imperfect detector", &sa, &run.races, false);
-    // With lock pruning on, the same pairs are (correctly) pruned — the
-    // pipeline only applies that pruning when the detector tracks mutex
-    // edges, which is exactly why these reports stay covered above.
+    // With lock pruning on, the same pairs are (correctly) pruned — lock
+    // pruning only mirrors the detector while it tracks mutex edges,
+    // which is exactly why these reports are checked without it above.
     for race in &run.races {
         let (lo, hi) = race.pc_pair();
         assert!(
@@ -168,82 +168,4 @@ fn imperfect_detector_races_covered_without_lock_pruning() {
             "lock-protected pair must be pruned when locks are respected: {race}"
         );
     }
-}
-
-/// Asserts full per-cluster equality of two pipeline results.
-fn assert_equivalent(name: &str, a: &PipelineResult, b: &PipelineResult) {
-    assert_eq!(
-        a.analyzed.len(),
-        b.analyzed.len(),
-        "{name}: distinct race counts differ"
-    );
-    for (i, (x, y)) in a.analyzed.iter().zip(&b.analyzed).enumerate() {
-        assert_eq!(x.cluster, y.cluster, "{name}: cluster #{i} differs");
-        assert_eq!(
-            x.verdict, y.verdict,
-            "{name}: verdict for cluster #{i} ({}) differs",
-            x.cluster.representative
-        );
-    }
-}
-
-/// The integration contract: the static pass only reorders the farm's
-/// queue and fills counters — verdicts are identical with the pass on
-/// (the default) or off, serially and on the farm.
-#[test]
-fn verdicts_identical_with_static_pass_on_and_off() {
-    let on = PortendConfig::default();
-    assert!(on.static_pass, "the pass is on by default");
-    let off = PortendConfig {
-        static_pass: false,
-        ..Default::default()
-    };
-    for w in all() {
-        let serial_on = w.analyze(on.clone());
-        let serial_off = w.analyze(off.clone());
-        assert_equivalent(w.name, &serial_on, &serial_off);
-        assert!(
-            serial_on.static_stats.is_some(),
-            "{}: pass on fills the counters",
-            w.name
-        );
-        assert!(
-            serial_off.static_stats.is_none(),
-            "{}: pass off leaves them empty",
-            w.name
-        );
-        let parallel_on = w.analyze_parallel(on.clone(), 4);
-        assert_equivalent(w.name, &serial_off, &parallel_on);
-    }
-}
-
-/// The corroboration counter is the inclusion property restated as a
-/// run statistic: with the default (mutex-tracking) detector, every
-/// cluster's representative must be a live static candidate, so
-/// `corroborated` equals the cluster count — and the counters surface
-/// through `FarmStats`.
-#[test]
-fn every_cluster_is_statically_corroborated() {
-    let w = all().into_iter().next().expect("corpus is non-empty");
-    let (result, stats) = w.analyze_parallel_with_stats(PortendConfig::default(), 2);
-    let sp = stats
-        .static_pass
-        .expect("farm stats carry the pass counters");
-    assert_eq!(
-        sp.corroborated,
-        result.analyzed.len() as u64,
-        "{}: a dynamic cluster escaped the static candidate set",
-        w.name
-    );
-    assert_eq!(
-        result.static_stats,
-        Some(sp),
-        "pipeline result and farm stats report the same counters"
-    );
-    assert!(sp.candidates >= sp.corroborated);
-    assert!(
-        stats.summary().contains("candidates"),
-        "the one-line farm summary mentions the pass: {}",
-        stats.summary()
-    );
 }
