@@ -1,8 +1,9 @@
-//! Farm benchmark: wall-clock speedup of parallel race classification
-//! (`Pipeline::run_parallel`) over the serial path on the workloads
-//! corpus, plus the corpus-level fan-out (one farm job per workload).
+//! Farm benchmark: wall-clock speedup of race classification on 4 farm
+//! workers over 1 worker (`Pipeline::run` through
+//! `Workload::analyze_streamed`) on the workloads corpus, plus the
+//! corpus-level fan-out (one farm job per workload).
 //!
-//! Prints, per workload: serial and parallel wall time, wall-clock
+//! Prints, per workload: 1-worker and 4-worker wall time, wall-clock
 //! speedup, *critical-path* speedup, solver cache hit rates (whole-query
 //! and slice-level), and worker utilization — the headline numbers for
 //! the farm's ">1.5× at 4 workers with a nonzero cache hit rate" target.
@@ -17,11 +18,11 @@
 
 use std::time::{Duration, Instant};
 
-use portend::{PortendConfig, RaceClass};
+use portend::{PipelineResult, PortendConfig, RaceClass, WarmSource};
 use portend_bench::crit::fmt_duration;
 use portend_bench::render_table;
-use portend_farm::{Farm, FarmConfig, JobSpec};
-use portend_workloads::by_name;
+use portend_farm::{Farm, JobSpec};
+use portend_workloads::{by_name, Workload};
 
 const CORPUS: [&str; 4] = ["ctrace", "bbuf", "memcached", "pbzip2"];
 const WORKERS: usize = 4;
@@ -39,7 +40,17 @@ fn time_min<F: FnMut()>(samples: u32, mut f: F) -> Duration {
         .expect("at least one sample")
 }
 
-fn classes(result: &portend::PipelineResult) -> Vec<Option<RaceClass>> {
+/// `w` analyzed on `workers` farm workers with a fresh cache.
+fn on_workers(w: &Workload, cfg: &PortendConfig, workers: usize) -> PipelineResult {
+    w.analyze_streamed(
+        cfg.clone(),
+        workers,
+        &WarmSource::default(),
+        &mut |_, _, _| {},
+    )
+}
+
+fn classes(result: &PipelineResult) -> Vec<Option<RaceClass>> {
     result
         .analyzed
         .iter()
@@ -56,20 +67,20 @@ fn main() {
     for name in CORPUS {
         let w = by_name(name).expect("workload exists");
 
-        let serial_result = w.analyze(cfg.clone());
+        let serial_result = on_workers(&w, &cfg, 1);
         let serial = time_min(SAMPLES, || {
-            let r = w.analyze(cfg.clone());
+            let r = on_workers(&w, &cfg, 1);
             assert!(!r.analyzed.is_empty());
         });
 
-        let (parallel_result, stats) = w.analyze_parallel_with_stats(cfg.clone(), WORKERS);
+        let parallel_result = on_workers(&w, &cfg, WORKERS);
         assert_eq!(
             classes(&serial_result),
             classes(&parallel_result),
-            "{name}: parallel verdicts must equal serial verdicts"
+            "{name}: {WORKERS}-worker verdicts must equal 1-worker verdicts"
         );
         let parallel = time_min(SAMPLES, || {
-            let r = w.analyze_parallel(cfg.clone(), WORKERS);
+            let r = on_workers(&w, &cfg, WORKERS);
             assert!(!r.analyzed.is_empty());
         });
 
@@ -77,6 +88,7 @@ fn main() {
         total_parallel += parallel;
         // Critical-path speedup: total classification work over the
         // busiest worker — the wall-clock speedup with >= WORKERS cores.
+        let stats = &parallel_result.farm;
         let critical_path = stats
             .per_worker
             .iter()
@@ -85,8 +97,8 @@ fn main() {
             .unwrap_or(Duration::ZERO)
             .as_secs_f64();
         let cp_speedup = stats.busy_total.as_secs_f64() / critical_path.max(1e-9);
-        let hit_rate = stats.cache_hit_rate().unwrap_or(0.0);
-        let slice_rate = stats.slice_hit_rate().unwrap_or(0.0);
+        let hit_rate = parallel_result.cache.hit_rate();
+        let slice_rate = parallel_result.cache.slice_hit_rate();
         rows.push(vec![
             name.to_string(),
             serial_result.analyzed.len().to_string(),
@@ -136,8 +148,8 @@ fn main() {
             &[
                 "Program",
                 "Races",
-                "Serial",
-                "Parallel",
+                "1 worker",
+                &format!("{WORKERS} workers"),
                 "Wall speedup",
                 "Crit-path speedup",
                 "Cache hit",
@@ -158,22 +170,23 @@ fn main() {
             assert!(!r.analyzed.is_empty());
         }
     });
-    let farm = Farm::new(FarmConfig::with_workers(WORKERS));
-    let corpus_cfg = cfg.clone();
     let t0 = Instant::now();
     let jobs = CORPUS
         .iter()
         .enumerate()
         .map(|(i, name)| JobSpec::new(i, *name))
         .collect();
-    let (outputs, corpus_stats) = farm
-        .run(jobs, move |_w, name: &str| {
+    let mut races = 0;
+    let corpus_stats = Farm::new(WORKERS).run(
+        jobs,
+        |_w, name: &str| {
             let w = by_name(name).expect("workload exists");
-            w.analyze(corpus_cfg.clone()).analyzed.len()
-        })
-        .join();
+            w.analyze(cfg.clone()).analyzed.len()
+        },
+        |out| races += out.result.expect("a workload analysis panicked"),
+    );
     let corpus_parallel = t0.elapsed();
-    assert_eq!(outputs.len(), CORPUS.len());
+    assert!(races > 0);
     println!(
         "corpus fan-out ({} cases): serial {} | farm {} | speedup {:.2}x | {}",
         CORPUS.len(),

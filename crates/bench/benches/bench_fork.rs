@@ -14,7 +14,7 @@
 
 use std::sync::Arc;
 
-use portend::{Pipeline, PortendConfig};
+use portend::{Pipeline, PortendConfig, WarmSource};
 use portend_bench::crit::{black_box, Criterion};
 use portend_bench::{criterion_group, criterion_main, render_table};
 use portend_vm::{
@@ -197,6 +197,9 @@ fn report_classification_forks() {
         input_spec,
         vec![],
         VmConfig::default(),
+        1,
+        &WarmSource::default(),
+        &mut |_, _, _| {},
     );
     let (mut copied, mut shared, mut reused) = (0u64, 0u64, 0u64);
     for a in &result.analyzed {

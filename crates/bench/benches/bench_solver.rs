@@ -242,10 +242,7 @@ fn report_ctrace_warm_start() {
         cache: None,
         store: Some((Arc::clone(&store), w.fingerprint())),
     };
-    let run = || {
-        w.analyze_streamed(PortendConfig::default(), 2, &warm, &mut |_, _, _| {})
-            .0
-    };
+    let run = || w.analyze_streamed(PortendConfig::default(), 2, &warm, &mut |_, _, _| {});
 
     let first = run();
     let second = run();

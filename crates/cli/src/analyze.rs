@@ -118,24 +118,23 @@ pub fn analyze_workload(
     };
 
     let mut io_err = None;
-    let (result, stats) =
-        w.analyze_streamed(config, opts.workers, &warm, &mut |seq, index, race| {
-            if opts.quiet || io_err.is_some() {
-                return;
-            }
-            let frame = Frame::Verdict {
-                request,
-                seq,
-                index: index as u64,
-                race: RaceOutcome::from_analyzed(race).to_json_value(),
-            };
-            io_err = writeln!(out, "{}", frame.render()).err();
-        });
+    let result = w.analyze_streamed(config, opts.workers, &warm, &mut |seq, index, race| {
+        if opts.quiet || io_err.is_some() {
+            return;
+        }
+        let frame = Frame::Verdict {
+            request,
+            seq,
+            index: index as u64,
+            race: RaceOutcome::from_analyzed(race).to_json_value(),
+        };
+        io_err = writeln!(out, "{}", frame.render()).err();
+    });
     if let Some(e) = io_err {
         return Err(e.into());
     }
 
-    let report = RunReport::from_result(w.name, &result).with_farm(stats);
+    let report = RunReport::from_result(w.name, &result);
     if !opts.quiet {
         let done = Frame::Done {
             request,

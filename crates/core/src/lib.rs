@@ -18,9 +18,9 @@
 //!
 //! ## Entry points
 //!
-//! * [`Pipeline`] — detect + classify every race of a program run,
-//!   serially ([`Pipeline::run`]) or on the work-stealing classification
-//!   farm ([`Pipeline::run_parallel`], crate `portend-farm`);
+//! * [`Pipeline`] — detect + classify every race of a program run on
+//!   the work-stealing classification farm ([`Pipeline::run`], crate
+//!   `portend-farm`; a one-worker run classifies on the calling thread);
 //! * [`Portend`] — classify a single race from a recorded trace;
 //! * [`baselines`] — the Record/Replay-Analyzer, Ad-Hoc-Detector, and
 //!   DataCollider-style comparators of the paper's §5.4;

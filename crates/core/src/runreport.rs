@@ -13,7 +13,7 @@
 //! ```text
 //! {
 //!   "format":  "portend-run-report",   readers reject anything else
-//!   "version": 8,                      readers reject unknown versions
+//!   "version": 9,                      readers reject unknown versions
 //!   "label":   "...",                  free-form run label
 //!   "record_time_ns": …,
 //!   "races":   [ { race + verdict/error + counters } … ],
@@ -79,7 +79,11 @@ pub const REPORT_FORMAT_NAME: &str = "portend-run-report";
 /// * v8 — the static pre-analysis left the pipeline: the top-level
 ///   `"static"` member and `"farm"`'s `"static"` member are gone, and
 ///   the `"events"` counts lost `"static_pass"` and `"static_prune"`.
-pub const REPORT_FORMAT_VERSION: u32 = 8;
+/// * v9 — `"farm"` keeps only what the pool measures: it lost
+///   `"cache"` (a copy of the top-level `"cache"`), and
+///   `"fork_bytes_copied"`, `"fork_bytes_shared"` and
+///   `"fork_slices_reused"` (sums of the per-verdict `"stats"`).
+pub const REPORT_FORMAT_VERSION: u32 = 9;
 
 /// Why a report document could not be read.
 #[derive(Debug)]
@@ -303,7 +307,8 @@ pub struct RunReport {
     pub record_time: Duration,
     /// One entry per detected race cluster, in detection order.
     pub races: Vec<RaceOutcome>,
-    /// Farm statistics, when the run used the parallel pipeline.
+    /// Farm statistics. Every report this build writes carries them;
+    /// the field stays nullable for reading.
     pub farm: Option<FarmStats>,
     /// Solver-cache counters. Every report this build writes carries
     /// them; the field stays nullable for reading.
@@ -313,7 +318,7 @@ pub struct RunReport {
 }
 
 impl RunReport {
-    /// Assembles a report from a pipeline result (serial or parallel).
+    /// Assembles a report from a pipeline result.
     pub fn from_result(label: impl Into<String>, result: &PipelineResult) -> Self {
         let races = result
             .analyzed
@@ -324,16 +329,10 @@ impl RunReport {
             label: label.into(),
             record_time: result.record_time,
             races,
-            farm: None,
+            farm: Some(result.farm.clone()),
             cache: Some(result.cache),
             events: None,
         }
-    }
-
-    /// The same report, carrying the parallel run's farm statistics.
-    pub fn with_farm(mut self, stats: FarmStats) -> Self {
-        self.farm = Some(stats);
-        self
     }
 
     /// The same report, carrying the recorded trace's summary.
@@ -572,16 +571,6 @@ fn farm_json(s: &FarmStats) -> Json {
         ("busy_total_ns".into(), dur_json(s.busy_total)),
         ("steals".into(), Json::from(s.steals)),
         (
-            "cache".into(),
-            s.cache.as_ref().map_or(Json::Null, cache_json),
-        ),
-        ("fork_bytes_copied".into(), Json::from(s.fork_bytes_copied)),
-        ("fork_bytes_shared".into(), Json::from(s.fork_bytes_shared)),
-        (
-            "fork_slices_reused".into(),
-            Json::from(s.fork_slices_reused),
-        ),
-        (
             "per_worker".into(),
             Json::Arr(
                 s.per_worker
@@ -772,13 +761,6 @@ fn farm_from(v: &Json) -> Result<FarmStats, ReportError> {
             })
             .collect::<Result<_, ReportError>>()?,
         steals: req_u64(v, "steals")?,
-        cache: match v.get("cache") {
-            None | Some(Json::Null) => None,
-            Some(c) => Some(cache_from(c)?),
-        },
-        fork_bytes_copied: req_u64(v, "fork_bytes_copied")?,
-        fork_bytes_shared: req_u64(v, "fork_bytes_shared")?,
-        fork_slices_reused: req_u64(v, "fork_slices_reused")?,
     })
 }
 
@@ -885,13 +867,6 @@ mod tests {
                     WorkerStats::default(),
                 ],
                 steals: 1,
-                cache: Some(CacheSnapshot {
-                    hits: 7,
-                    misses: 3,
-                    ..Default::default()
-                }),
-                fork_bytes_copied: u64::MAX,
-                ..Default::default()
             }),
             cache: Some(CacheSnapshot {
                 hits: 7,

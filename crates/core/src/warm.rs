@@ -6,11 +6,11 @@
 //! per-program cache) or, by default, a fresh one. `store` names a
 //! managed [`StoreManager`] directory and the program fingerprint to
 //! warm from before classification and save back to after. Every
-//! front end (library, CLI, daemon) reaches the farm through the same
-//! two calls — [`WarmSource::acquire`] and [`WarmSource::release`] —
-//! while serial `Pipeline::run` always classifies with a fresh cache
-//! and no store. Verdicts never depend on either part: the cache is
-//! answer-preserving, and every store failure is a clean cold start.
+//! front end (library, CLI, daemon) reaches the farm through
+//! `Pipeline::run`, which makes the same two calls —
+//! [`WarmSource::acquire`] and [`WarmSource::release`]. Verdicts never
+//! depend on either part: the cache is answer-preserving, and every
+//! store failure is a clean cold start.
 
 use std::sync::Arc;
 

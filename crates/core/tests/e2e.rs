@@ -3,7 +3,10 @@
 
 use std::sync::Arc;
 
-use portend::{AnalysisStages, Pipeline, Portend, PortendConfig, RaceClass, VerdictDetail};
+use portend::{
+    AnalysisStages, Pipeline, PipelineResult, Portend, PortendConfig, RaceClass, VerdictDetail,
+    WarmSource,
+};
 use portend_replay::RecordConfig;
 use portend_symex::CmpOp;
 use portend_vm::{InputSpec, Operand, Program, ProgramBuilder, Scheduler, SymDomain, VmConfig};
@@ -18,6 +21,26 @@ fn pipeline_with(sched: Scheduler) -> Pipeline {
     }
 }
 
+/// Detects and classifies on one farm worker, with no predicates and the
+/// default VM configuration.
+fn run(
+    pipeline: &Pipeline,
+    program: &Arc<Program>,
+    inputs: Vec<i64>,
+    spec: InputSpec,
+) -> PipelineResult {
+    pipeline.run(
+        program,
+        inputs,
+        spec,
+        vec![],
+        VmConfig::default(),
+        1,
+        &WarmSource::default(),
+        &mut |_, _, _| {},
+    )
+}
+
 fn classify_single(
     program: Program,
     inputs: Vec<i64>,
@@ -25,7 +48,7 @@ fn classify_single(
     sched: Scheduler,
 ) -> (RaceClass, portend::Verdict) {
     let program = Arc::new(program);
-    let result = pipeline_with(sched).run(&program, inputs, spec, vec![], VmConfig::default());
+    let result = run(&pipeline_with(sched), &program, inputs, spec);
     assert_eq!(
         result.analyzed.len(),
         1,
@@ -95,12 +118,11 @@ fn lost_update_with_printed_counter_is_output_differs() {
         f.ret(None);
     });
     let program = Arc::new(pb.build(main).unwrap());
-    let result = pipeline_with(Scheduler::RoundRobin).run(
+    let result = run(
+        &pipeline_with(Scheduler::RoundRobin),
         &program,
         vec![],
         InputSpec::concrete(vec![]),
-        vec![],
-        VmConfig::default(),
     );
     // At least one of the distinct races on `counter` must be flagged
     // "output differs" (the lost update changes the printed total).
@@ -138,12 +160,11 @@ fn spin_flag_protected_data_is_single_ordering() {
         f.ret(None);
     });
     let program = Arc::new(pb.build(main).unwrap());
-    let result = pipeline_with(Scheduler::RoundRobin).run(
+    let result = run(
+        &pipeline_with(Scheduler::RoundRobin),
         &program,
         vec![],
         InputSpec::concrete(vec![]),
-        vec![],
-        VmConfig::default(),
     );
     assert!(!result.analyzed.is_empty());
     for a in &result.analyzed {
@@ -186,13 +207,7 @@ fn adhoc_detection_off_misclassifies_spin_races() {
         multi_path: false,
         multi_schedule: false,
     };
-    let result = pipeline.run(
-        &program,
-        vec![],
-        InputSpec::concrete(vec![]),
-        vec![],
-        VmConfig::default(),
-    );
+    let result = run(&pipeline, &program, vec![], InputSpec::concrete(vec![]));
     let data_race = result
         .analyzed
         .iter()
@@ -229,12 +244,11 @@ fn out_of_bounds_in_alternate_is_spec_violated() {
     let program = Arc::new(pb.build(main).unwrap());
     // Cooperative recording: main reads idx=0 first (safe), worker bumps
     // later. The alternate ordering makes main read 4 and crash.
-    let result = pipeline_with(Scheduler::Cooperative).run(
+    let result = run(
+        &pipeline_with(Scheduler::Cooperative),
         &program,
         vec![],
         InputSpec::concrete(vec![]),
-        vec![],
-        VmConfig::default(),
     );
     let race = result
         .analyzed
@@ -284,12 +298,11 @@ fn deadlock_in_alternate_is_spec_violated() {
         f.ret(None);
     });
     let program = Arc::new(pb.build(main).unwrap());
-    let result = pipeline_with(Scheduler::Cooperative).run(
+    let result = run(
+        &pipeline_with(Scheduler::Cooperative),
         &program,
         vec![],
         InputSpec::concrete(vec![]),
-        vec![],
-        VmConfig::default(),
     );
     assert_eq!(result.analyzed.len(), 1);
     let v = result.analyzed[0].verdict.as_ref().expect("classifiable");
@@ -344,12 +357,11 @@ fn input_dependent_output_difference_needs_multi_path() {
     let mut single_only = pipeline_with(Scheduler::Cooperative);
     single_only.portend.stages.multi_path = false;
     single_only.portend.stages.multi_schedule = false;
-    let res = single_only.run(
+    let res = run(
+        &single_only,
         &build(),
         vec![0],
         InputSpec::concrete(vec![0]),
-        vec![],
-        VmConfig::default(),
     );
     assert_eq!(res.analyzed.len(), 1);
     assert_eq!(
@@ -361,12 +373,11 @@ fn input_dependent_output_difference_needs_multi_path() {
     // Full Portend with the input symbolic finds the opt == 1 path where
     // the racy value reaches the output.
     let full = pipeline_with(Scheduler::Cooperative);
-    let res = full.run(
+    let res = run(
+        &full,
         &build(),
         vec![0],
         InputSpec::concrete(vec![0]).with_symbolic(SymDomain::new("opt", 0, 1)),
-        vec![],
-        VmConfig::default(),
     );
     assert_eq!(res.analyzed.len(), 1);
     let v = res.analyzed[0].verdict.as_ref().unwrap();
@@ -399,12 +410,11 @@ fn k_witness_counts_explored_combinations() {
     });
     let program = Arc::new(pb.build(main).unwrap());
     let pipeline = pipeline_with(Scheduler::RoundRobin);
-    let res = pipeline.run(
+    let res = run(
+        &pipeline,
         &program,
         vec![3],
         InputSpec::concrete(vec![3]).with_symbolic(SymDomain::new("opt", 0, 7)),
-        vec![],
-        VmConfig::default(),
     );
     assert_eq!(res.analyzed.len(), 1);
     let v = res.analyzed[0].verdict.as_ref().unwrap();

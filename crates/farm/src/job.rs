@@ -1,5 +1,7 @@
 //! Classification jobs and the harmfulness-first priority heuristic.
 
+use std::time::Duration;
+
 use portend_race::RaceCluster;
 
 /// One unit of farm work: an opaque payload plus scheduling metadata.
@@ -32,6 +34,18 @@ impl<T> JobSpec<T> {
         self.priority = priority;
         self
     }
+}
+
+/// One finished job, as handed to the sink of [`crate::Farm::run`].
+#[derive(Debug, Clone)]
+pub struct JobOutput<R> {
+    /// The caller's job identifier (see [`JobSpec::index`]).
+    pub index: usize,
+    /// What the worker function returned, or the message of the panic
+    /// that ended it: one job's panic never takes down the run.
+    pub result: Result<R, String>,
+    /// Wall-clock execution time of this job.
+    pub time: Duration,
 }
 
 /// Priority of a race cluster: suspected-harmful races first, so the

@@ -9,7 +9,7 @@
 //! buffer; every emission ([`span`], [`instant`]) is then a plain
 //! `Vec::push` into that thread-owned buffer — no locks, no atomics on
 //! the hot path. When the returned [`LaneGuard`] drops (worker exit,
-//! end of the serial run), the buffer is flushed into the recorder
+//! end of the run), the buffer is flushed into the recorder
 //! under a single lock. Threads that never attached pay one
 //! thread-local read and a branch per emission site and allocate
 //! nothing — the recorder-off configuration is free.
@@ -19,8 +19,8 @@
 //! [`Recorder::finish`] orders lanes by `(sort, name)` — keys chosen by
 //! the attach sites from *logical* identity (worker index, role), never
 //! from thread ids or completion order — and keeps each lane's events
-//! in emission order. For a deterministic execution (the serial
-//! pipeline under a fixed seed), the merged sequence of
+//! in emission order. For a deterministic execution (a one-worker
+//! pipeline run under a fixed seed), the merged sequence of
 //! [`Event::skeleton`]s is therefore identical across runs; only the
 //! two timestamp fields vary. The workspace `tests/run_report.rs`
 //! determinism test pins exactly this.

@@ -157,7 +157,7 @@ impl Server {
             store: self.manager.clone().map(|m| (m, fingerprint)),
         };
         let workers = if workers > 0 { workers } else { self.workers };
-        let (result, stats) = w.analyze_streamed(
+        let result = w.analyze_streamed(
             self.analysis.clone(),
             workers,
             &warm,
@@ -170,7 +170,7 @@ impl Server {
                 });
             },
         );
-        let report = RunReport::from_result(w.name, &result).with_farm(stats);
+        let report = RunReport::from_result(w.name, &result);
         out(Frame::Done {
             request: id,
             report: report.to_json_value(),

@@ -14,14 +14,14 @@
 //! **no** race report at all, pinning the detector's soundness side the
 //! same way the positive idioms pin the classifier's.
 //!
-//! `tests/conformance.rs` runs every idiom once serially and once on
-//! the farm, asserting that both equal each other and produced ==
+//! `tests/conformance.rs` runs every idiom once on one farm worker and
+//! once on three, asserting that both equal each other and produced ==
 //! expected for every cell, and renders the table
 //! ([`ConformanceTable`]) as a CI artifact.
 
 use std::sync::Arc;
 
-use portend::{Pipeline, PipelineResult, PortendConfig, RaceClass};
+use portend::{Pipeline, PipelineResult, PortendConfig, RaceClass, WarmSource};
 use portend_replay::RecordConfig;
 use portend_vm::{InputSpec, Program, Scheduler, VmConfig};
 
@@ -117,28 +117,25 @@ impl Idiom {
         v
     }
 
-    /// Runs the full detect + classify pipeline serially.
+    /// Runs the full detect + classify pipeline on one farm worker: the
+    /// calling thread.
     pub fn analyze(&self, config: PortendConfig) -> PipelineResult {
+        self.analyze_parallel(config, 1)
+    }
+
+    /// Like [`Idiom::analyze`], but classifies on the `portend-farm`
+    /// pool with `workers` workers. Verdicts must be byte-identical to
+    /// the one-worker run — that equivalence is a conformance assertion.
+    pub fn analyze_parallel(&self, config: PortendConfig, workers: usize) -> PipelineResult {
         self.pipeline(config).run(
             &self.program,
             self.inputs.clone(),
             self.input_spec.clone(),
             vec![],
             self.vm,
-        )
-    }
-
-    /// Like [`Idiom::analyze`], but classifies on the `portend-farm`
-    /// pool with `workers` threads. Verdicts must be byte-identical to
-    /// the serial path — that equivalence is a conformance assertion.
-    pub fn analyze_parallel(&self, config: PortendConfig, workers: usize) -> PipelineResult {
-        self.pipeline(config).run_parallel(
-            &self.program,
-            self.inputs.clone(),
-            self.input_spec.clone(),
-            vec![],
-            self.vm,
             workers,
+            &WarmSource::default(),
+            &mut |_, _, _| {},
         )
     }
 

@@ -5,7 +5,9 @@
 
 use std::sync::Arc;
 
-use portend::{Pipeline, PipelineResult, PortendConfig, Predicate, RaceClass};
+use portend::{
+    AnalyzedRace, Pipeline, PipelineResult, PortendConfig, Predicate, RaceClass, WarmSource,
+};
 use portend_race::RaceReport;
 use portend_replay::RecordConfig;
 use portend_vm::{InputSpec, Program, Scheduler, VmConfig};
@@ -138,13 +140,14 @@ impl Workload {
     }
 
     /// Runs the full detect + classify pipeline with the given Portend
-    /// configuration (and this workload's default predicates).
+    /// configuration (and this workload's default predicates) on one
+    /// farm worker: the calling thread.
     pub fn analyze(&self, config: PortendConfig) -> PipelineResult {
         self.analyze_with_predicates(config, self.predicates.clone())
     }
 
     /// Runs the pipeline with explicit predicates (e.g. including
-    /// [`Workload::optional_predicates`]).
+    /// [`Workload::optional_predicates`]) on one farm worker.
     pub fn analyze_with_predicates(
         &self,
         config: PortendConfig,
@@ -156,56 +159,28 @@ impl Workload {
             self.input_spec.clone(),
             predicates,
             self.vm,
+            1,
+            &WarmSource::default(),
+            &mut |_, _, _| {},
         )
     }
 
-    /// Like [`Workload::analyze`], but classifies this workload's races
-    /// concurrently on the `portend-farm` pool with `workers` threads
-    /// (`0` = one per CPU). Verdicts are identical to [`Workload::analyze`].
-    /// To warm-start from (and persist back to) a store directory, use
-    /// [`Workload::analyze_streamed`] with a `WarmSource` naming a
+    /// The front-end entry point: this workload's races classified on
+    /// the farm with `workers` workers (`0` = one per CPU), an explicit
+    /// warm lifecycle, and a per-cluster streaming `sink` that observes
+    /// every classified race in completion order (see
+    /// `Pipeline::run`). Verdicts are identical to
+    /// [`Workload::analyze`]'s. To warm-start from (and persist back
+    /// to) a store directory, pass a `WarmSource` naming a
     /// `StoreManager`.
-    pub fn analyze_parallel(&self, config: PortendConfig, workers: usize) -> PipelineResult {
-        self.pipeline(config).run_parallel(
-            &self.program,
-            self.inputs.clone(),
-            self.input_spec.clone(),
-            self.predicates.clone(),
-            self.vm,
-            workers,
-        )
-    }
-
-    /// [`Workload::analyze_parallel`], additionally reporting farm
-    /// statistics (worker utilization, solver-cache hit rate).
-    pub fn analyze_parallel_with_stats(
-        &self,
-        config: PortendConfig,
-        workers: usize,
-    ) -> (PipelineResult, portend::FarmStats) {
-        self.pipeline(config).run_parallel_with_stats(
-            &self.program,
-            self.inputs.clone(),
-            self.input_spec.clone(),
-            self.predicates.clone(),
-            self.vm,
-            workers,
-        )
-    }
-
-    /// [`Workload::analyze_parallel_with_stats`] with an explicit warm
-    /// lifecycle and a per-cluster streaming sink — the front-end entry
-    /// point (see `Pipeline::run_parallel_streamed`): `sink` observes
-    /// every classified race in completion order while the result stays
-    /// byte-identical to the batch call.
     pub fn analyze_streamed(
         &self,
         config: PortendConfig,
         workers: usize,
-        warm: &portend::WarmSource,
-        sink: &mut dyn FnMut(u64, usize, &portend::AnalyzedRace),
-    ) -> (PipelineResult, portend::FarmStats) {
-        self.pipeline(config).run_parallel_streamed(
+        warm: &WarmSource,
+        sink: &mut dyn FnMut(u64, usize, &AnalyzedRace),
+    ) -> PipelineResult {
+        self.pipeline(config).run(
             &self.program,
             self.inputs.clone(),
             self.input_spec.clone(),

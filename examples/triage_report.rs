@@ -88,17 +88,20 @@ fn main() {
     // The reports are this run's machine-readable record: parse every
     // one back (the format is versioned and rejects anything it does
     // not understand) and print the per-workload roll-up — on a second
-    // run of this example the farm summaries show the warm-store loads.
+    // run of this example the warm counters show the warm-store loads.
     println!("\n=== run reports ({}) ===", out_dir.display());
     for path in &report_paths {
         let report = RunReport::read_from(path).expect("report round-trips");
-        let farm = report.farm.as_ref().expect("parallel run records stats");
+        let farm = report.farm.as_ref().expect("every run records farm stats");
+        let cache = report.cache.as_ref().expect("every run records its cache");
         println!(
-            "{:<12} {} races | {} harmful | {} -> {}",
+            "{:<12} {} races | {} harmful | {} | {} warmed, {} warm hits -> {}",
             report.label,
             report.races.len(),
             report.harmful(),
             farm.summary(),
+            cache.warmed,
+            cache.warm_hits,
             path.display(),
         );
     }

@@ -1,14 +1,15 @@
-//! Scenario conformance suite: the labeled idiom corpus, serially and
-//! on the farm.
+//! Scenario conformance suite: the labeled idiom corpus, on one farm
+//! worker and on three.
 //!
-//! Every idiom in `portend_workloads::conformance` runs once through
-//! the serial pipeline and once on the farm (3 workers). For each
+//! Every idiom in `portend_workloads::conformance` runs once on one
+//! worker and once on three. For each
 //! (idiom, allocation) cell the suite records expected vs produced
 //! verdict labels into a [`ConformanceTable`], printed with the test
 //! output and written as a JSON artifact (plus one
 //! `portend-run-report` document per idiom) for CI to upload. Any cell
 //! mismatch — a wrong class, a missed race, a phantom race on a
-//! negative program — or a serial/farm divergence fails the suite.
+//! negative program — or a 1-worker/3-worker divergence fails the
+//! suite.
 //!
 //! Artifacts land in `$CONFORMANCE_TABLE_DIR` (default
 //! `target/conformance/`).
@@ -71,16 +72,16 @@ fn assert_equivalent(name: &str, a: &PipelineResult, b: &PipelineResult) {
     }
 }
 
-/// The headline check: every idiom once serially and once on the farm
-/// (3 workers); the two runs must equal each other, and the produced
-/// verdicts must equal the ground-truth labels.
+/// The headline check: every idiom once on one farm worker and once on
+/// three; the two runs must equal each other, and the produced verdicts
+/// must equal the ground-truth labels.
 #[test]
 fn idiom_by_knob_matrix_matches_labels() {
     let mut table = ConformanceTable::new();
     for idiom in all_idioms() {
         let serial = idiom.analyze(PortendConfig::default());
         let farm = idiom.analyze_parallel(PortendConfig::default(), 3);
-        assert_equivalent(&format!("{} serial vs farm", idiom.name), &serial, &farm);
+        assert_equivalent(&format!("{} 1 vs 3 workers", idiom.name), &serial, &farm);
 
         let produced = produced_labels(&serial);
         if idiom.negative {

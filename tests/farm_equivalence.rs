@@ -1,7 +1,7 @@
-//! Farm equivalence suite: `Pipeline::run_parallel(N)` must produce
-//! verdicts identical to the serial `Pipeline::run` — across the entire
-//! workloads corpus, for any worker count — and identical to an
-//! uncached classification of each race.
+//! Farm equivalence suite: `Pipeline::run` on N workers must produce
+//! verdicts identical to a one-worker run — across the entire workloads
+//! corpus, for any worker count — and identical to an uncached
+//! classification of each race.
 //!
 //! This is the farm's core contract: parallelism and caching change only
 //! *when* work happens, never what is computed. Classification is a pure
@@ -11,7 +11,17 @@
 
 use portend_repro::portend::{PipelineResult, Portend, PortendConfig, WarmSource};
 use portend_repro::portend_farm::cluster_priority;
-use portend_repro::portend_workloads::{all, by_name};
+use portend_repro::portend_workloads::{all, by_name, Workload};
+
+/// `w` analyzed on `workers` farm workers with a fresh cache.
+fn on_workers(w: &Workload, workers: usize) -> PipelineResult {
+    w.analyze_streamed(
+        PortendConfig::default(),
+        workers,
+        &WarmSource::default(),
+        &mut |_, _, _| {},
+    )
+}
 
 /// Asserts full per-cluster equality of two pipeline results.
 fn assert_equivalent(name: &str, serial: &PipelineResult, parallel: &PipelineResult) {
@@ -33,13 +43,13 @@ fn assert_equivalent(name: &str, serial: &PipelineResult, parallel: &PipelineRes
     }
 }
 
-/// The headline property over the full Table 1 corpus at 4 workers.
+/// The headline property over the full Table 1 corpus: 4 workers
+/// against one.
 #[test]
-fn run_parallel_matches_serial_across_the_corpus() {
-    let cfg = PortendConfig::default();
+fn four_workers_match_one_across_the_corpus() {
     for w in all() {
-        let serial = w.analyze(cfg.clone());
-        let parallel = w.analyze_parallel(cfg.clone(), 4);
+        let serial = w.analyze(PortendConfig::default());
+        let parallel = on_workers(&w, 4);
         assert!(
             !serial.analyzed.is_empty(),
             "{}: corpus workload must detect races",
@@ -49,15 +59,14 @@ fn run_parallel_matches_serial_across_the_corpus() {
     }
 }
 
-/// Worker count is irrelevant to the outcome (1 worker degenerates to
-/// serial-on-a-thread; odd counts exercise stealing imbalance).
+/// Worker count is irrelevant to the outcome (one worker runs on the
+/// calling thread; odd counts exercise stealing imbalance).
 #[test]
 fn any_worker_count_agrees_with_serial() {
-    let cfg = PortendConfig::default();
     let w = by_name("ctrace").expect("workload exists");
-    let serial = w.analyze(cfg.clone());
+    let serial = w.analyze(PortendConfig::default());
     for workers in [1, 2, 3, 8] {
-        let parallel = w.analyze_parallel(cfg.clone(), workers);
+        let parallel = on_workers(&w, workers);
         assert_equivalent("ctrace", &serial, &parallel);
     }
 }
@@ -70,7 +79,7 @@ fn farm_verdicts_match_uncached_reference() {
     let cfg = PortendConfig::default();
     for name in ["bbuf", "ctrace"] {
         let w = by_name(name).expect("workload exists");
-        let result = w.analyze_parallel(cfg.clone(), 4);
+        let result = on_workers(&w, 4);
         assert!(!result.analyzed.is_empty(), "{name}: detects races");
         let uncached = Portend::new(cfg.clone());
         for (i, a) in result.analyzed.iter().enumerate() {
@@ -89,9 +98,9 @@ fn farm_verdicts_match_uncached_reference() {
 /// and utilization stays in [0, 1].
 #[test]
 fn farm_stats_are_coherent() {
-    let cfg = PortendConfig::default();
     let w = by_name("ctrace").expect("workload exists");
-    let (result, stats) = w.analyze_parallel_with_stats(cfg, 4);
+    let result = on_workers(&w, 4);
+    let stats = &result.farm;
     assert_eq!(stats.jobs as usize, result.analyzed.len());
     assert_eq!(
         stats.per_worker.iter().map(|p| p.jobs).sum::<u64>(),
@@ -100,7 +109,7 @@ fn farm_stats_are_coherent() {
     );
     let util = stats.utilization();
     assert!((0.0..=1.0).contains(&util), "utilization {util}");
-    let cache = stats.cache.expect("the pipeline attaches its cache");
+    let cache = result.cache;
     // Classification queries arrive at slice granularity; only direct
     // `Solver::check` callers count as whole-query lookups.
     let lookups = cache.hits + cache.misses + cache.slice_hits + cache.slice_misses;
@@ -127,7 +136,7 @@ fn farm_stats_are_coherent() {
 fn one_worker_streams_in_cluster_priority_order() {
     for w in all() {
         let mut streamed = Vec::new();
-        let (result, _) = w.analyze_streamed(
+        let result = w.analyze_streamed(
             PortendConfig::default(),
             1,
             &WarmSource::default(),

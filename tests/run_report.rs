@@ -5,25 +5,31 @@
 //!
 //! 1. **Tracing changes nothing.** A traced run's verdicts, work
 //!    counters, and cache snapshot are structurally identical to an
-//!    untraced run's — serial and parallel. The recorder only observes.
-//!    On the farm the cache's hit/miss split depends on which worker
-//!    misses a shared slice first, so a comparison involving a farm run
-//!    checks only the scheduling-independent cache counters.
+//!    untraced run's — on one worker and on several. The recorder only
+//!    observes. With several workers the cache's hit/miss split depends
+//!    on which worker misses a shared slice first, so a comparison
+//!    involving such a run checks only the scheduling-independent cache
+//!    counters.
 //! 2. **Reports are exact.** A `RunReport` assembled from a live run
 //!    round-trips through its JSON rendering to structural equality,
 //!    and the reader rejects documents from the future (version bumps)
 //!    rather than best-effort parsing them.
 //!
-//! Plus the determinism contract: the *serial* pipeline's merged event
+//! Plus the determinism contract: a *one-worker* run's merged event
 //! sequence is a pure function of (program, inputs, config) modulo
 //! timestamps — two identical runs produce identical event skeletons.
 
 use portend_repro::portend::{
-    CacheSnapshot, PipelineResult, PortendConfig, ReportError, RunReport, TraceConfig,
+    CacheSnapshot, PipelineResult, PortendConfig, ReportError, RunReport, TraceConfig, WarmSource,
     REPORT_FORMAT_NAME, REPORT_FORMAT_VERSION,
 };
 use portend_repro::portend_obs::{json::Json, EventKind, Trace};
-use portend_repro::portend_workloads::by_name;
+use portend_repro::portend_workloads::{by_name, Workload};
+
+/// `w` analyzed with `cfg` on `workers` farm workers and a fresh cache.
+fn on_workers(w: &Workload, cfg: PortendConfig, workers: usize) -> PipelineResult {
+    w.analyze_streamed(cfg, workers, &WarmSource::default(), &mut |_, _, _| {})
+}
 
 fn traced_cfg() -> PortendConfig {
     PortendConfig {
@@ -33,7 +39,7 @@ fn traced_cfg() -> PortendConfig {
 }
 
 /// Structural equality of everything tracing must not perturb, with
-/// full `CacheSnapshot` equality (both runs serial).
+/// full `CacheSnapshot` equality (both runs on one worker).
 fn assert_run_unchanged(name: &str, plain: &PipelineResult, traced: &PipelineResult) {
     assert_eq!(
         plain.cache, traced.cache,
@@ -42,7 +48,7 @@ fn assert_run_unchanged(name: &str, plain: &PipelineResult, traced: &PipelineRes
     assert_verdicts_unchanged(name, plain, traced);
 }
 
-/// The cache counters a farm run fixes regardless of scheduling: lookup
+/// The cache counters a multi-worker run fixes regardless of scheduling: lookup
 /// totals at both granularities, rendered key bytes, resident entries,
 /// and the warm-store counters. Which worker misses a shared slice
 /// first — and so the hit/miss split — is up to the pool.
@@ -60,7 +66,7 @@ fn schedule_free_counters(c: &CacheSnapshot) -> [u64; 9] {
     ]
 }
 
-/// [`assert_run_unchanged`] for comparisons involving a farm run: the
+/// [`assert_run_unchanged`] for comparisons involving a multi-worker run: the
 /// cache is compared through [`schedule_free_counters`] only.
 fn assert_farm_run_unchanged(name: &str, plain: &PipelineResult, traced: &PipelineResult) {
     assert_eq!(
@@ -110,10 +116,10 @@ fn tracing_on_changes_no_verdict_or_counter_serial() {
 #[test]
 fn tracing_on_changes_no_verdict_or_counter_parallel() {
     let w = by_name("ctrace").expect("workload exists");
-    let plain = w.analyze_parallel(PortendConfig::default(), 4);
-    let traced = w.analyze_parallel(traced_cfg(), 4);
+    let plain = on_workers(&w, PortendConfig::default(), 4);
+    let traced = on_workers(&w, traced_cfg(), 4);
     assert_farm_run_unchanged("ctrace/parallel", &plain, &traced);
-    // And the parallel traced run agrees with the serial traced run.
+    // And the parallel traced run agrees with the one-worker traced run.
     let serial = w.analyze(traced_cfg());
     assert_farm_run_unchanged("ctrace/serial-vs-parallel", &serial, &traced);
 }
@@ -130,7 +136,7 @@ fn serial_trace_is_deterministic_modulo_timestamps() {
     assert_eq!(
         a.skeleton(),
         b.skeleton(),
-        "two identical serial runs must record identical event sequences \
+        "two identical one-worker runs must record identical event sequences \
          (lane names, kinds, names, and arguments; only timestamps may differ)"
     );
     assert!(!a.skeleton().is_empty());
@@ -139,9 +145,8 @@ fn serial_trace_is_deterministic_modulo_timestamps() {
 #[test]
 fn live_report_round_trips_to_structural_equality() {
     let w = by_name("ctrace").expect("workload exists");
-    let (result, stats) = w.analyze_parallel_with_stats(traced_cfg(), 3);
+    let result = on_workers(&w, traced_cfg(), 3);
     let report = RunReport::from_result("ctrace-live", &result)
-        .with_farm(stats)
         .with_trace(result.trace.as_ref().expect("traced"));
     assert!(!report.races.is_empty(), "corpus workload detects races");
     assert!(report.farm.is_some() && report.cache.is_some() && report.events.is_some());
@@ -245,7 +250,8 @@ fn chrome_export_is_well_formed_with_spans_per_worker_and_solver_check() {
             trace: Some(TraceConfig::new().with_label(name).with_chrome(&chrome)),
             ..Default::default()
         };
-        let (result, stats) = w.analyze_parallel_with_stats(cfg, 2);
+        let result = on_workers(&w, cfg, 2);
+        let stats = &result.farm;
         let trace: &Trace = result.trace.as_ref().expect("traced");
 
         // The pipeline exported well-formed Chrome JSON to disk.

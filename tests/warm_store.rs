@@ -211,14 +211,13 @@ fn second_run_solves_strictly_less_with_identical_verdicts() {
                 w.fingerprint(),
             )),
         };
-        let run = || {
-            w.analyze_streamed(PortendConfig::default(), 2, &warm, &mut |_, _, _| {})
-                .0
+        let run = |warm: &WarmSource| {
+            w.analyze_streamed(PortendConfig::default(), 2, warm, &mut |_, _, _| {})
         };
 
-        let cold_reference = w.analyze_parallel(PortendConfig::default(), 2);
-        let first = run();
-        let second = run();
+        let cold_reference = run(&WarmSource::default());
+        let first = run(&warm);
+        let second = run(&warm);
 
         let solves =
             |r: &portend_repro::portend::PipelineResult| r.cache.misses + r.cache.slice_misses;
