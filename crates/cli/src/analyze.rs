@@ -1,18 +1,20 @@
 //! One-shot analysis: the `portend analyze` code path.
 //!
-//! This is the same per-request routine the daemon runs — workload →
-//! fingerprint → managed warm store → streamed verdict frames →
-//! terminating report — packaged for a single process invocation. The
-//! frames printed here render through `portend_serve::Frame`, so a
-//! script consuming `portend analyze` output needs no changes to
-//! consume `portend submit` output.
+//! Each workload runs through [`portend_serve::analyze_request`], the
+//! one per-request routine the daemon runs too — workload → fingerprint
+//! → managed warm store → streamed verdict frames → terminating report —
+//! packaged for a single process invocation. The lines printed here are
+//! the lines the daemon writes to its socket, so a script consuming
+//! `portend analyze` output needs no changes to consume `portend submit`
+//! output, and a `--report-dir` file holds the same bytes as the `done`
+//! frame's report.
 
 use std::io::Write;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use portend::{PipelineResult, PortendConfig, RaceOutcome, RunReport, TraceConfig, WarmSource};
-use portend_serve::Frame;
+use portend::{PipelineResult, PortendConfig, RunReport, TraceConfig, WarmSource};
+use portend_serve::LineSink;
 use portend_symex::{StoreBudget, StoreManager};
 use portend_workloads::Workload;
 
@@ -95,8 +97,9 @@ pub fn analyze(
 ///
 /// `request` plays the role of the daemon's request id in the emitted
 /// frames; `manager` is the shared store manager, if warmth persists.
-/// Returns the raw pipeline result (for callers that render Fig. 6
-/// style reports from it) alongside the assembled run report.
+/// With `quiet` no frame is rendered. Returns the raw pipeline result
+/// (for callers that render Fig. 6 style reports from it) alongside the
+/// assembled run report.
 pub fn analyze_workload(
     w: &Workload,
     request: u64,
@@ -117,35 +120,21 @@ pub fn analyze_workload(
         store: manager.map(|m| (Arc::clone(m), w.fingerprint())),
     };
 
-    let mut io_err = None;
-    let result = w.analyze_streamed(config, opts.workers, &warm, &mut |seq, index, race| {
-        if opts.quiet || io_err.is_some() {
-            return;
-        }
-        let frame = Frame::Verdict {
-            request,
-            seq,
-            index: index as u64,
-            race: RaceOutcome::from_analyzed(race).to_json_value(),
-        };
-        io_err = writeln!(out, "{}", frame.render()).err();
-    });
-    if let Some(e) = io_err {
-        return Err(e.into());
-    }
-
-    let report = RunReport::from_result(w.name, &result);
-    if !opts.quiet {
-        let done = Frame::Done {
-            request,
-            report: report.to_json_value(),
-        };
-        writeln!(out, "{}", done.render())?;
-    }
-    if let Some(dir) = &opts.report_dir {
-        report.write_to(dir.join(format!("{}.json", w.name)))?;
-    }
-    Ok((result, report))
+    let report_file = opts
+        .report_dir
+        .as_ref()
+        .map(|dir| dir.join(format!("{}.json", w.name)));
+    let mut write = |line: &str| out.write_all(line.as_bytes());
+    let lines: Option<LineSink<'_>> = if opts.quiet { None } else { Some(&mut write) };
+    Ok(portend_serve::analyze_request(
+        w,
+        request,
+        config,
+        opts.workers,
+        &warm,
+        lines,
+        report_file.as_deref(),
+    )?)
 }
 
 /// Resolves workload names, defaulting to the whole suite.

@@ -58,8 +58,8 @@ pub use portend_obs::{Trace, TraceConfig};
 pub use portend_symex::{CacheSnapshot, WarmPolicy};
 pub use report::render_report;
 pub use runreport::{
-    EventSummary, RaceOutcome, ReportError, RunReport, VerdictReport, REPORT_FORMAT_NAME,
-    REPORT_FORMAT_VERSION,
+    write_report_file, EventSummary, RaceOutcome, ReportError, RunReport, VerdictReport,
+    REPORT_FORMAT_NAME, REPORT_FORMAT_VERSION,
 };
 pub use taxonomy::{
     ClassifyStats, OutputDiffEvidence, RaceClass, ReplayEvidence, SpecViolationKind, Verdict,

@@ -6,9 +6,13 @@
 //!
 //! ## Format
 //!
-//! A single JSON object (hand-rolled through [`portend_obs::json`], in
-//! the same no-external-dependencies spirit as `portend_symex::warm`'s
-//! binary store):
+//! A single JSON object, written straight to bytes by
+//! [`portend_obs::json`]'s direct writer (in the same
+//! no-external-dependencies spirit as `portend_symex::warm`'s binary
+//! store). [`RunReport::write_json`] is the one serializer:
+//! [`RunReport::to_json`], [`RunReport::write_to`] and the serve
+//! daemon's frames all use it, and [`RunReport::to_json_value`] parses
+//! its bytes.
 //!
 //! ```text
 //! {
@@ -44,7 +48,7 @@ use std::path::Path;
 use std::time::Duration;
 
 use portend_farm::{FarmStats, WorkerStats};
-use portend_obs::json::{self, Json};
+use portend_obs::json::{self, write_array, Json, ObjectWriter};
 use portend_obs::{EventKind, Trace};
 use portend_symex::CacheSnapshot;
 
@@ -166,13 +170,35 @@ impl RaceOutcome {
         }
     }
 
-    /// The outcome's canonical JSON value — the exact object
-    /// [`RunReport::to_json`] embeds in `"races"`, exposed so wire
-    /// protocols (the serve daemon's per-cluster verdict frames) render
-    /// through the same code path and stay byte-identical to library
-    /// reports.
+    /// Appends the outcome's canonical JSON object to `out`: the exact
+    /// bytes [`RunReport::to_json`] embeds in `"races"`, and the bytes
+    /// the serve daemon's verdict frames carry.
+    pub fn write_json(&self, out: &mut String) {
+        let mut obj = ObjectWriter::open(out);
+        obj.str("alloc", &self.alloc_name);
+        obj.int("offset", self.offset as u64);
+        obj.int("instances", self.instances);
+        obj.str("display", &self.display);
+        obj.int("time_ns", nanos(self.time));
+        match &self.verdict {
+            Ok(v) => {
+                write_verdict(obj.member("verdict"), v);
+                obj.null("error");
+            }
+            Err(e) => {
+                obj.null("verdict");
+                obj.str("error", e);
+            }
+        }
+        obj.close();
+    }
+
+    /// The outcome's canonical JSON value: [`RaceOutcome::write_json`]'s
+    /// bytes, parsed.
     pub fn to_json_value(&self) -> Json {
-        race_json(self)
+        let mut out = String::new();
+        self.write_json(&mut out);
+        json::parse(&out).expect("the report writer emits valid JSON")
     }
 
     /// Inverse of [`RaceOutcome::to_json_value`].
@@ -325,6 +351,19 @@ impl RunReport {
             .iter()
             .map(RaceOutcome::from_analyzed)
             .collect();
+        Self::from_outcomes(label, result, races)
+    }
+
+    /// [`RunReport::from_result`] with the races already flattened:
+    /// `races` holds [`RaceOutcome::from_analyzed`] of each of
+    /// `result.analyzed`, in the same (detection) order. Streaming front
+    /// ends build each outcome as its race completes and keep it for
+    /// the report.
+    pub fn from_outcomes(
+        label: impl Into<String>,
+        result: &PipelineResult,
+        races: Vec<RaceOutcome>,
+    ) -> Self {
         RunReport {
             label: label.into(),
             record_time: result.record_time,
@@ -351,38 +390,53 @@ impl RunReport {
 
     /// Renders the report as its canonical compact JSON document.
     pub fn to_json(&self) -> String {
-        self.to_json_value().render()
+        let mut out = String::new();
+        self.write_json(&mut out);
+        out
     }
 
-    /// The report as a [`Json`] value — the exact document
-    /// [`RunReport::to_json`] renders, exposed so wire protocols (the
-    /// serve daemon's terminating `done` frame) can embed a report
-    /// inside a larger frame while staying byte-identical to the
-    /// library's own rendering.
+    /// Appends [`RunReport::to_json`]'s bytes to `out`.
+    pub fn write_json(&self, out: &mut String) {
+        self.write_document(out, |out| {
+            write_array(out, &self.races, |out, race| race.write_json(out));
+        });
+    }
+
+    /// [`RunReport::write_json`] with `"races"` spliced from bytes
+    /// already rendered: `races` yields [`RaceOutcome::write_json`] of
+    /// each of the report's races, in order. A front end that rendered
+    /// each race for its verdict frame reuses those bytes here, so the
+    /// frame and the report carry the same bytes by construction.
+    pub fn write_json_spliced<'r>(
+        &self,
+        races: impl IntoIterator<Item = &'r str>,
+        out: &mut String,
+    ) {
+        self.write_document(out, |out| {
+            write_array(out, races, |out, race| out.push_str(race));
+        });
+    }
+
+    /// The report document around a `"races"` array written by `races`.
+    fn write_document(&self, out: &mut String, races: impl FnOnce(&mut String)) {
+        let mut obj = ObjectWriter::open(out);
+        obj.str("format", REPORT_FORMAT_NAME);
+        obj.int("version", REPORT_FORMAT_VERSION);
+        obj.str("label", &self.label);
+        obj.int("record_time_ns", nanos(self.record_time));
+        races(obj.member("races"));
+        write_or_null(obj.member("farm"), self.farm.as_ref(), write_farm);
+        write_or_null(obj.member("cache"), self.cache.as_ref(), write_cache);
+        write_or_null(obj.member("events"), self.events.as_ref(), write_events);
+        obj.close();
+    }
+
+    /// The report as a [`Json`] value: [`RunReport::to_json`]'s bytes,
+    /// parsed. In-process readers that walk the document (the serve
+    /// tests, benchmarks) use it; renderers use
+    /// [`RunReport::write_json`].
     pub fn to_json_value(&self) -> Json {
-        let mut members = vec![
-            ("format".into(), REPORT_FORMAT_NAME.into()),
-            ("version".into(), Json::from(REPORT_FORMAT_VERSION)),
-            ("label".into(), self.label.as_str().into()),
-            ("record_time_ns".into(), dur_json(self.record_time)),
-            (
-                "races".into(),
-                Json::Arr(self.races.iter().map(race_json).collect()),
-            ),
-        ];
-        members.push((
-            "farm".into(),
-            self.farm.as_ref().map_or(Json::Null, farm_json),
-        ));
-        members.push((
-            "cache".into(),
-            self.cache.as_ref().map_or(Json::Null, cache_json),
-        ));
-        members.push((
-            "events".into(),
-            self.events.as_ref().map_or(Json::Null, events_json),
-        ));
-        Json::Obj(members)
+        json::parse(&self.to_json()).expect("the report writer emits valid JSON")
     }
 
     /// Parses a report document, rejecting wrong formats and versions
@@ -430,13 +484,10 @@ impl RunReport {
         })
     }
 
-    /// Writes [`RunReport::to_json`] to `path` atomically (by rename,
-    /// like the warm store — readers never observe a torn report).
+    /// Writes [`RunReport::to_json`] to `path` atomically (see
+    /// [`write_report_file`]).
     pub fn write_to(&self, path: impl AsRef<Path>) -> std::io::Result<()> {
-        let path = path.as_ref();
-        let tmp = path.with_extension("tmp");
-        std::fs::write(&tmp, self.to_json())?;
-        std::fs::rename(&tmp, path)
+        write_report_file(path, &self.to_json())
     }
 
     /// Reads and parses a report from `path`.
@@ -445,84 +496,63 @@ impl RunReport {
     }
 }
 
+/// Writes a rendered report document to `path` atomically (by rename,
+/// like the warm store — readers never observe a torn report).
+pub fn write_report_file(path: impl AsRef<Path>, doc: &str) -> std::io::Result<()> {
+    let path = path.as_ref();
+    let tmp = path.with_extension("tmp");
+    std::fs::write(&tmp, doc)?;
+    std::fs::rename(&tmp, path)
+}
+
 // ---- serialization helpers (writer side) ----------------------------
 
-fn dur_json(d: Duration) -> Json {
-    Json::Int(d.as_nanos() as i128)
+/// A duration as the report's integer nanoseconds.
+fn nanos(d: Duration) -> i128 {
+    d.as_nanos() as i128
 }
 
-fn opt_i64(v: Option<i64>) -> Json {
-    v.map_or(Json::Null, Json::from)
+fn write_or_null<T>(out: &mut String, value: Option<&T>, write: fn(&mut String, &T)) {
+    match value {
+        Some(v) => write(out, v),
+        None => out.push_str("null"),
+    }
 }
 
-fn race_json(r: &RaceOutcome) -> Json {
-    Json::Obj(vec![
-        ("alloc".into(), r.alloc_name.as_str().into()),
-        ("offset".into(), Json::from(r.offset)),
-        ("instances".into(), Json::from(r.instances)),
-        ("display".into(), r.display.as_str().into()),
-        ("time_ns".into(), dur_json(r.time)),
-        (
-            "verdict".into(),
-            match &r.verdict {
-                Ok(v) => verdict_json(v),
-                Err(_) => Json::Null,
-            },
-        ),
-        (
-            "error".into(),
-            match &r.verdict {
-                Ok(_) => Json::Null,
-                Err(e) => e.as_str().into(),
-            },
-        ),
-    ])
+fn write_ints<T: Copy + Into<i128>>(out: &mut String, items: &[T]) {
+    write_array(out, items, |out, &n| json::write_int(out, n.into()));
 }
 
-fn verdict_json(v: &VerdictReport) -> Json {
-    Json::Obj(vec![
-        ("class".into(), v.class.as_str().into()),
-        ("k".into(), Json::from(v.k)),
-        (
-            "states_differ".into(),
-            v.states_differ.map_or(Json::Null, Json::from),
-        ),
-        ("stats".into(), classify_stats_json(&v.stats)),
-        ("detail".into(), detail_json(&v.detail)),
-    ])
+fn write_verdict(out: &mut String, v: &VerdictReport) {
+    let mut obj = ObjectWriter::open(out);
+    obj.str("class", &v.class);
+    obj.int("k", v.k);
+    match v.states_differ {
+        Some(differ) => obj.bool("states_differ", differ),
+        None => obj.null("states_differ"),
+    }
+    write_classify_stats(obj.member("stats"), &v.stats);
+    write_detail(obj.member("detail"), &v.detail);
+    obj.close();
 }
 
-fn classify_stats_json(s: &ClassifyStats) -> Json {
-    Json::Obj(vec![
-        ("primaries".into(), Json::from(s.primaries)),
-        ("alternates".into(), Json::from(s.alternates)),
-        ("preemptions".into(), Json::from(s.preemptions)),
-        (
-            "dependent_branches".into(),
-            Json::from(s.dependent_branches),
-        ),
-        ("instructions".into(), Json::from(s.instructions)),
-        ("interpreted".into(), Json::from(s.interpreted)),
-        (
-            "max_path_instructions".into(),
-            Json::from(s.max_path_instructions),
-        ),
-        (
-            "bytes_copied_on_fork".into(),
-            Json::from(s.bytes_copied_on_fork),
-        ),
-        (
-            "bytes_shared_on_fork".into(),
-            Json::from(s.bytes_shared_on_fork),
-        ),
-        (
-            "slices_reused_at_fork".into(),
-            Json::from(s.slices_reused_at_fork),
-        ),
-    ])
+fn write_classify_stats(out: &mut String, s: &ClassifyStats) {
+    let mut obj = ObjectWriter::open(out);
+    obj.int("primaries", s.primaries);
+    obj.int("alternates", s.alternates);
+    obj.int("preemptions", s.preemptions);
+    obj.int("dependent_branches", s.dependent_branches);
+    obj.int("instructions", s.instructions);
+    obj.int("interpreted", s.interpreted);
+    obj.int("max_path_instructions", s.max_path_instructions);
+    obj.int("bytes_copied_on_fork", s.bytes_copied_on_fork);
+    obj.int("bytes_shared_on_fork", s.bytes_shared_on_fork);
+    obj.int("slices_reused_at_fork", s.slices_reused_at_fork);
+    obj.close();
 }
 
-fn detail_json(d: &DetailReport) -> Json {
+fn write_detail(out: &mut String, d: &DetailReport) {
+    let mut obj = ObjectWriter::open(out);
     match d {
         DetailReport::SpecViolation {
             column,
@@ -530,101 +560,85 @@ fn detail_json(d: &DetailReport) -> Json {
             inputs,
             schedule,
             description,
-        } => Json::Obj(vec![
-            ("type".into(), "spec_violation".into()),
-            ("column".into(), column.as_str().into()),
-            ("message".into(), message.as_str().into()),
-            (
-                "inputs".into(),
-                Json::Arr(inputs.iter().map(|&i| Json::from(i)).collect()),
-            ),
-            (
-                "schedule".into(),
-                Json::Arr(schedule.iter().map(|&t| Json::from(t)).collect()),
-            ),
-            ("description".into(), description.as_str().into()),
-        ]),
-        DetailReport::OutputDiff(ev) => Json::Obj(vec![
-            ("type".into(), "output_diff".into()),
-            ("position".into(), Json::from(ev.position)),
-            ("primary".into(), ev.primary.as_str().into()),
-            ("alternate".into(), ev.alternate.as_str().into()),
-            ("primary_fd".into(), opt_i64(ev.primary_fd)),
-            ("alternate_fd".into(), opt_i64(ev.alternate_fd)),
-            ("primary_len".into(), Json::from(ev.primary_len)),
-            ("alternate_len".into(), Json::from(ev.alternate_len)),
-            ("primary_loc".into(), ev.primary_loc.as_str().into()),
-            (
-                "inputs".into(),
-                Json::Arr(ev.inputs.iter().map(|&i| Json::from(i)).collect()),
-            ),
-        ]),
-        DetailReport::KWitness => Json::Obj(vec![("type".into(), "k_witness".into())]),
-        DetailReport::AdHocSync => Json::Obj(vec![("type".into(), "adhoc_sync".into())]),
+        } => {
+            obj.str("type", "spec_violation");
+            obj.str("column", column);
+            obj.str("message", message);
+            write_ints(obj.member("inputs"), inputs);
+            write_ints(obj.member("schedule"), schedule);
+            obj.str("description", description);
+        }
+        DetailReport::OutputDiff(ev) => {
+            obj.str("type", "output_diff");
+            obj.int("position", ev.position as u64);
+            obj.str("primary", &ev.primary);
+            obj.str("alternate", &ev.alternate);
+            for (key, fd) in [
+                ("primary_fd", ev.primary_fd),
+                ("alternate_fd", ev.alternate_fd),
+            ] {
+                match fd {
+                    Some(fd) => obj.int(key, fd),
+                    None => obj.null(key),
+                }
+            }
+            obj.int("primary_len", ev.primary_len as u64);
+            obj.int("alternate_len", ev.alternate_len as u64);
+            obj.str("primary_loc", &ev.primary_loc);
+            write_ints(obj.member("inputs"), &ev.inputs);
+        }
+        DetailReport::KWitness => obj.str("type", "k_witness"),
+        DetailReport::AdHocSync => obj.str("type", "adhoc_sync"),
     }
+    obj.close();
 }
 
-fn farm_json(s: &FarmStats) -> Json {
-    Json::Obj(vec![
-        ("jobs".into(), Json::from(s.jobs)),
-        ("wall_ns".into(), dur_json(s.wall)),
-        ("busy_total_ns".into(), dur_json(s.busy_total)),
-        ("steals".into(), Json::from(s.steals)),
-        (
-            "per_worker".into(),
-            Json::Arr(
-                s.per_worker
-                    .iter()
-                    .map(|w| {
-                        Json::Obj(vec![
-                            ("jobs".into(), Json::from(w.jobs)),
-                            ("steals".into(), Json::from(w.steals)),
-                            ("busy_ns".into(), dur_json(w.busy)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
+fn write_farm(out: &mut String, s: &FarmStats) {
+    let mut obj = ObjectWriter::open(out);
+    obj.int("jobs", s.jobs);
+    obj.int("wall_ns", nanos(s.wall));
+    obj.int("busy_total_ns", nanos(s.busy_total));
+    obj.int("steals", s.steals);
+    write_array(obj.member("per_worker"), &s.per_worker, |out, w| {
+        let mut worker = ObjectWriter::open(out);
+        worker.int("jobs", w.jobs);
+        worker.int("steals", w.steals);
+        worker.int("busy_ns", nanos(w.busy));
+        worker.close();
+    });
+    obj.close();
 }
 
-fn cache_json(c: &CacheSnapshot) -> Json {
-    Json::Obj(vec![
-        ("hits".into(), Json::from(c.hits)),
-        ("misses".into(), Json::from(c.misses)),
-        ("slice_hits".into(), Json::from(c.slice_hits)),
-        ("slice_misses".into(), Json::from(c.slice_misses)),
-        ("key_bytes".into(), Json::from(c.key_bytes)),
-        ("entries".into(), Json::from(c.entries)),
-        ("evictions".into(), Json::from(c.evictions)),
-        ("second_chances".into(), Json::from(c.second_chances)),
-        ("warmed".into(), Json::from(c.warmed)),
-        ("warm_hits".into(), Json::from(c.warm_hits)),
-        ("warm_validations".into(), Json::from(c.warm_validations)),
-        ("warm_mismatches".into(), Json::from(c.warm_mismatches)),
-        (
-            "warm_rejected_fingerprint".into(),
-            Json::from(c.warm_rejected_fingerprint),
-        ),
-    ])
+fn write_cache(out: &mut String, c: &CacheSnapshot) {
+    let mut obj = ObjectWriter::open(out);
+    obj.int("hits", c.hits);
+    obj.int("misses", c.misses);
+    obj.int("slice_hits", c.slice_hits);
+    obj.int("slice_misses", c.slice_misses);
+    obj.int("key_bytes", c.key_bytes);
+    obj.int("entries", c.entries);
+    obj.int("evictions", c.evictions);
+    obj.int("second_chances", c.second_chances);
+    obj.int("warmed", c.warmed);
+    obj.int("warm_hits", c.warm_hits);
+    obj.int("warm_validations", c.warm_validations);
+    obj.int("warm_mismatches", c.warm_mismatches);
+    obj.int("warm_rejected_fingerprint", c.warm_rejected_fingerprint);
+    obj.close();
 }
 
-fn events_json(e: &EventSummary) -> Json {
-    Json::Obj(vec![
-        ("total".into(), Json::from(e.total)),
-        (
-            "counts".into(),
-            Json::Obj(
-                e.counts
-                    .iter()
-                    .map(|(k, n)| (k.clone(), Json::from(*n)))
-                    .collect(),
-            ),
-        ),
-        ("solver_checks".into(), Json::from(e.solver_checks)),
-        ("slices_examined".into(), Json::from(e.slices_examined)),
-        ("nodes_visited".into(), Json::from(e.nodes_visited)),
-    ])
+fn write_events(out: &mut String, e: &EventSummary) {
+    let mut obj = ObjectWriter::open(out);
+    obj.int("total", e.total);
+    let mut counts = ObjectWriter::open(obj.member("counts"));
+    for (kind, n) in &e.counts {
+        counts.int(kind, *n);
+    }
+    counts.close();
+    obj.int("solver_checks", e.solver_checks);
+    obj.int("slices_examined", e.slices_examined);
+    obj.int("nodes_visited", e.nodes_visited);
+    obj.close();
 }
 
 // ---- deserialization helpers (reader side) --------------------------
@@ -901,6 +915,30 @@ mod tests {
         assert_eq!(parsed, report);
         // And the canonical rendering is stable under the cycle.
         assert_eq!(parsed.to_json(), rendered);
+    }
+
+    /// `sample_report().to_json()` as the tree-building writer rendered
+    /// it, captured once: the direct writer must keep every byte.
+    const SAMPLE_REPORT_JSON: &str = r#"{"format":"portend-run-report","version":9,"label":"sample \"quoted\"\nlabel","record_time_ns":1500000,"races":[{"alloc":"balance","offset":4,"instances":12,"display":"balance[4]: W@t1 / R@t2","time_ns":31000000,"verdict":{"class":"specViol","k":0,"states_differ":true,"stats":{"primaries":5,"alternates":10,"preemptions":0,"dependent_branches":0,"instructions":123456,"interpreted":23456,"max_path_instructions":0,"bytes_copied_on_fork":1099511627776,"bytes_shared_on_fork":0,"slices_reused_at_fork":0},"detail":{"type":"spec_violation","column":"semantic","message":"semantic violation: ts < 0","inputs":[3,-7],"schedule":[0,2,1],"description":"negative timestamp printed"}},"error":null},{"alloc":"flag","offset":0,"instances":1,"display":"flag[0]","time_ns":999,"verdict":null,"error":"race not reproducible"}],"farm":{"jobs":2,"wall_ns":40000000,"busy_total_ns":62000000,"steals":1,"per_worker":[{"jobs":1,"steals":1,"busy_ns":31000000},{"jobs":0,"steals":0,"busy_ns":0}]},"cache":{"hits":7,"misses":3,"slice_hits":40,"slice_misses":8,"key_bytes":1048576,"entries":48,"evictions":1,"second_chances":2,"warmed":30,"warm_hits":25,"warm_validations":3,"warm_mismatches":0,"warm_rejected_fingerprint":1},"events":{"total":60,"counts":{"phase":2,"solver_check":58},"solver_checks":58,"slices_examined":174,"nodes_visited":9000}}"#;
+
+    #[test]
+    fn report_bytes_match_the_pinned_format() {
+        let report = sample_report();
+        assert_eq!(report.to_json(), SAMPLE_REPORT_JSON);
+        assert_eq!(report.to_json_value().render(), SAMPLE_REPORT_JSON);
+        let races: Vec<String> = report
+            .races
+            .iter()
+            .map(|r| {
+                let mut out = String::new();
+                r.write_json(&mut out);
+                assert_eq!(r.to_json_value().render(), out);
+                out
+            })
+            .collect();
+        let mut spliced = String::new();
+        report.write_json_spliced(races.iter().map(String::as_str), &mut spliced);
+        assert_eq!(spliced, SAMPLE_REPORT_JSON);
     }
 
     #[test]

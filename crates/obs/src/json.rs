@@ -1,11 +1,17 @@
-//! A minimal, dependency-free JSON value tree: writer and parser.
+//! A minimal, dependency-free JSON writer, value tree and parser.
 //!
 //! The container this reproduction builds in has no access to crates.io,
 //! so `serde`/`serde_json` cannot be vendored; this module provides the
-//! narrow surface the observability exporters need — build a [`Json`]
-//! tree, render it compactly, parse it back — in the same hand-rolled
-//! spirit as `portend_symex::warm`'s on-disk format and
-//! `portend_bench::crit`'s criterion substitute.
+//! narrow surface the observability exporters need — write compact JSON
+//! straight into a `String`, build a [`Json`] tree, parse it back — in
+//! the same hand-rolled spirit as `portend_symex::warm`'s on-disk format
+//! and `portend_bench::crit`'s criterion substitute.
+//!
+//! The direct writer ([`ObjectWriter`], [`write_array`], [`write_int`])
+//! appends to a caller's buffer without building a tree; the output
+//! types (`RunReport`, the daemon's frames) render through it.
+//! [`Json::write_to`] renders a tree with the same functions, so a
+//! document and its parsed tree render to the same bytes.
 //!
 //! Integers are carried as `i128` so every `u64` counter round-trips
 //! exactly (floats are supported for parsing generality, but the
@@ -105,18 +111,17 @@ impl Json {
     /// Renders the value as compact JSON (no insignificant whitespace).
     pub fn render(&self) -> String {
         let mut out = String::new();
-        self.write(&mut out);
+        self.write_to(&mut out);
         out
     }
 
-    fn write(&self, out: &mut String) {
+    /// Appends [`Json::render`]'s bytes to `out`, without a temporary
+    /// `String`.
+    pub fn write_to(&self, out: &mut String) {
         match self {
             Json::Null => out.push_str("null"),
-            Json::Bool(true) => out.push_str("true"),
-            Json::Bool(false) => out.push_str("false"),
-            Json::Int(i) => {
-                let _ = write!(out, "{i}");
-            }
+            Json::Bool(b) => write_bool(out, *b),
+            Json::Int(i) => write_int(out, *i),
             Json::Float(f) => {
                 // JSON has no NaN/Infinity; map them to null rather
                 // than emitting an unparseable document.
@@ -126,28 +131,14 @@ impl Json {
                     out.push_str("null");
                 }
             }
-            Json::Str(s) => write_string(s, out),
-            Json::Arr(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    item.write(out);
-                }
-                out.push(']');
-            }
+            Json::Str(s) => write_str(out, s),
+            Json::Arr(items) => write_array(out, items, |out, item| item.write_to(out)),
             Json::Obj(members) => {
-                out.push('{');
-                for (i, (k, v)) in members.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    write_string(k, out);
-                    out.push(':');
-                    v.write(out);
+                let mut obj = ObjectWriter::open(out);
+                for (k, v) in members {
+                    v.write_to(obj.member(k));
                 }
-                out.push('}');
+                obj.close();
             }
         }
     }
@@ -196,22 +187,151 @@ impl From<u32> for Json {
     }
 }
 
-fn write_string(s: &str, out: &mut String) {
+/// Appends `s` as a JSON string literal. `"`, `\` and the control
+/// characters below U+0020 are escaped (`\n`, `\r` and `\t` by name,
+/// the rest as `\u00XX`); every other character, DEL and non-ASCII
+/// included, is copied as is. Runs that need no escape are copied whole.
+fn write_str(out: &mut String, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+    let mut copied = 0;
+    for (at, &b) in s.as_bytes().iter().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        // `b` is ASCII, so `at` is a char boundary.
+        out.push_str(&s[copied..at]);
+        if escape.is_empty() {
+            out.push_str("\\u00");
+            out.push(char::from(HEX[usize::from(b >> 4)]));
+            out.push(char::from(HEX[usize::from(b & 0xf)]));
+        } else {
+            out.push_str(escape);
+        }
+        copied = at + 1;
+    }
+    out.push_str(&s[copied..]);
+    out.push('"');
+}
+
+fn write_u64(out: &mut String, mut n: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
         }
     }
-    out.push('"');
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
+}
+
+/// Appends `n` in decimal; every value in `i64` or `u64` range is
+/// written without `fmt`.
+pub fn write_int(out: &mut String, n: i128) {
+    if let Ok(n) = u64::try_from(n) {
+        write_u64(out, n);
+    } else if let Ok(n) = i64::try_from(n) {
+        out.push('-');
+        write_u64(out, n.unsigned_abs());
+    } else {
+        let _ = write!(out, "{n}");
+    }
+}
+
+fn write_bool(out: &mut String, b: bool) {
+    out.push_str(if b { "true" } else { "false" });
+}
+
+/// Appends `items` as a JSON array, writing each element with `each`.
+pub fn write_array<T>(
+    out: &mut String,
+    items: impl IntoIterator<Item = T>,
+    mut each: impl FnMut(&mut String, T),
+) {
+    out.push('[');
+    for (at, item) in items.into_iter().enumerate() {
+        if at > 0 {
+            out.push(',');
+        }
+        each(out, item);
+    }
+    out.push(']');
+}
+
+/// Writes one JSON object straight into a `String`, members in call
+/// order: the bytes a [`Json::Obj`] with the same members renders to.
+///
+/// ```
+/// use portend_obs::json::ObjectWriter;
+///
+/// let mut out = String::new();
+/// let mut obj = ObjectWriter::open(&mut out);
+/// obj.str("name", "x\"y");
+/// obj.int("n", 42u64);
+/// obj.null("none");
+/// obj.member("raw").push_str("[1,2]");
+/// obj.close();
+/// assert_eq!(out, r#"{"name":"x\"y","n":42,"none":null,"raw":[1,2]}"#);
+/// ```
+#[derive(Debug)]
+pub struct ObjectWriter<'a> {
+    out: &'a mut String,
+    empty: bool,
+}
+
+impl<'a> ObjectWriter<'a> {
+    /// Opens an object at the end of `out`.
+    pub fn open(out: &'a mut String) -> Self {
+        out.push('{');
+        ObjectWriter { out, empty: true }
+    }
+
+    /// Writes the next member's key and returns the buffer its value
+    /// goes to. Write exactly one JSON value there before the next
+    /// member or [`ObjectWriter::close`].
+    pub fn member(&mut self, key: &str) -> &mut String {
+        if !self.empty {
+            self.out.push(',');
+        }
+        self.empty = false;
+        write_str(self.out, key);
+        self.out.push(':');
+        self.out
+    }
+
+    /// A string member.
+    pub fn str(&mut self, key: &str, value: &str) {
+        write_str(self.member(key), value);
+    }
+
+    /// An integer member.
+    pub fn int(&mut self, key: &str, value: impl Into<i128>) {
+        write_int(self.member(key), value.into());
+    }
+
+    /// A boolean member.
+    pub fn bool(&mut self, key: &str, value: bool) {
+        write_bool(self.member(key), value);
+    }
+
+    /// A `null` member.
+    pub fn null(&mut self, key: &str) {
+        self.member(key).push_str("null");
+    }
+
+    /// Closes the object.
+    pub fn close(self) {
+        self.out.push('}');
+    }
 }
 
 /// A parse failure: what went wrong and the byte offset it was noticed
@@ -539,6 +659,76 @@ mod tests {
     fn non_finite_floats_render_as_null() {
         assert_eq!(Json::Float(f64::NAN).render(), "null");
         assert_eq!(Json::Float(2.5).render(), "2.5");
+    }
+
+    /// The escaper the bulk one replaced: one `char` at a time.
+    fn reference_escape(s: &str) -> String {
+        let mut out = String::from('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => {
+                    let _ = write!(out, "\\u{:04x}", c as u32);
+                }
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+        out
+    }
+
+    #[test]
+    fn escaper_matches_the_per_char_reference_on_every_class() {
+        let cases = [
+            "",
+            "plain ascii",
+            "\"",
+            "\\",
+            "\n",
+            "\r",
+            "\t",
+            "\u{1}",
+            "\u{1f}",
+            "\u{7f}",
+            "é",
+            "😀",
+            "a\"b\\c\nd\re\tf\u{1}g\u{1f}h\u{7f}iéj😀k",
+            "\"\"\\\\\n\n",
+            "trailing run after an escape\u{0}",
+        ];
+        for s in cases {
+            let mut out = String::new();
+            write_str(&mut out, s);
+            assert_eq!(out, reference_escape(s), "{s:?}");
+            assert_eq!(parse(&out), Ok(Json::Str(s.to_string())), "{s:?}");
+        }
+        let mut out = String::new();
+        write_str(&mut out, "\u{1}\u{1f}\u{7f}");
+        assert_eq!(out, "\"\\u0001\\u001f\u{7f}\"");
+    }
+
+    #[test]
+    fn integers_write_like_fmt() {
+        for n in [
+            0i128,
+            7,
+            10,
+            1 << 40,
+            u64::MAX as i128,
+            -1,
+            i64::MIN as i128,
+            u64::MAX as i128 + 1,
+            i128::MIN,
+            i128::MAX,
+        ] {
+            let mut out = String::new();
+            write_int(&mut out, n);
+            assert_eq!(out, n.to_string());
+        }
     }
 
     #[test]

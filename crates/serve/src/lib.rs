@@ -18,19 +18,23 @@
 //!   count budget, and distinctly rejects stores from other programs —
 //!   warmth survives daemon restarts.
 //!
-//! Streaming changes *when* a client sees a verdict, never *what*:
-//! every `verdict` frame's `race` object is byte-identical to the
-//! corresponding entry of the terminating report's `races` array, and
-//! that report is byte-identical to a direct
-//! [`portend::RunReport`]-producing library call.
+//! Streaming changes *when* a client sees a verdict, never *what*. Both
+//! front ends — the daemon and `portend analyze` — run one per-request
+//! routine, [`analyze_request`], which renders each race once and
+//! splices those bytes into its `verdict` frame and into the terminating
+//! report's `races` array. Frame/report byte identity therefore holds
+//! by construction, and the report is byte-identical to a direct
+//! [`portend::RunReport::to_json`] of the same run.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
+mod analyze;
 pub mod protocol;
 mod server;
 
-pub use protocol::{Frame, Request};
+pub use analyze::{analyze_request, LineSink};
+pub use protocol::{Frame, Request, VERDICT_PREFIX};
 pub use server::{Server, ServerConfig, SESSION_IO_TIMEOUT};
 
 #[cfg(test)]

@@ -26,13 +26,19 @@
 //! classify — and therefore stream — first); `index` is the cluster's
 //! *detection* order, its position in the terminating report's
 //! `"races"` array. The `race` object is byte-identical to
-//! `report.races[index]`: both render through
-//! [`portend::RaceOutcome::to_json_value`], which is the same code path
-//! `RunReport::to_json` uses — a streaming client and a batch client
-//! can never disagree about a verdict. The `report` object is the full
-//! versioned [`portend::RunReport`] document (farm statistics
-//! included), so `done` alone equals what a direct library call would
-//! have produced.
+//! `report.races[index]` by construction: [`crate::analyze_request`]
+//! renders each race once ([`portend::RaceOutcome::write_json`]) and
+//! splices those same bytes into its verdict frame and into the `done`
+//! frame's report ([`portend::RunReport::write_json_spliced`]) — a
+//! streaming client and a batch client can never disagree about a
+//! verdict. The `report` object is the full versioned
+//! [`portend::RunReport`] document (farm statistics included), byte for
+//! byte what `RunReport::to_json` and `portend analyze --report-dir`
+//! write.
+//!
+//! Every verdict line starts with [`VERDICT_PREFIX`] and every other
+//! frame does not, so a client relaying one request's frames
+//! (`portend submit`) stops at the first line without it, unparsed.
 //!
 //! `ping` answers `{"frame":"pong","request":N}`; `shutdown` answers
 //! `{"frame":"bye","request":N}` and ends the session. Any failure
@@ -47,7 +53,12 @@
 //! or takes no frame, for that long has its session closed, and the
 //! next connection is served.
 
-use portend_obs::json::{self, Json};
+use portend_obs::json::{self, Json, ObjectWriter};
+
+/// The bytes every verdict frame line starts with, and no other frame
+/// line does: the envelope [`Frame::render`] and
+/// [`crate::analyze_request`] write opens with the `"frame"` member.
+pub const VERDICT_PREFIX: &str = "{\"frame\":\"verdict\",";
 
 /// A client request, one JSON object per line.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -185,47 +196,39 @@ pub enum Frame {
 impl Frame {
     /// Renders the frame as its wire line (no trailing newline).
     pub fn render(&self) -> String {
-        let members = match self {
+        let mut out = String::new();
+        match self {
             Frame::Verdict {
                 request,
                 seq,
                 index,
                 race,
-            } => vec![
-                ("frame".into(), "verdict".into()),
-                ("request".into(), Json::from(*request)),
-                ("seq".into(), Json::from(*seq)),
-                ("index".into(), Json::from(*index)),
-                ("race".into(), race.clone()),
-            ],
-            Frame::Done { request, report } => vec![
-                ("frame".into(), "done".into()),
-                ("request".into(), Json::from(*request)),
-                ("report".into(), report.clone()),
-            ],
-            Frame::Pong { request } => vec![
-                ("frame".into(), "pong".into()),
-                ("request".into(), Json::from(*request)),
-            ],
-            Frame::Bye { request } => vec![
-                ("frame".into(), "bye".into()),
-                ("request".into(), Json::from(*request)),
-            ],
-            Frame::Error { request, message } => vec![
-                ("frame".into(), "error".into()),
-                ("request".into(), Json::from(*request)),
-                ("message".into(), message.as_str().into()),
-            ],
-        };
-        Json::Obj(members).render()
+            } => write_verdict(&mut out, *request, *seq, *index, |out| race.write_to(out)),
+            Frame::Done { request, report } => {
+                write_done(&mut out, *request, |out| report.write_to(out));
+            }
+            Frame::Pong { request } => envelope(&mut out, "pong", *request).close(),
+            Frame::Bye { request } => envelope(&mut out, "bye", *request).close(),
+            Frame::Error { request, message } => {
+                let mut obj = envelope(&mut out, "error", *request);
+                obj.str("message", message);
+                obj.close();
+            }
+        }
+        out
     }
 
-    /// Parses one frame line (what a `submit` client reads back).
+    /// Parses one frame line (what a `submit` client reads back). The
+    /// `race` and `report` payloads are moved out of the parsed line,
+    /// not copied.
     pub fn parse(line: &str) -> Result<Frame, String> {
-        let doc = json::parse(line).map_err(|e| format!("frame is not JSON: {e}"))?;
+        let mut doc = json::parse(line).map_err(|e| format!("frame is not JSON: {e}"))?;
         let request = doc.get("request").and_then(Json::as_u64).unwrap_or(0);
-        match doc.get("frame").and_then(Json::as_str) {
-            Some("verdict") => Ok(Frame::Verdict {
+        let Some(Json::Str(kind)) = take(&mut doc, "frame") else {
+            return Err("frame missing \"frame\"".to_string());
+        };
+        match kind.as_str() {
+            "verdict" => Ok(Frame::Verdict {
                 request,
                 seq: doc
                     .get("seq")
@@ -235,21 +238,15 @@ impl Frame {
                     .get("index")
                     .and_then(Json::as_u64)
                     .ok_or("verdict frame missing \"index\"")?,
-                race: doc
-                    .get("race")
-                    .cloned()
-                    .ok_or("verdict frame missing \"race\"")?,
+                race: take(&mut doc, "race").ok_or("verdict frame missing \"race\"")?,
             }),
-            Some("done") => Ok(Frame::Done {
+            "done" => Ok(Frame::Done {
                 request,
-                report: doc
-                    .get("report")
-                    .cloned()
-                    .ok_or("done frame missing \"report\"")?,
+                report: take(&mut doc, "report").ok_or("done frame missing \"report\"")?,
             }),
-            Some("pong") => Ok(Frame::Pong { request }),
-            Some("bye") => Ok(Frame::Bye { request }),
-            Some("error") => Ok(Frame::Error {
+            "pong" => Ok(Frame::Pong { request }),
+            "bye" => Ok(Frame::Bye { request }),
+            "error" => Ok(Frame::Error {
                 request,
                 message: doc
                     .get("message")
@@ -257,10 +254,50 @@ impl Frame {
                     .unwrap_or("")
                     .to_string(),
             }),
-            Some(other) => Err(format!("unknown frame {other:?}")),
-            None => Err("frame missing \"frame\"".to_string()),
+            other => Err(format!("unknown frame {other:?}")),
         }
     }
+}
+
+/// Opens a frame's envelope: its `"frame"` kind and `"request"` id.
+fn envelope<'a>(out: &'a mut String, kind: &str, request: u64) -> ObjectWriter<'a> {
+    let mut obj = ObjectWriter::open(out);
+    obj.str("frame", kind);
+    obj.int("request", request);
+    obj
+}
+
+/// Appends a verdict frame whose `race` value `race` writes.
+pub(crate) fn write_verdict(
+    out: &mut String,
+    request: u64,
+    seq: u64,
+    index: u64,
+    race: impl FnOnce(&mut String),
+) {
+    let mut obj = envelope(out, "verdict", request);
+    obj.int("seq", seq);
+    obj.int("index", index);
+    race(obj.member("race"));
+    obj.close();
+}
+
+/// Appends a `done` frame whose `report` value `report` writes.
+pub(crate) fn write_done(out: &mut String, request: u64, report: impl FnOnce(&mut String)) {
+    let mut obj = envelope(out, "done", request);
+    report(obj.member("report"));
+    obj.close();
+}
+
+/// Moves the value of `doc`'s first `key` member out, leaving `null`.
+fn take(doc: &mut Json, key: &str) -> Option<Json> {
+    let Json::Obj(members) = doc else {
+        return None;
+    };
+    members
+        .iter_mut()
+        .find(|(k, _)| k == key)
+        .map(|(_, v)| std::mem::replace(v, Json::Null))
 }
 
 #[cfg(test)]
@@ -291,9 +328,8 @@ mod tests {
         assert!(Request::parse("{\"op\":\"analyze\",\"id\":1}").is_err());
     }
 
-    #[test]
-    fn frames_round_trip_through_the_wire_format() {
-        let frames = [
+    fn sample_frames() -> [Frame; 5] {
+        [
             Frame::Verdict {
                 request: 7,
                 seq: 0,
@@ -310,10 +346,60 @@ mod tests {
                 request: 0,
                 message: "unknown workload \"nope\"".into(),
             },
-        ];
-        for f in frames {
+        ]
+    }
+
+    #[test]
+    fn frames_round_trip_through_the_wire_format() {
+        for f in sample_frames() {
             assert_eq!(Frame::parse(&f.render()).unwrap(), f);
         }
         assert!(Frame::parse("{\"frame\":\"quux\"}").is_err());
+    }
+
+    /// The envelope writer emits the bytes of the frame's members as a
+    /// `Json` tree, and only verdict lines carry [`VERDICT_PREFIX`].
+    #[test]
+    fn frames_render_as_their_member_trees() {
+        for f in sample_frames() {
+            let (kind, request, payload) = match &f {
+                Frame::Verdict {
+                    request,
+                    seq,
+                    index,
+                    race,
+                } => (
+                    "verdict",
+                    *request,
+                    vec![
+                        ("seq".into(), Json::from(*seq)),
+                        ("index".into(), Json::from(*index)),
+                        ("race".into(), race.clone()),
+                    ],
+                ),
+                Frame::Done { request, report } => {
+                    ("done", *request, vec![("report".into(), report.clone())])
+                }
+                Frame::Pong { request } => ("pong", *request, vec![]),
+                Frame::Bye { request } => ("bye", *request, vec![]),
+                Frame::Error { request, message } => (
+                    "error",
+                    *request,
+                    vec![("message".into(), message.as_str().into())],
+                ),
+            };
+            let mut members = vec![
+                ("frame".into(), kind.into()),
+                ("request".into(), Json::from(request)),
+            ];
+            members.extend(payload);
+            let line = f.render();
+            assert_eq!(line, Json::Obj(members).render());
+            assert_eq!(
+                line.starts_with(VERDICT_PREFIX),
+                kind == "verdict",
+                "{line}"
+            );
+        }
     }
 }

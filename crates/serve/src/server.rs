@@ -2,16 +2,17 @@
 //! managed warm-store lifecycle, and the stdio / Unix-socket loops.
 
 use std::collections::HashMap;
-use std::io::{BufRead, Read, Write};
+use std::io::{self, BufRead, Read, Write};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use portend::{PortendConfig, RaceOutcome, RunReport, WarmSource};
+use portend::{PortendConfig, WarmSource};
 use portend_obs::EventKind;
 use portend_symex::{SolverCache, StoreBudget, StoreManager, WarmStoreError, DEFAULT_SHARDS};
 
+use crate::analyze::{analyze_request, LineSink};
 use crate::protocol::{Frame, Request};
 
 /// The longest request line [`Server::serve_io`] accepts, in bytes,
@@ -49,11 +50,11 @@ pub struct ServerConfig {
 /// capital compounds both in-memory (within the daemon's lifetime) and
 /// on disk (across daemon restarts, via the managed stores).
 ///
-/// The server is transport-agnostic: [`Server::handle_line`] maps one
-/// request line to a sequence of frame lines, and
-/// [`Server::serve_stdio`] / [`Server::serve_unix`] are thin loops over
-/// it. Frames stream — the `out` callback fires per classified cluster,
-/// not per request.
+/// The server is transport-agnostic: one private routine maps a request
+/// line to its finished frame lines, [`Server::serve_stdio`] /
+/// [`Server::serve_unix`] write those lines as they come, and
+/// [`Server::handle_line`] hands them over parsed. Frames stream — a
+/// line is emitted per classified cluster, not per request.
 pub struct Server {
     manager: Option<Arc<StoreManager>>,
     caches: Mutex<HashMap<u64, Arc<SolverCache>>>,
@@ -94,57 +95,61 @@ impl Server {
     }
 
     /// Handles one request line, emitting zero or more frames through
-    /// `out`. Returns `false` when the session should end (a shutdown
-    /// was acknowledged).
+    /// `out`: each is [`Frame::parse`] of a line the socket transport
+    /// would have written. Returns `false` when the session should end
+    /// (a shutdown was acknowledged).
     pub fn handle_line(&self, line: &str, out: &mut dyn FnMut(Frame)) -> bool {
-        let line = line.trim();
-        if line.is_empty() {
-            return true;
-        }
-        match Request::parse(line) {
-            Ok(req) => self.handle(&req, out),
-            Err(message) => {
-                out(Frame::Error {
-                    request: 0,
-                    message,
-                });
-                true
-            }
-        }
+        self.respond(line, &mut |reply| {
+            out(Frame::parse(reply).expect("the daemon's own frame lines parse"));
+            Ok(())
+        })
+        .expect("the frame callback never fails")
     }
 
-    /// Handles one parsed request. Returns `false` on shutdown.
-    pub fn handle(&self, req: &Request, out: &mut dyn FnMut(Frame)) -> bool {
-        match req {
-            Request::Ping { id } => {
-                out(Frame::Pong { request: *id });
-                true
-            }
-            Request::Shutdown { id } => {
+    /// Answers one request line, passing each finished frame line
+    /// (newline included) to `emit`. Returns `Ok(false)` when the
+    /// session should end (a shutdown was acknowledged); an `emit`
+    /// failure is returned once the request has been handled.
+    fn respond(&self, line: &str, emit: LineSink<'_>) -> io::Result<bool> {
+        let line = line.trim();
+        if line.is_empty() {
+            return Ok(true);
+        }
+        match Request::parse(line) {
+            Ok(Request::Ping { id }) => emit(&frame_line(&Frame::Pong { request: id }))?,
+            Ok(Request::Shutdown { id }) => {
                 self.shutdown.store(true, Ordering::Relaxed);
-                out(Frame::Bye { request: *id });
-                false
+                emit(&frame_line(&Frame::Bye { request: id }))?;
+                return Ok(false);
             }
-            Request::Analyze {
+            Ok(Request::Analyze {
                 id,
                 workload,
                 workers,
-            } => {
-                self.analyze(*id, workload, *workers, out);
-                true
-            }
+            }) => self.analyze(id, &workload, workers, emit)?,
+            Err(message) => emit(&frame_line(&Frame::Error {
+                request: 0,
+                message,
+            }))?,
         }
+        Ok(true)
     }
 
-    /// Runs one analysis request, streaming a verdict frame per
-    /// classified cluster and terminating with the full run report.
-    fn analyze(&self, id: u64, workload: &str, workers: usize, out: &mut dyn FnMut(Frame)) {
+    /// Runs one analysis request through [`analyze_request`], streaming a
+    /// verdict line per classified cluster and terminating with the
+    /// full run report.
+    fn analyze(
+        &self,
+        id: u64,
+        workload: &str,
+        workers: usize,
+        emit: LineSink<'_>,
+    ) -> io::Result<()> {
         let Some(w) = portend_workloads::by_name(workload) else {
-            out(Frame::Error {
+            return emit(&frame_line(&Frame::Error {
                 request: id,
                 message: format!("unknown workload {workload:?}"),
-            });
-            return;
+            }));
         };
         let fingerprint = w.fingerprint();
         portend_obs::instant(EventKind::RequestStart, id, fingerprint);
@@ -157,24 +162,16 @@ impl Server {
             store: self.manager.clone().map(|m| (m, fingerprint)),
         };
         let workers = if workers > 0 { workers } else { self.workers };
-        let result = w.analyze_streamed(
+        analyze_request(
+            &w,
+            id,
             self.analysis.clone(),
             workers,
             &warm,
-            &mut |seq, index, race| {
-                out(Frame::Verdict {
-                    request: id,
-                    seq,
-                    index: index as u64,
-                    race: RaceOutcome::from_analyzed(race).to_json_value(),
-                });
-            },
-        );
-        let report = RunReport::from_result(w.name, &result);
-        out(Frame::Done {
-            request: id,
-            report: report.to_json_value(),
-        });
+            Some(emit),
+            None,
+        )?;
+        Ok(())
     }
 
     /// The daemon's resident cache for `fingerprint`, created on first
@@ -212,7 +209,7 @@ impl Server {
                     request: 0,
                     message: format!("request line longer than {MAX_REQUEST_LINE} bytes"),
                 };
-                return write_frame(output, &frame);
+                return write_line(output, &frame_line(&frame));
             }
             let line = match std::str::from_utf8(&line) {
                 Ok(line) => line,
@@ -221,20 +218,11 @@ impl Server {
                         request: 0,
                         message: format!("request line is not UTF-8: {e}"),
                     };
-                    write_frame(output, &frame)?;
+                    write_line(output, &frame_line(&frame))?;
                     continue;
                 }
             };
-            let mut io_err = None;
-            let keep_going = self.handle_line(line, &mut |frame| {
-                if io_err.is_none() {
-                    io_err = write_frame(output, &frame).err();
-                }
-            });
-            if let Some(e) = io_err {
-                return Err(e);
-            }
-            if !keep_going {
+            if !self.respond(line, &mut |reply| write_line(output, reply))? {
                 return Ok(());
             }
         }
@@ -323,10 +311,17 @@ fn claim_socket_path(path: &std::path::Path) -> std::io::Result<()> {
     }
 }
 
-/// Writes one frame line and flushes it, so a streaming client sees
-/// each frame as it is produced.
-fn write_frame(output: &mut dyn Write, frame: &Frame) -> std::io::Result<()> {
-    writeln!(output, "{}", frame.render())?;
+/// A frame's wire line, newline included.
+fn frame_line(frame: &Frame) -> String {
+    let mut line = frame.render();
+    line.push('\n');
+    line
+}
+
+/// Writes one finished frame line with a single write and flushes it,
+/// so a streaming client sees each frame as it is produced.
+fn write_line(output: &mut dyn Write, line: &str) -> std::io::Result<()> {
+    output.write_all(line.as_bytes())?;
     output.flush()
 }
 

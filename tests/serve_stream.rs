@@ -21,6 +21,10 @@
 //! 6. **The socket daemon deletes only its own stale socket**: a path
 //!    that is not a socket, or a live daemon's socket, is refused and
 //!    left untouched; a stale socket file is replaced and served.
+//! 7. **Both front ends emit the same bytes**: `portend analyze` and the
+//!    daemon run one per-request routine, so their lines match once the
+//!    wall-clock fields are zeroed, and the `done` frame's report is the
+//!    `--report-dir` file byte for byte.
 //!
 //! The socket tests wait on channels with deadlines, so a daemon that
 //! never answers fails the test instead of hanging it.
@@ -29,7 +33,8 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use portend_repro::portend::RunReport;
-use portend_repro::portend_obs::json::Json;
+use portend_repro::portend_cli::{analyze_workload, AnalyzeOptions};
+use portend_repro::portend_obs::json::{self, Json};
 use portend_repro::portend_serve::{Frame, Server, ServerConfig};
 use portend_repro::portend_symex::{
     CmpOp, Expr, Solver, SolverCache, StoreBudget, StoreManager, VarTable, WarmPolicy,
@@ -131,6 +136,87 @@ fn streamed_frames_equal_the_report_verdicts() {
         covered[*index as usize] = true;
     }
     assert!(covered.iter().all(|c| *c), "every report race streamed");
+}
+
+/// The members that carry wall-clock time.
+const TIME_KEYS: [&str; 5] = [
+    "time_ns",
+    "wall_ns",
+    "busy_ns",
+    "busy_total_ns",
+    "record_time_ns",
+];
+
+/// `v` with every wall-clock member set to 0.
+fn zero_times(v: &mut Json) {
+    match v {
+        Json::Obj(members) => {
+            for (k, v) in members {
+                if TIME_KEYS.contains(&k.as_str()) {
+                    *v = Json::Int(0);
+                } else {
+                    zero_times(v);
+                }
+            }
+        }
+        Json::Arr(items) => items.iter_mut().for_each(zero_times),
+        _ => {}
+    }
+}
+
+/// Frame lines re-rendered with the wall-clock members zeroed (parse and
+/// render are the identity on the writer's documents).
+fn timeless(lines: &str) -> Vec<String> {
+    lines
+        .lines()
+        .map(|line| {
+            let mut v = json::parse(line).expect("frame line is JSON");
+            zero_times(&mut v);
+            v.render()
+        })
+        .collect()
+}
+
+/// Contract 7: for bbuf and ctrace at one worker and request id 7,
+/// `analyze_workload`'s lines equal the daemon's `serve_io` lines with
+/// the wall-clock fields zeroed, and the `done` frame's report equals
+/// the `--report-dir` file byte for byte.
+#[test]
+fn cli_and_daemon_emit_the_same_bytes() {
+    let dir = scratch_dir("same-bytes");
+    std::fs::create_dir_all(&dir).expect("report dir");
+    let opts = AnalyzeOptions {
+        workers: 1,
+        report_dir: Some(dir.clone()),
+        ..Default::default()
+    };
+    for name in ["bbuf", "ctrace"] {
+        let w = workloads::by_name(name).expect("workload");
+        let mut cli = Vec::new();
+        analyze_workload(&w, 7, None, &opts, &mut cli).expect("analyze");
+        let cli = String::from_utf8(cli).expect("utf8 frames");
+
+        let server = Server::new(ServerConfig::default()).expect("server");
+        let request =
+            format!("{{\"op\":\"analyze\",\"id\":7,\"workload\":\"{name}\",\"workers\":1}}\n");
+        let mut daemon = Vec::new();
+        server
+            .serve_io(&mut std::io::Cursor::new(request.into_bytes()), &mut daemon)
+            .expect("serve");
+        let daemon = String::from_utf8(daemon).expect("utf8 frames");
+
+        assert!(cli.lines().count() > 1, "{name} streams verdicts");
+        assert_eq!(timeless(&cli), timeless(&daemon), "{name}");
+
+        let file = std::fs::read_to_string(dir.join(format!("{name}.json"))).expect("report file");
+        let done = cli.lines().last().expect("done line");
+        assert_eq!(
+            done,
+            format!("{{\"frame\":\"done\",\"request\":7,\"report\":{file}}}"),
+            "{name}: the done frame's report is the report file"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Contract 2: the second submission of the same program — on a fresh
