@@ -10,15 +10,19 @@
 //!
 //! It asserts, on the first pass, that every verdict frame's race bytes
 //! occur verbatim in its request's `done` frame, and that `quiet`
-//! writes nothing.
+//! writes nothing. Both hold by construction; the tier-1 tests in
+//! `tests/serve_stream.rs` pin the bytes more strictly.
 //!
-//! `cargo bench -p portend-bench --bench bench_render [-- --passes N --workers N]`
-//! (defaults: 200 passes of each kind, 2 workers).
+//! `cargo bench -p portend-bench --bench bench_render [-- --passes N]`
+//! (default: 200 passes of each kind).
 
 use std::time::Instant;
 
 use portend_cli::{analyze_workload, AnalyzeOptions};
 use portend_workloads::Workload;
+
+/// Farm width of every pass, perfbench's width on a 2-vCPU host.
+const WORKERS: usize = 2;
 
 /// Analyzes every workload once, writing frames to `out`; returns the
 /// pass's wall time in µs.
@@ -66,10 +70,9 @@ fn arg(flag: &str) -> Option<usize> {
 
 fn main() {
     let passes = arg("--passes").unwrap_or(200).max(1);
-    let workers = arg("--workers").unwrap_or(2);
     let workloads = portend_workloads::all();
     let frames_opts = AnalyzeOptions {
-        workers,
+        workers: WORKERS,
         ..Default::default()
     };
     let quiet_opts = AnalyzeOptions {
@@ -100,7 +103,7 @@ fn main() {
     }
 
     println!(
-        "render benchmark: {} workloads, {workers} worker(s), {passes} interleaved passes each",
+        "render benchmark: {} workloads, {WORKERS} workers, {passes} interleaved passes each",
         workloads.len()
     );
     println!("  frames: {:>9.1} us/pass (median)", median(&mut frames));

@@ -9,10 +9,11 @@
 //! A single JSON object, written straight to bytes by
 //! [`portend_obs::json`]'s direct writer (in the same
 //! no-external-dependencies spirit as `portend_symex::warm`'s binary
-//! store). [`RunReport::write_json`] is the one serializer:
-//! [`RunReport::to_json`], [`RunReport::write_to`] and the serve
-//! daemon's frames all use it, and [`RunReport::to_json_value`] parses
-//! its bytes.
+//! store). [`RaceOutcome::write_json`] and the report's private
+//! document writer are the one serializer: [`RunReport::to_json`],
+//! [`RunReport::write_json_spliced`], [`RunReport::write_to`] and the
+//! serve daemon's frames all use it, and [`RunReport::to_json_value`]
+//! parses its bytes.
 //!
 //! ```text
 //! {
@@ -391,19 +392,14 @@ impl RunReport {
     /// Renders the report as its canonical compact JSON document.
     pub fn to_json(&self) -> String {
         let mut out = String::new();
-        self.write_json(&mut out);
+        self.write_document(&mut out, |out| {
+            write_array(out, &self.races, |out, race| race.write_json(out));
+        });
         out
     }
 
-    /// Appends [`RunReport::to_json`]'s bytes to `out`.
-    pub fn write_json(&self, out: &mut String) {
-        self.write_document(out, |out| {
-            write_array(out, &self.races, |out, race| race.write_json(out));
-        });
-    }
-
-    /// [`RunReport::write_json`] with `"races"` spliced from bytes
-    /// already rendered: `races` yields [`RaceOutcome::write_json`] of
+    /// Appends [`RunReport::to_json`]'s bytes to `out`, splicing
+    /// `"races"` from bytes already rendered: `races` yields [`RaceOutcome::write_json`] of
     /// each of the report's races, in order. A front end that rendered
     /// each race for its verdict frame reuses those bytes here, so the
     /// frame and the report carry the same bytes by construction.
@@ -433,8 +429,8 @@ impl RunReport {
 
     /// The report as a [`Json`] value: [`RunReport::to_json`]'s bytes,
     /// parsed. In-process readers that walk the document (the serve
-    /// tests, benchmarks) use it; renderers use
-    /// [`RunReport::write_json`].
+    /// tests, benchmarks) use it; renderers use [`RunReport::to_json`]
+    /// or [`RunReport::write_json_spliced`].
     pub fn to_json_value(&self) -> Json {
         json::parse(&self.to_json()).expect("the report writer emits valid JSON")
     }
