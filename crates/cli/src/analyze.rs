@@ -13,7 +13,7 @@ use std::io::Write;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use portend::{PipelineResult, PortendConfig, RunReport, TraceConfig, WarmSource};
+use portend::{PipelineResult, PortendConfig, RunReport, WarmSource};
 use portend_serve::LineSink;
 use portend_symex::{StoreBudget, StoreManager};
 use portend_workloads::Workload;
@@ -97,9 +97,11 @@ pub fn analyze(
 ///
 /// `request` plays the role of the daemon's request id in the emitted
 /// frames; `manager` is the shared store manager, if warmth persists.
-/// With `quiet` no frame is rendered. Returns the raw pipeline result
-/// (for callers that render Fig. 6 style reports from it) alongside the
-/// assembled run report.
+/// With `quiet` no frame is rendered. With `chrome_dir` the run is traced
+/// and its Chrome trace written to `<dir>/<name>.trace.json`; a failed
+/// write fails the call. Returns the raw pipeline result (for callers
+/// that render Fig. 6 style reports from it) alongside the assembled run
+/// report.
 pub fn analyze_workload(
     w: &Workload,
     request: u64,
@@ -107,14 +109,10 @@ pub fn analyze_workload(
     opts: &AnalyzeOptions,
     out: &mut dyn Write,
 ) -> Result<(PipelineResult, RunReport), CliError> {
-    let mut config = PortendConfig::default();
-    if let Some(dir) = &opts.chrome_dir {
-        config.trace = Some(
-            TraceConfig::new()
-                .with_label(w.name)
-                .with_chrome(dir.join(format!("{}.trace.json", w.name))),
-        );
-    }
+    let config = PortendConfig {
+        trace: opts.chrome_dir.is_some(),
+        ..Default::default()
+    };
     let warm = WarmSource {
         cache: None,
         store: manager.map(|m| (Arc::clone(m), w.fingerprint())),
@@ -126,7 +124,7 @@ pub fn analyze_workload(
         .map(|dir| dir.join(format!("{}.json", w.name)));
     let mut write = |line: &str| out.write_all(line.as_bytes());
     let lines: Option<LineSink<'_>> = if opts.quiet { None } else { Some(&mut write) };
-    Ok(portend_serve::analyze_request(
+    let (result, report) = portend_serve::analyze_request(
         w,
         request,
         config,
@@ -134,7 +132,11 @@ pub fn analyze_workload(
         &warm,
         lines,
         report_file.as_deref(),
-    )?)
+    )?;
+    if let (Some(dir), Some(trace)) = (&opts.chrome_dir, &result.trace) {
+        trace.write_chrome(dir.join(format!("{}.trace.json", w.name)))?;
+    }
+    Ok((result, report))
 }
 
 /// Resolves workload names, defaulting to the whole suite.

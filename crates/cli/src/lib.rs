@@ -325,6 +325,24 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A Chrome trace that cannot be written fails the command, as a
+    /// report that cannot be written does.
+    #[test]
+    fn unwritable_chrome_trace_fails_analyze() {
+        let dir = std::env::temp_dir().join(format!("portend-cli-chrome-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        // A directory where the trace file should land.
+        std::fs::create_dir_all(dir.join("bbuf.trace.json")).unwrap();
+        let dir_s = dir.to_str().unwrap();
+        let args: Vec<String> = ["analyze", "bbuf", "--quiet", "--chrome-dir", dir_s]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
+        let result = run(&args, &mut Vec::new());
+        let _ = std::fs::remove_dir_all(&dir);
+        assert!(result.is_err(), "a failed --chrome-dir write was swallowed");
+    }
+
     #[test]
     fn store_dir_warms_the_second_run_and_assert_warm_gates() {
         let dir = std::env::temp_dir().join(format!("portend-cli-warm-{}", std::process::id()));

@@ -15,7 +15,9 @@ use portend_serve::{Request, VERDICT_PREFIX};
 use crate::CliError;
 
 /// Sends `request` to the daemon at `socket` and streams response
-/// frames to `out`. Returns the number of frames relayed.
+/// frames to `out`. Returns the number of frames relayed. A daemon that
+/// hangs up before the terminating frame is an error, after the frames
+/// it did send were relayed.
 #[cfg(unix)]
 pub fn submit(
     socket: &std::path::Path,
@@ -49,15 +51,17 @@ pub fn submit(
         // Stop at the request's terminating frame; anything after it
         // belongs to no request of ours.
         if !line.starts_with(VERDICT_PREFIX) {
-            break;
+            return Ok(relayed);
         }
     }
-    if relayed == 0 {
-        return Err(CliError::new(
-            "daemon closed the connection without responding".to_string(),
-        ));
-    }
-    Ok(relayed)
+    Err(CliError::new(if relayed == 0 {
+        "daemon closed the connection without responding".to_string()
+    } else {
+        format!(
+            "daemon closed the connection after {relayed} verdict frame(s), \
+             before the terminating frame"
+        )
+    }))
 }
 
 /// Unix-socket transport is not available on this platform.
@@ -107,7 +111,7 @@ mod tests {
         (socket, daemon)
     }
 
-    fn relay(name: &str, lines: &'static [&'static str]) -> (usize, String) {
+    fn relay(name: &str, lines: &'static [&'static str]) -> (Result<usize, CliError>, String) {
         let (socket, daemon) = canned_daemon(name, lines);
         let request = Request::Analyze {
             id: 1,
@@ -115,7 +119,7 @@ mod tests {
             workers: 0,
         };
         let mut out = Vec::new();
-        let relayed = submit(&socket, &request, &mut out).expect("submit");
+        let relayed = submit(&socket, &request, &mut out);
         assert_eq!(daemon.join().expect("daemon"), request.render() + "\n");
         let _ = std::fs::remove_dir_all(socket.parent().expect("socket dir"));
         (relayed, String::from_utf8(out).expect("utf8"))
@@ -123,6 +127,8 @@ mod tests {
 
     /// Verdict lines are relayed up to and including the first other
     /// line; a line after the terminating frame belongs to no request.
+    /// A daemon that hangs up before that line fails the submit, after
+    /// the lines it did send were relayed.
     #[test]
     fn submit_stops_at_the_first_line_that_is_not_a_verdict() {
         const LINES: &[&str] = &[
@@ -132,12 +138,22 @@ mod tests {
             r#"{"frame":"verdict","request":1,"seq":2,"index":2,"race":{"alloc":"c"}}"#,
         ];
         let (relayed, out) = relay("done", LINES);
-        assert_eq!(relayed, 3);
+        assert_eq!(relayed.expect("submit"), 3);
         assert_eq!(out, LINES[..3].join("\n") + "\n");
 
         const ERROR: &[&str] = &[r#"{"frame":"error","request":1,"message":"unknown workload"}"#];
         let (relayed, out) = relay("error", ERROR);
-        assert_eq!(relayed, 1);
+        assert_eq!(relayed.expect("submit"), 1);
         assert_eq!(out, ERROR[0].to_string() + "\n");
+
+        let (relayed, out) = relay("truncated", &LINES[..2]);
+        let err = relayed.expect_err("a truncated stream is not a success");
+        assert!(err.to_string().contains("after 2 verdict frame"), "{err}");
+        assert_eq!(out, LINES[..2].join("\n") + "\n");
+
+        let (relayed, out) = relay("silent", &[]);
+        let err = relayed.expect_err("no response is not a success");
+        assert!(err.to_string().contains("without responding"), "{err}");
+        assert!(out.is_empty());
     }
 }

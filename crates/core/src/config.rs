@@ -1,7 +1,6 @@
 //! Portend configuration: the Mp/Ma "dial" and the analysis-stage
 //! toggles.
 
-use portend_obs::TraceConfig;
 use portend_symex::SolverConfig;
 
 /// Which analysis techniques are enabled — the axes of the paper's Fig. 7
@@ -73,16 +72,15 @@ pub struct PortendConfig {
     /// Solver configuration. Path-condition queries are always solved
     /// by constraint slicing (see `portend_symex::slice`).
     pub solver: SolverConfig,
-    /// Event tracing (`portend-obs`). `None` (the default) records
-    /// nothing and costs nothing — every emission site collapses to one
-    /// thread-local read. `Some` records phase/solver/farm/cache events
-    /// into per-thread lanes, returns the merged
-    /// [`portend_obs::Trace`] on the pipeline result, and optionally
-    /// exports a Chrome trace and a versioned
-    /// [`crate::RunReport`] to the configured paths. Tracing never
-    /// changes a verdict or a stats counter: the recorder only
-    /// *observes* (see the equivalence tests in `tests/run_report.rs`).
-    pub trace: Option<TraceConfig>,
+    /// Event tracing (`portend-obs`). Off (the default) records nothing
+    /// and costs nothing — every emission site collapses to one
+    /// thread-local read. On records phase/solver/farm/cache events
+    /// into per-thread lanes and returns the merged
+    /// [`portend_obs::Trace`] on the pipeline result; the pipeline
+    /// writes no file. Tracing never changes a verdict or a stats
+    /// counter: the recorder only *observes* (see the equivalence tests
+    /// in `tests/run_report.rs`).
+    pub trace: bool,
 }
 
 impl Default for PortendConfig {
@@ -96,7 +94,7 @@ impl Default for PortendConfig {
             max_exploration_states: 256,
             schedule_seed: 0x9e3779b9,
             solver: SolverConfig::default(),
-            trace: None,
+            trace: false,
         }
     }
 }

@@ -19,8 +19,9 @@
 //! ## Entry points
 //!
 //! * [`Pipeline`] — detect + classify every race of a program run on
-//!   the work-stealing classification farm ([`Pipeline::run`], crate
-//!   `portend-farm`; a one-worker run classifies on the calling thread);
+//!   the classification farm, most suspect races first ([`Pipeline::run`],
+//!   crate `portend-farm`; a one-worker run classifies on the calling
+//!   thread);
 //! * [`Portend`] — classify a single race from a recorded trace;
 //! * [`baselines`] — the Record/Replay-Analyzer, Ad-Hoc-Detector, and
 //!   DataCollider-style comparators of the paper's §5.4;
@@ -54,7 +55,7 @@ pub use classify::{ClassifyError, Portend};
 pub use config::{AnalysisStages, PortendConfig};
 pub use pipeline::{AnalyzedRace, Pipeline, PipelineResult};
 pub use portend_farm::{FarmStats, WorkerStats};
-pub use portend_obs::{Trace, TraceConfig};
+pub use portend_obs::Trace;
 pub use portend_symex::{CacheSnapshot, WarmPolicy};
 pub use report::render_report;
 pub use runreport::{

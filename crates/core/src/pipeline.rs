@@ -1,42 +1,22 @@
 //! The end-to-end pipeline: run the program under the race detector,
 //! cluster the reports, and classify every cluster (paper Fig. 2) on the
-//! work-stealing classification farm ([`Pipeline::run`]).
+//! classification farm, most suspect clusters first ([`Pipeline::run`]).
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use portend_farm::{cluster_priority, Farm, FarmStats, JobSpec};
-use portend_obs::{EventKind, Recorder, Trace, TraceConfig};
-use portend_race::{DetectorConfig, RaceCluster};
+use portend_obs::{EventKind, Recorder, Trace};
+use portend_race::RaceCluster;
 use portend_replay::{record, RecordConfig, RecordedRun};
 use portend_symex::CacheSnapshot;
-use portend_vm::{InputSpec, Program, Scheduler, VmConfig};
+use portend_vm::{InputSpec, Program, VmConfig};
 
 use crate::case::{AnalysisCase, Predicate};
 use crate::classify::{ClassifyError, Portend};
 use crate::config::PortendConfig;
-use crate::runreport::RunReport;
 use crate::taxonomy::Verdict;
 use crate::warm::WarmSource;
-
-/// Exports the finished trace per the [`TraceConfig`] — Chrome trace
-/// JSON and/or the versioned [`RunReport`] — and attaches the merged
-/// trace to the result so callers (and the equivalence tests) can
-/// inspect it in-process. Export failures are swallowed for the same
-/// reason warm-store saves are: observability is an optimization, the
-/// verdicts are already computed.
-fn finish_trace(cfg: &TraceConfig, recorder: &Recorder, result: &mut PipelineResult) {
-    let trace = recorder.finish();
-    if let Some(path) = &cfg.chrome_path {
-        let _ = trace.write_chrome(path);
-    }
-    if let Some(path) = &cfg.report_path {
-        let _ = RunReport::from_result(cfg.label.clone(), result)
-            .with_trace(&trace)
-            .write_to(path);
-    }
-    result.trace = Some(trace);
-}
 
 /// One classified race: the cluster, the verdict (or failure), and how
 /// long classification took (feeds Table 4 and Fig. 9).
@@ -66,11 +46,13 @@ pub struct PipelineResult {
     /// hits/misses). All of the run's classifications share one cache.
     pub cache: CacheSnapshot,
     /// What the farm measured while classifying: jobs, wall and busy
-    /// time, per-worker utilization and steals.
+    /// time, and per-worker utilization.
     pub farm: FarmStats,
     /// The run's merged event trace, when
-    /// [`PortendConfig::trace`](crate::PortendConfig::trace) enabled
-    /// recording. `None` when tracing is off.
+    /// [`PortendConfig::trace`](crate::PortendConfig::trace) is on.
+    /// `None` when tracing is off. Export it with
+    /// [`Trace::write_chrome`] or
+    /// [`RunReport::with_trace`](crate::RunReport::with_trace).
     pub trace: Option<Trace>,
 }
 
@@ -86,9 +68,9 @@ pub struct Pipeline {
 impl Pipeline {
     /// Runs detection + classification on a program: records once under
     /// the detector, then classifies every race cluster on the
-    /// [`portend_farm`] work-stealing pool. `workers` is the pool width
-    /// (`0` = one per CPU); a one-worker run classifies on the calling
-    /// thread.
+    /// [`portend_farm`] pool, highest [`cluster_priority`] first.
+    /// `workers` is the pool width (`0` = one per CPU); a one-worker run
+    /// classifies on the calling thread.
     ///
     /// `inputs` is the concrete input log, `input_spec` declares the
     /// symbolic positions for multi-path analysis, and `predicates` are
@@ -119,7 +101,7 @@ impl Pipeline {
         warm: &WarmSource,
         sink: &mut dyn FnMut(u64, usize, &AnalyzedRace),
     ) -> PipelineResult {
-        let recorder = self.portend.trace.as_ref().map(|_| Recorder::new());
+        let recorder = self.portend.trace.then(Recorder::new);
         let main_lane = recorder.as_ref().map(|r| r.attach("main", 0));
         let (run, record_time, case) = {
             let _ev = portend_obs::span_named(EventKind::Phase, "record");
@@ -178,31 +160,15 @@ impl Pipeline {
         // completion order).
         indexed.sort_by_key(|(i, _)| *i);
         warm.release(&cache);
-        let mut result = PipelineResult {
+        drop(main_lane); // flush the main lane before the merge
+        PipelineResult {
             record: run,
             analyzed: indexed.into_iter().map(|(_, r)| r).collect(),
             record_time,
             case,
             cache: cache.snapshot(),
             farm: farm_stats,
-            trace: None,
-        };
-        drop(main_lane); // flush the main lane before the merge
-        if let (Some(cfg), Some(recorder)) = (&self.portend.trace, &recorder) {
-            finish_trace(cfg, recorder, &mut result);
+            trace: recorder.as_ref().map(Recorder::finish),
         }
-        result
-    }
-
-    /// Convenience: run with a specific recording scheduler.
-    pub fn with_record_scheduler(mut self, sched: Scheduler) -> Self {
-        self.record.scheduler = sched;
-        self
-    }
-
-    /// Convenience: run with a specific detector configuration.
-    pub fn with_detector(mut self, det: DetectorConfig) -> Self {
-        self.record.detector = det;
-        self
     }
 }

@@ -18,7 +18,7 @@
 //! ```text
 //! {
 //!   "format":  "portend-run-report",   readers reject anything else
-//!   "version": 9,                      readers reject unknown versions
+//!   "version": 10,                     readers reject unknown versions
 //!   "label":   "...",                  free-form run label
 //!   "record_time_ns": …,
 //!   "races":   [ { race + verdict/error + counters } … ],
@@ -88,7 +88,11 @@ pub const REPORT_FORMAT_NAME: &str = "portend-run-report";
 ///   `"cache"` (a copy of the top-level `"cache"`), and
 ///   `"fork_bytes_copied"`, `"fork_bytes_shared"` and
 ///   `"fork_slices_reused"` (sums of the per-verdict `"stats"`).
-pub const REPORT_FORMAT_VERSION: u32 = 9;
+/// * v10 — the farm hands out jobs from one shared queue, so no worker
+///   takes a job from a peer's queue any more: `"farm"` and each
+///   `"per_worker"` entry lost the count of such jobs, and the
+///   `"events"` counts lost the label of the event that marked one.
+pub const REPORT_FORMAT_VERSION: u32 = 10;
 
 /// Why a report document could not be read.
 #[derive(Debug)]
@@ -594,11 +598,9 @@ fn write_farm(out: &mut String, s: &FarmStats) {
     obj.int("jobs", s.jobs);
     obj.int("wall_ns", nanos(s.wall));
     obj.int("busy_total_ns", nanos(s.busy_total));
-    obj.int("steals", s.steals);
     write_array(obj.member("per_worker"), &s.per_worker, |out, w| {
         let mut worker = ObjectWriter::open(out);
         worker.int("jobs", w.jobs);
-        worker.int("steals", w.steals);
         worker.int("busy_ns", nanos(w.busy));
         worker.close();
     });
@@ -765,12 +767,10 @@ fn farm_from(v: &Json) -> Result<FarmStats, ReportError> {
             .map(|w| {
                 Ok(WorkerStats {
                     jobs: req_u64(w, "jobs")?,
-                    steals: req_u64(w, "steals")?,
                     busy: dur_from(w, "busy_ns")?,
                 })
             })
             .collect::<Result<_, ReportError>>()?,
-        steals: req_u64(v, "steals")?,
     })
 }
 
@@ -871,12 +871,10 @@ mod tests {
                 per_worker: vec![
                     WorkerStats {
                         jobs: 1,
-                        steals: 1,
                         busy: Duration::from_millis(31),
                     },
                     WorkerStats::default(),
                 ],
-                steals: 1,
             }),
             cache: Some(CacheSnapshot {
                 hits: 7,
@@ -915,7 +913,7 @@ mod tests {
 
     /// `sample_report().to_json()` as the tree-building writer rendered
     /// it, captured once: the direct writer must keep every byte.
-    const SAMPLE_REPORT_JSON: &str = r#"{"format":"portend-run-report","version":9,"label":"sample \"quoted\"\nlabel","record_time_ns":1500000,"races":[{"alloc":"balance","offset":4,"instances":12,"display":"balance[4]: W@t1 / R@t2","time_ns":31000000,"verdict":{"class":"specViol","k":0,"states_differ":true,"stats":{"primaries":5,"alternates":10,"preemptions":0,"dependent_branches":0,"instructions":123456,"interpreted":23456,"max_path_instructions":0,"bytes_copied_on_fork":1099511627776,"bytes_shared_on_fork":0,"slices_reused_at_fork":0},"detail":{"type":"spec_violation","column":"semantic","message":"semantic violation: ts < 0","inputs":[3,-7],"schedule":[0,2,1],"description":"negative timestamp printed"}},"error":null},{"alloc":"flag","offset":0,"instances":1,"display":"flag[0]","time_ns":999,"verdict":null,"error":"race not reproducible"}],"farm":{"jobs":2,"wall_ns":40000000,"busy_total_ns":62000000,"steals":1,"per_worker":[{"jobs":1,"steals":1,"busy_ns":31000000},{"jobs":0,"steals":0,"busy_ns":0}]},"cache":{"hits":7,"misses":3,"slice_hits":40,"slice_misses":8,"key_bytes":1048576,"entries":48,"evictions":1,"second_chances":2,"warmed":30,"warm_hits":25,"warm_validations":3,"warm_mismatches":0,"warm_rejected_fingerprint":1},"events":{"total":60,"counts":{"phase":2,"solver_check":58},"solver_checks":58,"slices_examined":174,"nodes_visited":9000}}"#;
+    const SAMPLE_REPORT_JSON: &str = r#"{"format":"portend-run-report","version":10,"label":"sample \"quoted\"\nlabel","record_time_ns":1500000,"races":[{"alloc":"balance","offset":4,"instances":12,"display":"balance[4]: W@t1 / R@t2","time_ns":31000000,"verdict":{"class":"specViol","k":0,"states_differ":true,"stats":{"primaries":5,"alternates":10,"preemptions":0,"dependent_branches":0,"instructions":123456,"interpreted":23456,"max_path_instructions":0,"bytes_copied_on_fork":1099511627776,"bytes_shared_on_fork":0,"slices_reused_at_fork":0},"detail":{"type":"spec_violation","column":"semantic","message":"semantic violation: ts < 0","inputs":[3,-7],"schedule":[0,2,1],"description":"negative timestamp printed"}},"error":null},{"alloc":"flag","offset":0,"instances":1,"display":"flag[0]","time_ns":999,"verdict":null,"error":"race not reproducible"}],"farm":{"jobs":2,"wall_ns":40000000,"busy_total_ns":62000000,"per_worker":[{"jobs":1,"busy_ns":31000000},{"jobs":0,"busy_ns":0}]},"cache":{"hits":7,"misses":3,"slice_hits":40,"slice_misses":8,"key_bytes":1048576,"entries":48,"evictions":1,"second_chances":2,"warmed":30,"warm_hits":25,"warm_validations":3,"warm_mismatches":0,"warm_rejected_fingerprint":1},"events":{"total":60,"counts":{"phase":2,"solver_check":58},"solver_checks":58,"slices_examined":174,"nodes_visited":9000}}"#;
 
     #[test]
     fn report_bytes_match_the_pinned_format() {

@@ -9,16 +9,17 @@
 //!
 //! The farm provides the engine for that:
 //!
-//! * [`Farm`] — a work-stealing worker pool (std scoped threads +
-//!   channels, no external dependencies) that runs every job exactly
-//!   once, suspected most-harmful races first, and hands each
-//!   [`JobOutput`] to the caller's sink as soon as its job finishes. A
+//! * [`Farm`] — a worker pool (std scoped threads + channels, no
+//!   external dependencies) that runs every job exactly once and hands
+//!   each [`JobOutput`] to the caller's sink as soon as its job
+//!   finishes. Workers share one queue in priority order, so at every
+//!   width the next job to start is the most suspect race left. A
 //!   one-worker run executes on the calling thread and spawns nothing;
 //!   a panicking job becomes that job's `Err` output;
 //! * [`JobSpec`] / [`cluster_priority`] — job descriptors and the
 //!   detector-derived priority heuristic;
-//! * [`FarmStats`] — what the pool measured: jobs, wall/busy time,
-//!   per-worker utilization and steal counts.
+//! * [`FarmStats`] — what the pool measured: jobs, wall/busy time and
+//!   per-worker utilization.
 //!
 //! The engine is generic over the job payload and result types, so the
 //! `portend` core can run `Pipeline::run` on it without a dependency
@@ -35,7 +36,6 @@
 
 mod job;
 mod pool;
-mod queue;
 mod stats;
 
 pub use job::{cluster_priority, JobOutput, JobSpec};

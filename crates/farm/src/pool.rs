@@ -1,24 +1,30 @@
-//! The work-stealing worker pool.
+//! The worker pool: one priority-ordered job queue shared by every
+//! worker.
 
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::mpsc;
+use std::sync::{mpsc, Mutex};
 use std::thread;
 use std::time::Instant;
 
 use portend_obs::EventKind;
 
 use crate::job::{JobOutput, JobSpec};
-use crate::queue::{StealSet, Taken};
 use crate::stats::{FarmStats, WorkerStats};
+
+/// The jobs not yet taken, highest priority first. Every job exists
+/// before the pool starts and no job adds another, so the queue only
+/// drains.
+type Queue<T> = Mutex<std::vec::IntoIter<JobSpec<T>>>;
 
 /// The classification farm: a worker pool of a given width.
 ///
 /// [`Farm::run`] is generic over the job payload and result types; the
 /// worker function receives `(worker_id, payload)`, and each job's
-/// output reaches the caller's sink the moment the job finishes. Jobs
-/// are dealt highest-priority-first across per-worker queues; idle
-/// workers steal.
+/// output reaches the caller's sink the moment the job finishes. Every
+/// worker takes its next job from one shared queue in priority order,
+/// so at any width the next job to start is the highest-priority job
+/// left.
 ///
 /// ```
 /// use portend_farm::{Farm, JobSpec};
@@ -51,8 +57,8 @@ impl Farm {
     /// The same farm, with every worker attached to `recorder` as its
     /// own event lane (`worker-00`, `worker-01`, … — sort keys from the
     /// worker index, so the merged trace is deterministic). Workers emit
-    /// job spans and steal instants; everything their jobs emit (solver
-    /// checks, cache probes, forks) lands in the same lane.
+    /// job spans; everything their jobs emit (solver checks, cache
+    /// probes, forks) lands in the same lane.
     pub fn with_recorder(mut self, recorder: portend_obs::Recorder) -> Self {
         self.recorder = Some(recorder);
         self
@@ -81,8 +87,7 @@ impl Farm {
         // Stable sort: equal priorities keep detection order.
         jobs.sort_by_key(|j| std::cmp::Reverse(j.priority));
         let total = jobs.len() as u64;
-        let queue = StealSet::new(workers);
-        queue.deal(jobs);
+        let queue = Mutex::new(jobs.into_iter());
 
         let per_worker = if workers == 1 {
             vec![self.work_loop(0, &queue, &work, &mut sink)]
@@ -125,18 +130,17 @@ impl Farm {
             jobs: total,
             wall: started.elapsed(),
             busy_total: per_worker.iter().map(|w| w.busy).sum(),
-            steals: per_worker.iter().map(|w| w.steals).sum(),
             per_worker,
         }
     }
 
     /// The only place a job runs. Worker `w` takes jobs until the queue
-    /// set is dry, runs each under `catch_unwind`, and hands each
-    /// output to `emit`.
+    /// is dry, runs each under `catch_unwind`, and hands each output to
+    /// `emit`. The queue's lock is held only to take a job.
     fn work_loop<T, R>(
         &self,
         w: usize,
-        queue: &StealSet<JobSpec<T>>,
+        queue: &Queue<T>,
         work: &impl Fn(usize, T) -> R,
         emit: &mut impl FnMut(JobOutput<R>),
     ) -> WorkerStats {
@@ -145,21 +149,21 @@ impl Farm {
             .as_ref()
             .map(|r| r.attach(format!("worker-{w:02}"), 100 + w as u32));
         let mut ws = WorkerStats::default();
-        while let Some((job, taken)) = queue.take(w) {
-            let stolen = taken == Taken::Stolen;
-            if stolen {
-                portend_obs::instant(EventKind::Steal, job.index as u64, 0);
-            }
+        loop {
+            // The guard drops at the end of this statement, so no job
+            // runs under the lock.
+            let Some(job) = queue.lock().expect("farm queue poisoned").next() else {
+                break;
+            };
             let mut ev = portend_obs::span(EventKind::Job);
             let t0 = Instant::now();
             let result =
                 catch_unwind(AssertUnwindSafe(|| work(w, job.payload))).map_err(panic_message);
             let time = t0.elapsed();
-            ev.args(job.index as u64, stolen as u64);
+            ev.args(job.index as u64, 0);
             drop(ev);
             ws.jobs += 1;
             ws.busy += time;
-            ws.steals += stolen as u64;
             emit(JobOutput {
                 index: job.index,
                 result,
@@ -333,15 +337,52 @@ mod tests {
         assert_eq!(order, vec![Ok("high"), Ok("mid"), Ok("low")]);
     }
 
+    /// At every width the next job to start is the highest-priority job
+    /// left: while job 0 (the highest priority) holds one of two
+    /// workers until the sink has seen every other output, the other
+    /// worker starts jobs 1–5 in priority order.
+    #[test]
+    fn jobs_start_in_priority_order_on_two_workers() {
+        let (signal, signalled) = mpsc::channel::<()>();
+        let signalled = Mutex::new(signalled);
+        let started = Mutex::new(Vec::new());
+        let jobs = (0..6)
+            .map(|i| JobSpec::new(i, i).with_priority(100 - 10 * i as u64))
+            .collect();
+        let mut others_done = 0;
+        Farm::new(2).run(
+            jobs,
+            |_, i: usize| {
+                if i == 0 {
+                    return signalled
+                        .lock()
+                        .expect("signal lock")
+                        .recv_timeout(Duration::from_secs(10))
+                        .is_ok();
+                }
+                started.lock().expect("start log").push(i);
+                true
+            },
+            |out| {
+                if out.index != 0 {
+                    others_done += 1;
+                    if others_done == 5 {
+                        signal.send(()).expect("job 0 still waits");
+                    }
+                }
+            },
+        );
+        assert_eq!(
+            started.into_inner().expect("start log"),
+            vec![1, 2, 3, 4, 5]
+        );
+    }
+
     #[test]
     fn worker_stats_cover_all_jobs() {
         let jobs = (0..30).map(|i| JobSpec::new(i, ())).collect();
         let (_, stats) = run_sorted(3, jobs, |_, ()| ());
         assert_eq!(stats.per_worker.iter().map(|w| w.jobs).sum::<u64>(), 30);
         assert_eq!(stats.per_worker.len(), 3);
-        assert_eq!(
-            stats.steals,
-            stats.per_worker.iter().map(|w| w.steals).sum::<u64>()
-        );
     }
 }

@@ -7,8 +7,6 @@ use std::time::Duration;
 pub struct WorkerStats {
     /// Jobs this worker completed.
     pub jobs: u64,
-    /// Of those, jobs stolen from another worker's queue.
-    pub steals: u64,
     /// Time spent executing jobs (excludes queue waits).
     pub busy: Duration,
 }
@@ -25,8 +23,6 @@ pub struct FarmStats {
     pub busy_total: Duration,
     /// Per-worker breakdown, indexed by worker id.
     pub per_worker: Vec<WorkerStats>,
-    /// Jobs obtained by stealing (a measure of imbalance absorbed).
-    pub steals: u64,
 }
 
 impl FarmStats {
@@ -43,12 +39,11 @@ impl FarmStats {
     /// One-line human-readable summary.
     pub fn summary(&self) -> String {
         format!(
-            "{} jobs on {} workers in {:.3}s (util {:.0}%, {} steals)",
+            "{} jobs on {} workers in {:.3}s (util {:.0}%)",
             self.jobs,
             self.per_worker.len(),
             self.wall.as_secs_f64(),
             100.0 * self.utilization(),
-            self.steals,
         )
     }
 }
@@ -64,7 +59,6 @@ mod tests {
             wall: Duration::from_secs(2),
             busy_total: Duration::from_secs(3),
             per_worker: vec![WorkerStats::default(); 2],
-            ..Default::default()
         };
         assert!((stats.utilization() - 0.75).abs() < 1e-9);
         assert!(stats.summary().contains("4 jobs on 2 workers"));

@@ -125,7 +125,7 @@ mod tests {
         let rec = Recorder::new();
         {
             let _g = rec.attach("main", 0);
-            instant(EventKind::Steal, 1, 0);
+            instant(EventKind::CacheProbe, 1, 0);
         }
         let dir = std::env::temp_dir().join("portend-obs-chrome-test");
         std::fs::create_dir_all(&dir).unwrap();

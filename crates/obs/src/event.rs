@@ -3,15 +3,14 @@
 /// The kind of one recorded event — the complete vocabulary the
 /// pipeline's layers emit. Each kind is either a *span* (has a
 /// duration: phase bodies, solver checks, slice solves, worker jobs) or
-/// an *instant* (a point fact: a fork, a steal, a cache probe).
+/// an *instant* (a point fact: a fork, a cache probe).
 ///
 /// The taxonomy maps onto the layers of the engine:
 ///
 /// | kind | layer | span? | `a` | `b` |
 /// |------|-------|-------|-----|-----|
 /// | [`Phase`] | pipeline | yes | — | — |
-/// | [`Job`] | farm worker | yes | job index | 1 if stolen |
-/// | [`Steal`] | farm worker | no | job index | — |
+/// | [`Job`] | farm worker | yes | job index | unused (0) |
 /// | [`SolverCheck`] | solver | yes | slices examined | nodes visited |
 /// | [`SliceSolve`] | solver | yes | slice position | nodes visited |
 /// | [`CacheProbe`] | solver cache | no | 0 whole / 1 slice | 0 miss / 1 hit / 2 probation |
@@ -23,7 +22,6 @@
 ///
 /// [`Phase`]: EventKind::Phase
 /// [`Job`]: EventKind::Job
-/// [`Steal`]: EventKind::Steal
 /// [`SolverCheck`]: EventKind::SolverCheck
 /// [`SliceSolve`]: EventKind::SliceSolve
 /// [`CacheProbe`]: EventKind::CacheProbe
@@ -39,8 +37,6 @@ pub enum EventKind {
     Phase,
     /// One classification job executing on a farm worker.
     Job,
-    /// A job was obtained by stealing from a peer's queue.
-    Steal,
     /// One satisfiability check (whole-query, sliced, or scoped).
     SolverCheck,
     /// One cold constraint slice actually solved.
@@ -63,10 +59,9 @@ pub enum EventKind {
 
 impl EventKind {
     /// Every kind, in rendering order.
-    pub const ALL: [EventKind; 11] = [
+    pub const ALL: [EventKind; 10] = [
         EventKind::Phase,
         EventKind::Job,
-        EventKind::Steal,
         EventKind::SolverCheck,
         EventKind::SliceSolve,
         EventKind::CacheProbe,
@@ -83,7 +78,6 @@ impl EventKind {
         match self {
             EventKind::Phase => "phase",
             EventKind::Job => "job",
-            EventKind::Steal => "steal",
             EventKind::SolverCheck => "solver_check",
             EventKind::SliceSolve => "slice_solve",
             EventKind::CacheProbe => "cache_probe",
@@ -100,7 +94,7 @@ impl EventKind {
     pub fn category(self) -> &'static str {
         match self {
             EventKind::Phase => "pipeline",
-            EventKind::Job | EventKind::Steal => "farm",
+            EventKind::Job => "farm",
             EventKind::SolverCheck | EventKind::SliceSolve => "solver",
             EventKind::CacheProbe => "cache",
             EventKind::Fork => "vm",
@@ -114,8 +108,7 @@ impl EventKind {
     pub fn is_span(self) -> bool {
         !matches!(
             self,
-            EventKind::Steal
-                | EventKind::CacheProbe
+            EventKind::CacheProbe
                 | EventKind::Fork
                 | EventKind::RequestStart
                 | EventKind::StoreEvict

@@ -33,6 +33,4 @@ mod event;
 mod recorder;
 
 pub use event::{Event, EventKind, EventSkeleton};
-pub use recorder::{
-    enabled, instant, span, span_named, Lane, LaneGuard, Recorder, Span, Trace, TraceConfig,
-};
+pub use recorder::{enabled, instant, span, span_named, Lane, LaneGuard, Recorder, Span, Trace};

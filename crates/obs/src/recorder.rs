@@ -26,54 +26,10 @@
 //! determinism test pins exactly this.
 
 use std::cell::RefCell;
-use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use crate::event::{Event, EventKind, EventSkeleton};
-
-/// What to record and where to export it — the `trace` knob carried by
-/// the core `PortendConfig` (default off).
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct TraceConfig {
-    /// Write a Chrome trace-event JSON file (load it in
-    /// `chrome://tracing` or [Perfetto](https://ui.perfetto.dev)) here
-    /// after the run.
-    pub chrome_path: Option<PathBuf>,
-    /// Write the versioned machine-readable `RunReport` JSON here after
-    /// the run.
-    pub report_path: Option<PathBuf>,
-    /// Free-form run label carried into the `RunReport` (workload name,
-    /// build id, …).
-    pub label: String,
-}
-
-impl TraceConfig {
-    /// An empty configuration: events are recorded and merged, nothing
-    /// is written to disk (callers can still export through the
-    /// pipeline's returned handles).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The same configuration, also writing a Chrome trace file.
-    pub fn with_chrome(mut self, path: impl Into<PathBuf>) -> Self {
-        self.chrome_path = Some(path.into());
-        self
-    }
-
-    /// The same configuration, also writing the `RunReport` JSON.
-    pub fn with_report(mut self, path: impl Into<PathBuf>) -> Self {
-        self.report_path = Some(path.into());
-        self
-    }
-
-    /// The same configuration with a run label.
-    pub fn with_label(mut self, label: impl Into<String>) -> Self {
-        self.label = label.into();
-        self
-    }
-}
 
 /// One thread role's flushed event buffer.
 #[derive(Debug, Clone, PartialEq)]
@@ -344,7 +300,7 @@ mod tests {
         }
         {
             let _g = rec.attach("alpha", 5);
-            instant(EventKind::Steal, 1, 0);
+            instant(EventKind::CacheProbe, 1, 0);
             let mut s = span_named(EventKind::Phase, "record");
             s.args(7, 0);
             drop(s);
@@ -356,12 +312,12 @@ mod tests {
         assert_eq!(trace.lanes[1].name, "zeta");
         assert_eq!(trace.total_events(), 3);
         let skel = trace.skeleton();
-        assert_eq!(skel[0].1, (EventKind::Steal, "steal", 1, 0));
+        assert_eq!(skel[0].1, (EventKind::CacheProbe, "cache_probe", 1, 0));
         assert_eq!(skel[1].1, (EventKind::Phase, "record", 7, 0));
         assert_eq!(skel[2].1, (EventKind::Fork, "fork", 10, 20));
         assert_eq!(
             trace.counts_by_kind(),
-            vec![("phase", 1), ("steal", 1), ("fork", 1)]
+            vec![("phase", 1), ("cache_probe", 1), ("fork", 1)]
         );
         // Lanes were drained; a second finish is empty.
         assert_eq!(rec.finish().total_events(), 0);

@@ -15,28 +15,17 @@ use portend_vm::{
 use crate::report::{RaceAccess, RaceReport};
 use crate::vector_clock::VectorClock;
 
+/// Upper bound on recorded dynamic race occurrences (guards memory on
+/// pathological runs).
+const MAX_REPORTS: usize = 100_000;
+
 /// Detector configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DetectorConfig {
     /// When `true`, mutex acquire/release edges are ignored. This
     /// simulates an imperfect detector that reports false positives
     /// (the §5.2 experiment: Portend must classify those as harmless).
     pub ignore_mutexes: bool,
-    /// When `true`, condition-variable signal edges are ignored.
-    pub ignore_condvars: bool,
-    /// Upper bound on recorded dynamic race occurrences (guards memory on
-    /// pathological runs).
-    pub max_reports: usize,
-}
-
-impl Default for DetectorConfig {
-    fn default() -> Self {
-        DetectorConfig {
-            ignore_mutexes: false,
-            ignore_condvars: false,
-            max_reports: 100_000,
-        }
-    }
 }
 
 #[derive(Debug, Clone, Default)]
@@ -140,7 +129,7 @@ impl HbDetector {
     }
 
     fn record_race(&mut self, alloc: AllocId, offset: usize, prev: RaceAccess, cur: RaceAccess) {
-        if self.races.len() >= self.cfg.max_reports {
+        if self.races.len() >= MAX_REPORTS {
             return;
         }
         self.races.push(RaceReport {
@@ -238,9 +227,6 @@ impl Monitor for HbDetector {
                 // The mutex release edge was already emitted separately.
             }
             SyncEventKind::CondSignalled { cond, woken } => {
-                if self.cfg.ignore_condvars {
-                    return;
-                }
                 let tc = self.clock_mut(tid).clone();
                 let cc = self.cond_clocks.entry(cond.0).or_default();
                 cc.join(&tc);
@@ -378,7 +364,6 @@ mod tests {
             &mut Scheduler::RoundRobin,
             DetectorConfig {
                 ignore_mutexes: true,
-                ..Default::default()
             },
         );
         assert!(!det.races().is_empty());

@@ -60,7 +60,7 @@ fn four_workers_match_one_across_the_corpus() {
 }
 
 /// Worker count is irrelevant to the outcome (one worker runs on the
-/// calling thread; odd counts exercise stealing imbalance).
+/// calling thread; odd counts leave workers finishing unevenly).
 #[test]
 fn any_worker_count_agrees_with_serial() {
     let w = by_name("ctrace").expect("workload exists");

@@ -97,7 +97,6 @@ fn false_positive_reports_classified_harmless() {
             scheduler: Scheduler::RoundRobin,
             detector: DetectorConfig {
                 ignore_mutexes: true,
-                ..Default::default()
             },
             ..Default::default()
         },

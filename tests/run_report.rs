@@ -20,7 +20,7 @@
 //! timestamps — two identical runs produce identical event skeletons.
 
 use portend_repro::portend::{
-    CacheSnapshot, PipelineResult, PortendConfig, ReportError, RunReport, TraceConfig, WarmSource,
+    CacheSnapshot, PipelineResult, PortendConfig, ReportError, RunReport, WarmSource,
     REPORT_FORMAT_NAME, REPORT_FORMAT_VERSION,
 };
 use portend_repro::portend_obs::{json::Json, EventKind, Trace};
@@ -33,7 +33,7 @@ fn on_workers(w: &Workload, cfg: PortendConfig, workers: usize) -> PipelineResul
 
 fn traced_cfg() -> PortendConfig {
     PortendConfig {
-        trace: Some(TraceConfig::new().with_label("obs-suite")),
+        trace: true,
         ..Default::default()
     }
 }
@@ -175,18 +175,18 @@ fn report_files_land_and_future_versions_are_rejected() {
     let path = dir.join("bbuf-report.json");
 
     let w = by_name("bbuf").expect("workload exists");
-    let cfg = PortendConfig {
-        trace: Some(
-            TraceConfig::new()
-                .with_label("bbuf-file")
-                .with_report(&path),
-        ),
-        ..Default::default()
-    };
-    let result = w.analyze(cfg);
-    let on_disk = RunReport::read_from(&path).expect("pipeline wrote the report");
+    let result = w.analyze(traced_cfg());
+    RunReport::from_result("bbuf-file", &result)
+        .with_trace(result.trace.as_ref().expect("traced"))
+        .write_to(&path)
+        .expect("report written");
+    let on_disk = RunReport::read_from(&path).expect("report reads back");
     assert_eq!(on_disk.label, "bbuf-file");
     assert_eq!(on_disk.races.len(), result.analyzed.len());
+    assert!(
+        on_disk.events.is_some(),
+        "the report carries the trace summary"
+    );
 
     // A document claiming a future schema version is refused outright —
     // same discipline as the warm store, never a best-effort parse.
@@ -246,22 +246,19 @@ fn chrome_export_is_well_formed_with_spans_per_worker_and_solver_check() {
     for name in ["ctrace", "bbuf"] {
         let chrome = dir.join(format!("{name}.trace.json"));
         let w = by_name(name).expect("workload exists");
-        let cfg = PortendConfig {
-            trace: Some(TraceConfig::new().with_label(name).with_chrome(&chrome)),
-            ..Default::default()
-        };
-        let result = on_workers(&w, cfg, 2);
+        let result = on_workers(&w, traced_cfg(), 2);
         let stats = &result.farm;
         let trace: &Trace = result.trace.as_ref().expect("traced");
 
-        // The pipeline exported well-formed Chrome JSON to disk.
-        let text = std::fs::read_to_string(&chrome).expect("chrome file written");
+        // The trace exports well-formed Chrome JSON to disk.
+        trace.write_chrome(&chrome).expect("chrome file written");
+        let text = std::fs::read_to_string(&chrome).expect("chrome file reads back");
         let doc = portend_repro::portend_obs::json::parse(&text).expect("valid JSON");
 
         // >= 1 span per working farm worker: every worker lane that ran
         // a job shows up with a complete event. Which worker runs which
-        // job is up to the pool (a late-starting worker may find every
-        // job already stolen), so the lanes are taken from the stats.
+        // job is up to the pool (a late-starting worker may find the
+        // queue already empty), so the lanes are taken from the stats.
         let spanned = lanes_with_spans(&doc);
         assert_eq!(stats.per_worker.len(), 2);
         for (wk, ws) in stats.per_worker.iter().enumerate() {

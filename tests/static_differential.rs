@@ -146,7 +146,6 @@ fn imperfect_detector_races_covered_without_lock_pruning() {
         RecordConfig {
             detector: DetectorConfig {
                 ignore_mutexes: true,
-                ..Default::default()
             },
             scheduler: Scheduler::RoundRobin,
             ..Default::default()
