@@ -20,15 +20,13 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-pub mod crit;
-
 use std::fmt::Write as _;
 use std::time::Instant;
 
 use portend::baselines::{AdHocDetector, AdHocVerdict, RecordReplayAnalyzer, RraVerdict};
 use portend::{AnalysisStages, PipelineResult, PortendConfig, RaceClass, VerdictDetail};
 use portend_vm::{drive, DriveCfg, NullMonitor};
-use portend_workloads::{all, applications, ClassCounts, ScoreCard, Workload};
+use portend_workloads::{all, applications, ClassCounts, ScoreCard};
 
 /// Renders a list of rows as an aligned text table.
 pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
@@ -514,11 +512,4 @@ pub fn fig10() -> String {
         rows.push(row);
     }
     render_table(&["k", "Pbzip2", "Ctrace", "Memcached", "Bbuf"], &rows)
-}
-
-/// Convenience used by tests: overall accuracy of one workload under one
-/// configuration.
-pub fn accuracy_of(w: &Workload, cfg: PortendConfig) -> f64 {
-    let result = w.analyze(cfg);
-    ScoreCard::new(w, &result).accuracy()
 }

@@ -23,8 +23,7 @@
 //!
 //! The engine is generic over the job payload and result types, so the
 //! `portend` core can run `Pipeline::run` on it without a dependency
-//! cycle, and harnesses can reuse the same pool to fan out entire
-//! workload corpora (`crates/bench`'s `bench_farm` does both).
+//! cycle.
 //!
 //! Determinism: the farm only changes *when* each job runs, never what it
 //! computes. Classification is a pure function of (case, cluster, config),

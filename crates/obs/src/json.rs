@@ -4,8 +4,7 @@
 //! so `serde`/`serde_json` cannot be vendored; this module provides the
 //! narrow surface the observability exporters need — write compact JSON
 //! straight into a `String`, build a [`Json`] tree, parse it back — in
-//! the same hand-rolled spirit as `portend_symex::warm`'s on-disk format
-//! and `portend_bench::crit`'s criterion substitute.
+//! the same hand-rolled spirit as `portend_symex::warm`'s on-disk format.
 //!
 //! The direct writer ([`ObjectWriter`], [`write_array`], [`write_int`])
 //! appends to a caller's buffer without building a tree; the output

@@ -275,12 +275,20 @@ mod tests {
     use super::*;
     use crate::report::cluster_races;
     use portend_vm::{
-        drive, DriveCfg, InputMode, InputSource, InputSpec, Machine, Operand, ProgramBuilder,
-        Scheduler, VmConfig,
+        drive, DriveCfg, DriveStop, InputMode, InputSource, InputSpec, Machine, Operand,
+        ProgramBuilder, Scheduler, VmConfig,
     };
     use std::sync::Arc;
 
     fn run(p: portend_vm::Program, sched: &mut Scheduler, cfg: DetectorConfig) -> HbDetector {
+        run_to_stop(p, sched, cfg).0
+    }
+
+    fn run_to_stop(
+        p: portend_vm::Program,
+        sched: &mut Scheduler,
+        cfg: DetectorConfig,
+    ) -> (HbDetector, DriveStop) {
         let mut det = HbDetector::with_config(cfg);
         det.set_alloc_names(p.allocs.iter().map(|a| a.name.clone()));
         let mut m = Machine::new(
@@ -288,8 +296,8 @@ mod tests {
             InputSource::new(InputSpec::concrete(vec![]), InputMode::Concrete),
             VmConfig::default(),
         );
-        drive(&mut m, sched, &mut det, &DriveCfg::default());
-        det
+        let stop = drive(&mut m, sched, &mut det, &DriveCfg::default());
+        (det, stop)
     }
 
     fn racy_program() -> portend_vm::Program {
@@ -423,6 +431,85 @@ mod tests {
             );
             assert!(det.races().is_empty(), "seed {seed}");
         }
+    }
+
+    #[test]
+    fn access_after_unlock_races_with_the_next_holder() {
+        // A's store follows its unlock, so the lock orders nothing after
+        // it: B's load under the same mutex still races with the store.
+        // (Cooperative runs A to its exit before B starts.)
+        let mut pb = ProgramBuilder::new("after_unlock", "after_unlock.c");
+        let g = pb.global("g", 0);
+        let mu = pb.mutex("m");
+        let a = pb.func("a", |f| {
+            let _ = f.param();
+            f.lock(mu);
+            f.unlock(mu);
+            f.store(g, Operand::Imm(0), Operand::Imm(1));
+            f.ret(None);
+        });
+        let b = pb.func("b", |f| {
+            let _ = f.param();
+            f.lock(mu);
+            let v = f.load(g, Operand::Imm(0));
+            f.unlock(mu);
+            f.output(1, v);
+            f.ret(None);
+        });
+        let main = pb.func("main", |f| {
+            let ta = f.spawn(a, Operand::Imm(0));
+            let tb = f.spawn(b, Operand::Imm(0));
+            f.join(ta);
+            f.join(tb);
+            f.ret(None);
+        });
+        let det = run(
+            pb.build(main).unwrap(),
+            &mut Scheduler::Cooperative,
+            DetectorConfig::default(),
+        );
+        let clusters = cluster_races(det.races());
+        assert_eq!(clusters.len(), 1, "{:?}", det.races());
+        assert_eq!(clusters[0].representative.alloc_name, "g");
+    }
+
+    #[test]
+    fn signal_without_the_mutex_orders_the_signaller_first() {
+        // The signaller never holds `m`, so only the signal→wake edge
+        // orders its store before the woken waiter's load.
+        let mut pb = ProgramBuilder::new("bare_signal", "bare_signal.c");
+        let g = pb.global("g", 0);
+        let mu = pb.mutex("m");
+        let cv = pb.condvar("cv");
+        let waiter = pb.func("waiter", |f| {
+            let _ = f.param();
+            f.lock(mu);
+            f.cond_wait(cv, mu);
+            f.unlock(mu);
+            let v = f.load(g, Operand::Imm(0));
+            f.output(1, v);
+            f.ret(None);
+        });
+        let signaller = pb.func("signaller", |f| {
+            let _ = f.param();
+            f.store(g, Operand::Imm(0), Operand::Imm(1));
+            f.cond_signal(cv);
+            f.ret(None);
+        });
+        let main = pb.func("main", |f| {
+            let tw = f.spawn(waiter, Operand::Imm(0));
+            let ts = f.spawn(signaller, Operand::Imm(0));
+            f.join(tw);
+            f.join(ts);
+            f.ret(None);
+        });
+        let (det, stop) = run_to_stop(
+            pb.build(main).unwrap(),
+            &mut Scheduler::Cooperative,
+            DetectorConfig::default(),
+        );
+        assert_eq!(stop, DriveStop::Completed, "the waiter waits first");
+        assert!(det.races().is_empty(), "{:?}", det.races());
     }
 
     #[test]

@@ -457,28 +457,6 @@ pub struct CacheSnapshot {
     pub warm_rejected_fingerprint: u64,
 }
 
-impl CacheSnapshot {
-    /// Whole-query hit fraction in `[0, 1]`; `0` when no query was made.
-    pub fn hit_rate(&self) -> f64 {
-        ratio(self.hits, self.misses)
-    }
-
-    /// Slice-level hit fraction in `[0, 1]`; `0` when no sliced query was
-    /// made.
-    pub fn slice_hit_rate(&self) -> f64 {
-        ratio(self.slice_hits, self.slice_misses)
-    }
-}
-
-fn ratio(hits: u64, misses: u64) -> f64 {
-    let total = hits + misses;
-    if total == 0 {
-        0.0
-    } else {
-        hits as f64 / total as f64
-    }
-}
-
 /// Renders the exact canonical key of a query: solver configuration, the
 /// constraint list *in order*, and the domain of every mentioned variable.
 ///
@@ -576,7 +554,6 @@ mod tests {
         assert_eq!(hit(cache.lookup("k1")), Some(SatResult::Unsat));
         let s = cache.snapshot();
         assert_eq!((s.hits, s.misses, s.entries), (1, 1, 1));
-        assert!((s.hit_rate() - 0.5).abs() < 1e-9);
         assert_eq!(s.key_bytes, 2 * "k1".len() as u64);
     }
 
@@ -592,7 +569,6 @@ mod tests {
         let s = cache.snapshot();
         assert_eq!((s.slice_hits, s.slice_misses), (1, 1));
         assert_eq!((s.hits, s.misses), (1, 0));
-        assert!((s.slice_hit_rate() - 0.5).abs() < 1e-9);
     }
 
     #[test]

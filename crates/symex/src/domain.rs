@@ -50,11 +50,6 @@ impl VarInfo {
     pub fn interval(&self) -> Interval {
         Interval::new(self.lo, self.hi)
     }
-
-    /// Number of values in the domain, saturating at `u64::MAX`.
-    pub fn domain_size(&self) -> u64 {
-        (self.hi as i128 - self.lo as i128 + 1).min(u64::MAX as i128) as u64
-    }
 }
 
 /// The table of all symbolic variables of one analysis.
@@ -250,7 +245,6 @@ mod tests {
         assert_eq!(t.len(), 2);
         assert_eq!(t.info(a).name, "a");
         assert_eq!(t.info(b).lo, -5);
-        assert_eq!(t.info(a).domain_size(), 11);
         let ids: Vec<_> = t.iter().map(|(id, _)| id).collect();
         assert_eq!(ids, vec![a, b]);
     }

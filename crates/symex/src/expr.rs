@@ -79,16 +79,6 @@ impl Expr {
         Expr(Arc::new(Node::Var(id)))
     }
 
-    /// The constant `1` (true).
-    pub fn true_() -> Expr {
-        Expr::konst(1)
-    }
-
-    /// The constant `0` (false).
-    pub fn false_() -> Expr {
-        Expr::konst(0)
-    }
-
     /// Access to the underlying node.
     pub fn node(&self) -> &Node {
         &self.0
@@ -100,16 +90,6 @@ impl Expr {
             Node::Const(v) => Some(*v),
             _ => None,
         }
-    }
-
-    /// Whether the expression is the literal `0` / `1`.
-    pub fn is_false_const(&self) -> bool {
-        self.as_const() == Some(0)
-    }
-
-    /// Whether the expression is a literal non-zero constant.
-    pub fn is_true_const(&self) -> bool {
-        matches!(self.as_const(), Some(v) if v != 0)
     }
 
     /// Builds a binary operation, constant-folding where possible.
@@ -218,11 +198,6 @@ impl Expr {
     /// Logical conjunction of two boolean-valued expressions.
     pub fn and_(self, rhs: Expr) -> Expr {
         Expr::bin(BinOp::And, self.truthy(), rhs.truthy())
-    }
-
-    /// Logical disjunction of two boolean-valued expressions.
-    pub fn or_(self, rhs: Expr) -> Expr {
-        Expr::bin(BinOp::Or, self.truthy(), rhs.truthy())
     }
 
     /// Evaluates under a model assigning every variable.

@@ -52,12 +52,6 @@ impl Model {
         self.assignments.iter().map(|(k, v)| (*k, *v))
     }
 
-    /// Value for `var`, or the lower bound of its declared domain when the
-    /// model does not constrain it (a canonical "don't care" completion).
-    pub fn get_or_default(&self, var: VarId, vars: &VarTable) -> i64 {
-        self.get(var).unwrap_or_else(|| vars.info(var).lo)
-    }
-
     /// Renders the model with variable names for debug-aid reports.
     pub fn display_named(&self, vars: &VarTable) -> String {
         let mut parts = Vec::new();
@@ -102,14 +96,6 @@ mod tests {
         assert_eq!(m.len(), 1);
         assert_eq!(m.unset(VarId(0)), Some(9));
         assert!(m.get(VarId(0)).is_none());
-    }
-
-    #[test]
-    fn default_completion_uses_domain_lower_bound() {
-        let mut vars = VarTable::new();
-        let a = vars.fresh("a", 3, 9);
-        let m = Model::new();
-        assert_eq!(m.get_or_default(a, &vars), 3);
     }
 
     #[test]

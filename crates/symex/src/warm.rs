@@ -14,7 +14,7 @@
 //!
 //! A hand-rolled little-endian, length-prefixed record stream (no
 //! external dependencies, in the same spirit as the in-workspace
-//! `portend_bench::crit` criterion substitute):
+//! `portend_obs::json` writer and parser):
 //!
 //! ```text
 //! offset  size  field

@@ -122,12 +122,6 @@ impl VmError {
         }
     }
 
-    /// Whether this error is a "crash" in the paper's sense (Table 2
-    /// distinguishes crashes from deadlocks and semantic violations).
-    pub fn is_crash(&self) -> bool {
-        !matches!(self, VmError::Deadlock(_))
-    }
-
     /// Short category label used in reports and Table 2.
     pub fn category(&self) -> &'static str {
         match self {
@@ -220,9 +214,7 @@ mod tests {
             pc: pc(),
         };
         assert_eq!(e.category(), "div-by-zero");
-        assert!(e.is_crash());
         let d = VmError::Deadlock(DeadlockInfo { edges: vec![] });
-        assert!(!d.is_crash());
         assert_eq!(d.category(), "deadlock");
     }
 

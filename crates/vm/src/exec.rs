@@ -165,13 +165,6 @@ pub enum DriveStop {
     },
 }
 
-impl DriveStop {
-    /// Whether the stop is a crash or deadlock.
-    pub fn is_error(&self) -> bool {
-        matches!(self, DriveStop::Error(_))
-    }
-}
-
 /// The current thread's pending memory access as
 /// `(alloc, resolved offset, is_write)`; `None` when `inst` accesses no
 /// memory or its index is symbolic.

@@ -168,7 +168,7 @@ impl Machine {
     /// An eagerly deep-copied clone: memory and logs are copied now
     /// instead of on first write. Behaviorally identical to `clone()`
     /// (pinned by the workspace `cow_fork_equals_deep_clone` property
-    /// suite); used as the non-CoW reference in tests and `bench_fork`.
+    /// suite); used as the non-CoW reference in tests.
     pub fn deep_clone(&self) -> Machine {
         let mut m = self.clone();
         m.mem = self.mem.deep_clone();

@@ -99,11 +99,6 @@ impl Memory {
         }
     }
 
-    /// Number of allocations.
-    pub fn alloc_count(&self) -> usize {
-        self.allocs.len()
-    }
-
     /// Read-only view of an allocation.
     ///
     /// # Panics

@@ -74,11 +74,6 @@ impl OutputLog {
         self.iter().map(|r| r.val.as_concrete()).collect()
     }
 
-    /// Whether any record is symbolic.
-    pub fn has_symbolic(&self) -> bool {
-        self.iter().any(|r| r.val.is_symbolic())
-    }
-
     /// Bytes a deep copy of the log would move; the cost a fork shares
     /// away structurally.
     pub fn heap_bytes(&self) -> u64 {
@@ -226,7 +221,6 @@ mod tests {
         let mut a = OutputLog::new();
         a.push(rec(5));
         assert_eq!(a.concrete_values(), Some(vec![5]));
-        assert!(!a.has_symbolic());
     }
 
     #[test]

@@ -73,17 +73,6 @@ impl SyncState {
         }
     }
 
-    /// The mutexes currently held by `tid` (used by the lockset detector
-    /// and by deadlock reports).
-    pub fn held_by(&self, tid: ThreadId) -> Vec<SyncId> {
-        self.mutexes
-            .iter()
-            .enumerate()
-            .filter(|(_, m)| m.owner == Some(tid))
-            .map(|(i, _)| SyncId(i as u32))
-            .collect()
-    }
-
     /// The owner of a mutex.
     pub fn mutex_owner(&self, m: SyncId) -> Option<ThreadId> {
         self.mutexes[m.0 as usize].owner
@@ -95,12 +84,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn held_by_lists_owned_mutexes() {
+    fn mutex_owner_reports_the_holder() {
         let mut s = SyncState::from_program(3, 0, &[]);
         s.mutexes[0].owner = Some(ThreadId(1));
         s.mutexes[2].owner = Some(ThreadId(1));
         s.mutexes[1].owner = Some(ThreadId(0));
-        assert_eq!(s.held_by(ThreadId(1)), vec![SyncId(0), SyncId(2)]);
         assert_eq!(s.mutex_owner(SyncId(1)), Some(ThreadId(0)));
     }
 

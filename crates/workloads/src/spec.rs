@@ -270,16 +270,6 @@ impl ScoreCard {
         }
     }
 
-    /// Accuracy restricted to races whose ground truth is `class`.
-    pub fn accuracy_for(&self, class: RaceClass) -> Option<f64> {
-        let rows: Vec<_> = self.rows.iter().filter(|(_, e, _)| *e == class).collect();
-        if rows.is_empty() {
-            return None;
-        }
-        let ok = rows.iter().filter(|(_, e, g)| e == g).count();
-        Some(100.0 * ok as f64 / rows.len() as f64)
-    }
-
     /// The misclassified `(allocation, expected, got)` rows.
     pub fn misclassified(&self) -> Vec<&(String, RaceClass, RaceClass)> {
         self.rows.iter().filter(|(_, e, g)| e != g).collect()

@@ -1,6 +1,7 @@
 //! Seeded property suites for the copy-on-write snapshot layer and the
 //! incremental scoped-solver partition — the two transparency contracts
-//! of the state-sharing refactor:
+//! of the state-sharing refactor — and the fork-cost contract that
+//! justifies it:
 //!
 //! 1. **CoW fork ≡ eager deep clone.** A forked machine shares its heap
 //!    and logs with the parent structurally; first writes copy lazily.
@@ -17,16 +18,22 @@
 //!    checks must agree with fresh solver checks — at the default
 //!    budget exactly, and at a starvation budget without ever flipping
 //!    a decided answer.
+//! 3. **A fork copies a tenth of a deep clone.** Over a forked child's
+//!    whole run, eager plus lazily copied bytes stay at least 10x below
+//!    what a deep clone copies up front, on heaps of 2^10 to 2^15 cells.
+//!    The classifier's exploration forks share more bytes than they
+//!    copy, and reuse constraint slices their parent already solved.
 
 use std::sync::Arc;
 
+use portend_repro::portend::{Pipeline, WarmSource};
 use portend_repro::portend_symex::{
     partition_slices, BinOp, CmpOp, Expr, Model, SatResult, ScopedSolver, Solver, SolverConfig,
     VarId, VarTable,
 };
 use portend_repro::portend_vm::{
     drive, DriveCfg, InputMode, InputSource, InputSpec, Machine, NullMonitor, Operand, Program,
-    ProgramBuilder, Scheduler, SmallRng, VmConfig,
+    ProgramBuilder, Scheduler, SmallRng, SymDomain, VmConfig,
 };
 use portend_repro::portend_workloads;
 
@@ -425,4 +432,118 @@ fn incremental_scoped_solver_never_flips_under_starvation() {
         }
     }
     assert!(improved > 0, "starvation regime exercises Unknown recovery");
+}
+
+// ---------------------------------------------------------------------
+// 3. A fork copies a tenth of a deep clone
+// ---------------------------------------------------------------------
+
+/// A two-thread program over 32 buffers of `cells / 32` cells each (CoW
+/// is per allocation, so one giant array would be copied whole on its
+/// first write). The worker writes one buffer and a flag; `main` reads
+/// the flag, joins the worker, then branches on two inputs. The flag
+/// read races with the store but never reaches the output, so
+/// Algorithm 1 sees equal outputs and hands the race to the forking
+/// multi-path explorer.
+fn big_heap_program(cells: usize) -> Arc<Program> {
+    let mut pb = ProgramBuilder::new("bigheap", "bigheap.c");
+    let heap: Vec<_> = (0..32)
+        .map(|i| pb.array(format!("buf{i}"), cells / 32))
+        .collect();
+    let touched = heap[0];
+    let flag = pb.global("flag", 0);
+    let worker = pb.func("worker", move |f| {
+        let _ = f.param();
+        f.store(touched, Operand::Imm(0), Operand::Imm(7));
+        f.store(flag, Operand::Imm(0), Operand::Imm(1));
+        f.ret(None);
+    });
+    let main = pb.func("main", move |f| {
+        let t = f.spawn(worker, Operand::Imm(0));
+        let _ = f.load(flag, Operand::Imm(0));
+        f.join(t);
+        for (threshold, above, below) in [(5, 100, 200), (2, 1, 2)] {
+            let i = f.input();
+            let c = f.cmp(CmpOp::Gt, i, Operand::Imm(threshold));
+            f.if_else(
+                c,
+                |f| {
+                    f.output(1, Operand::Imm(above));
+                },
+                |f| {
+                    f.output(1, Operand::Imm(below));
+                },
+            );
+        }
+        f.ret(None);
+    });
+    Arc::new(pb.build(main).unwrap())
+}
+
+/// The byte accounting the CoW snapshot layer exists for: a deep clone
+/// copies the eager part plus every shared byte up front, while a fork
+/// pays the eager part plus whatever its child later rewrites.
+#[test]
+fn cow_forks_copy_a_tenth_of_a_deep_clone() {
+    let (mut deep, mut cow) = (0u64, 0u64);
+    for cells in [1 << 10, 1 << 13, 1 << 15] {
+        let mut parent = boot(&big_heap_program(cells), vec![3, 1]);
+        // Two steps stop before the worker's heap store, so the child
+        // pays that copy lazily.
+        let two_steps = DriveCfg {
+            max_steps: 2,
+            record_schedule: true,
+            ..Default::default()
+        };
+        let _ = drive(
+            &mut parent,
+            &mut Scheduler::RoundRobin,
+            &mut NullMonitor,
+            &two_steps,
+        );
+        let (mut child, cost) = parent.fork();
+        let before = child.cow_bytes();
+        let _ = drive(
+            &mut child,
+            &mut Scheduler::RoundRobin,
+            &mut NullMonitor,
+            &DriveCfg::with_budget(1_000_000),
+        );
+        deep += cost.bytes_copied + cost.bytes_shared;
+        cow += cost.bytes_copied + (child.cow_bytes() - before);
+    }
+    let reduction = deep as f64 / cow as f64;
+    assert!(
+        reduction >= 10.0,
+        "forks must copy >= 10x fewer bytes than deep clones: {deep} vs {cow} ({reduction:.1}x)"
+    );
+
+    let spec = InputSpec::concrete(vec![3, 1])
+        .with_symbolic(SymDomain::new("i", 0, 10))
+        .with_symbolic(SymDomain::new("j", 0, 10));
+    let result = Pipeline::default().run(
+        &big_heap_program(1 << 12),
+        vec![3, 1],
+        spec,
+        vec![],
+        VmConfig::default(),
+        1,
+        &WarmSource::default(),
+        &mut |_, _, _| {},
+    );
+    let (mut copied, mut shared, mut reused) = (0, 0, 0);
+    for a in &result.analyzed {
+        let stats = &a.verdict.as_ref().expect("the race classifies").stats;
+        copied += stats.bytes_copied_on_fork;
+        shared += stats.bytes_shared_on_fork;
+        reused += stats.slices_reused_at_fork;
+    }
+    assert!(
+        shared > copied,
+        "exploration forks must share more than they copy: {shared} vs {copied} B"
+    );
+    assert!(
+        reused > 0,
+        "exploration forks must reuse parent-solved slices"
+    );
 }
