@@ -10,6 +10,7 @@ use portend_vm::{Inst, Operand, Watch};
 
 use crate::case::AnalysisCase;
 use crate::classify::ClassifyError;
+use crate::config::{enforce_budget, STEP_BUDGET};
 use crate::enforce::{enforce_alternate, EnforceOutcome};
 use crate::locate::locate_race;
 use crate::supervise::{SupStop, Supervisor};
@@ -37,18 +38,13 @@ impl fmt::Display for RraVerdict {
 /// and memory) immediately after the race. Replay failures — which is
 /// what ad-hoc synchronization causes — are conservatively classified
 /// harmful; this is the main source of its 74% false positive rate (§1).
-#[derive(Debug, Clone, Default)]
-pub struct RecordReplayAnalyzer {
-    /// Instruction budget per phase.
-    pub step_budget: u64,
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct RecordReplayAnalyzer;
 
 impl RecordReplayAnalyzer {
-    /// An analyzer with the default budget.
+    /// A fresh analyzer.
     pub fn new() -> Self {
-        RecordReplayAnalyzer {
-            step_budget: 400_000,
-        }
+        RecordReplayAnalyzer
     }
 
     /// Classifies one race.
@@ -61,13 +57,12 @@ impl RecordReplayAnalyzer {
         case: &AnalysisCase,
         race: &RaceReport,
     ) -> Result<RraVerdict, ClassifyError> {
-        let located =
-            locate_race(case, race, self.step_budget * 2).map_err(|e| ClassifyError(e.0))?;
+        let located = locate_race(case, race, STEP_BUDGET * 2).map_err(|e| ClassifyError(e.0))?;
         let cell = Watch::cell(race.alloc, race.offset as i64);
 
         // Enforce the alternate ordering once, with no diagnosis probes.
         let (mut am, mut asched) = located.pre.clone();
-        let mut sup = Supervisor::new(located.replay_steps * 5 + 10_000);
+        let mut sup = Supervisor::new(enforce_budget(located.replay_steps));
         match enforce_alternate(&mut am, &mut asched, &mut sup, race, &[]) {
             EnforceOutcome::Swapped => {}
             // Replay failure (retry divergence, timeout, stuck, crash,
@@ -117,18 +112,13 @@ impl fmt::Display for AdHocVerdict {
 /// Helgrind+ / Ad-Hoc-Detector stand-in (paper §2.1, §5.4): identifies
 /// races whose accesses are ordered by ad-hoc synchronization and prunes
 /// them; all other races are left unclassified.
-#[derive(Debug, Clone, Default)]
-pub struct AdHocDetector {
-    /// Instruction budget per phase.
-    pub step_budget: u64,
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct AdHocDetector;
 
 impl AdHocDetector {
-    /// A detector with the default budget.
+    /// A fresh detector.
     pub fn new() -> Self {
-        AdHocDetector {
-            step_budget: 400_000,
-        }
+        AdHocDetector
     }
 
     /// Classifies one race.
@@ -141,11 +131,10 @@ impl AdHocDetector {
         case: &AnalysisCase,
         race: &RaceReport,
     ) -> Result<AdHocVerdict, ClassifyError> {
-        let located =
-            locate_race(case, race, self.step_budget * 2).map_err(|e| ClassifyError(e.0))?;
+        let located = locate_race(case, race, STEP_BUDGET * 2).map_err(|e| ClassifyError(e.0))?;
         let cell = Watch::cell(race.alloc, race.offset as i64);
         let (mut am, mut asched) = located.pre.clone();
-        let mut sup = Supervisor::new(located.replay_steps * 5 + 10_000);
+        let mut sup = Supervisor::new(enforce_budget(located.replay_steps));
         match enforce_alternate(&mut am, &mut asched, &mut sup, race, &[]) {
             // A busy-wait retry on the racy cell is ad-hoc synchronization
             // by definition.
@@ -154,7 +143,7 @@ impl AdHocDetector {
             // back, and resumes once it runs: ad-hoc synchronization.
             EnforceOutcome::Timeout | EnforceOutcome::Stuck => {
                 sup.suspended.clear();
-                sup.budget = located.replay_steps * 5 + 10_000;
+                sup.budget = enforce_budget(located.replay_steps);
                 sup.race_watches = vec![cell.by(race.second.tid)];
                 match sup.run(&mut am, &mut asched, &[]) {
                     SupStop::RaceHit(_) | SupStop::Completed => Ok(AdHocVerdict::SingleOrdering),

@@ -7,10 +7,10 @@ use std::sync::Arc;
 
 use portend_race::RaceReport;
 use portend_symex::{Solver, SolverCache};
-use portend_vm::{InputMode, InputSource, InputSpec, Machine, Scheduler, VmError, Watch};
+use portend_vm::{InputMode, InputSource, InputSpec, Machine, Scheduler, Watch};
 
 use crate::case::AnalysisCase;
-use crate::config::PortendConfig;
+use crate::config::{PortendConfig, SCHEDULE_SEED, STEP_BUDGET};
 use crate::enforce::{enforce_alternate, EnforceOutcome};
 use crate::explorer::{explore_primaries, ExploreResult, PrimaryPath};
 use crate::locate::locate_race;
@@ -55,8 +55,10 @@ pub struct Portend {
 impl Portend {
     /// A classifier with the given configuration.
     pub fn new(config: PortendConfig) -> Self {
-        let solver = Solver::with_config(config.solver);
-        Portend { config, solver }
+        Portend {
+            config,
+            solver: Solver::new(),
+        }
     }
 
     /// A classifier whose solver memoizes every query in `cache`.
@@ -66,8 +68,10 @@ impl Portend {
     /// answers are exact, so verdicts are unchanged (the farm's
     /// cross-race sharing relies on this).
     pub fn with_cache(config: PortendConfig, cache: Arc<SolverCache>) -> Self {
-        let solver = Solver::with_config(config.solver).cached(cache);
-        Portend { config, solver }
+        Portend {
+            config,
+            solver: Solver::new().cached(cache),
+        }
     }
 
     /// Classifies one race (one cluster representative) from a recorded
@@ -83,8 +87,7 @@ impl Portend {
         race: &RaceReport,
     ) -> Result<Verdict, ClassifyError> {
         let cfg = &self.config;
-        let locate_budget = cfg.step_budget.saturating_mul(2);
-        let located = locate_race(case, race, locate_budget).map_err(|e| ClassifyError(e.0))?;
+        let located = locate_race(case, race, STEP_BUDGET * 2).map_err(|e| ClassifyError(e.0))?;
 
         let mut stats = ClassifyStats {
             primaries: 1,
@@ -160,8 +163,7 @@ impl Portend {
         let mut k: u64 = 1; // Algorithm 1's matching pair counts as a witness.
         for (i, primary) in primaries.iter().enumerate() {
             for j in 0..ma {
-                let seed = cfg
-                    .schedule_seed
+                let seed = SCHEDULE_SEED
                     .wrapping_add((i as u64) << 8)
                     .wrapping_add(j as u64);
                 stats.alternates += 1;
@@ -214,7 +216,7 @@ impl Portend {
         cfg: &PortendConfig,
         randomize: bool,
     ) -> (AltOutcome, SingleWork) {
-        let mut sup = Supervisor::new(cfg.step_budget);
+        let mut sup = Supervisor::new(STEP_BUDGET);
         let outcome = self.run_alternate_inner(case, race, primary, seed, cfg, randomize, &mut sup);
         let mut work = SingleWork::default();
         work.absorb(&sup);
@@ -263,7 +265,7 @@ impl Portend {
                 }
                 SupStop::Error(e) => {
                     return AltOutcome::SpecViol {
-                        kind: kind_of(e),
+                        kind: e.into(),
                         replay: replay_of(&m, primary, "alternate replay to the race"),
                     }
                 }
@@ -289,7 +291,7 @@ impl Portend {
             }
             EnforceOutcome::Error(e) => {
                 return AltOutcome::SpecViol {
-                    kind: kind_of(e),
+                    kind: e.into(),
                     replay: replay_of(&m, primary, "alternate ordering enforcement"),
                 }
             }
@@ -310,7 +312,7 @@ impl Portend {
         sup.suspended.clear();
         sup.race_watches.clear();
         sup.preempt_watches = vec![cell];
-        sup.budget = sup.budget.max(cfg.step_budget / 2);
+        sup.budget = sup.budget.max(STEP_BUDGET / 2);
         match sup.run(&mut m, &mut sched, &case.predicates) {
             SupStop::Completed => {
                 match symbolic_match(
@@ -324,7 +326,7 @@ impl Portend {
                 }
             }
             SupStop::Error(e) => AltOutcome::SpecViol {
-                kind: kind_of(e),
+                kind: e.into(),
                 replay: replay_of(&m, primary, "alternate execution after the race"),
             },
             SupStop::Semantic(message) => AltOutcome::SpecViol {
@@ -352,13 +354,6 @@ enum AltOutcome {
         replay: ReplayEvidence,
     },
     Skipped,
-}
-
-fn kind_of(e: VmError) -> SpecViolationKind {
-    match &e {
-        VmError::Deadlock(_) => SpecViolationKind::Deadlock(e.clone()),
-        _ => SpecViolationKind::Crash(e.clone()),
-    }
 }
 
 fn replay_of(m: &Machine, primary: &PrimaryPath, what: &str) -> ReplayEvidence {

@@ -1,7 +1,27 @@
 //! Portend configuration: the Mp/Ma "dial" and the analysis-stage
-//! toggles.
+//! toggles, plus the fixed budgets every analysis runs under.
 
-use portend_symex::SolverConfig;
+/// Instruction budget for replaying to the race and for each post-race
+/// continuation.
+pub(crate) const STEP_BUDGET: u64 = 400_000;
+
+/// The alternate-ordering enforcement budget's multiple of the primary's
+/// replay cost ("5 times what it took Portend to replay the primary
+/// execution", paper §4).
+const ENFORCE_BUDGET_FACTOR: u64 = 5;
+
+/// Bound on states forked during multi-path analysis (guards against
+/// pathological fork explosion).
+pub(crate) const MAX_EXPLORATION_STATES: u64 = 256;
+
+/// Seed for alternate-schedule randomization.
+pub(crate) const SCHEDULE_SEED: u64 = 0x9e3779b9;
+
+/// Instruction budget for enforcing the alternate ordering of a race
+/// whose replay took `replay_steps`.
+pub(crate) fn enforce_budget(replay_steps: u64) -> u64 {
+    replay_steps * ENFORCE_BUDGET_FACTOR + 10_000
+}
 
 /// Which analysis techniques are enabled — the axes of the paper's Fig. 7
 /// accuracy breakdown. All stages build on single-pre/single-post
@@ -57,21 +77,6 @@ pub struct PortendConfig {
     pub ma: usize,
     /// Enabled analysis stages.
     pub stages: AnalysisStages,
-    /// Instruction budget for replaying to the race and for each
-    /// post-race continuation.
-    pub step_budget: u64,
-    /// Instruction budget for the alternate-ordering enforcement attempt,
-    /// per the paper a multiple of the primary's cost ("5 times what it
-    /// took Portend to replay the primary execution", §4).
-    pub enforce_budget_factor: u64,
-    /// Bound on exploration states queued during multi-path analysis
-    /// (guards against pathological fork explosion).
-    pub max_exploration_states: usize,
-    /// Seed for alternate-schedule randomization.
-    pub schedule_seed: u64,
-    /// Solver configuration. Path-condition queries are always solved
-    /// by constraint slicing (see `portend_symex::slice`).
-    pub solver: SolverConfig,
     /// Event tracing (`portend-obs`). Off (the default) records nothing
     /// and costs nothing — every emission site collapses to one
     /// thread-local read. On records phase/solver/farm/cache events
@@ -89,11 +94,6 @@ impl Default for PortendConfig {
             mp: 5,
             ma: 2,
             stages: AnalysisStages::full(),
-            step_budget: 400_000,
-            enforce_budget_factor: 5,
-            max_exploration_states: 256,
-            schedule_seed: 0x9e3779b9,
-            solver: SolverConfig::default(),
             trace: false,
         }
     }

@@ -7,18 +7,18 @@
 //! Completed states that experienced the race become *primary paths*: the
 //! solver produces concrete inputs driving the program down each one.
 //!
-//! Feasibility checks go through a [`ScopedSolver`]: sibling states in
-//! the fork tree share their path-condition prefix, so at each fork the
-//! child's check reuses the parent's already-solved constraint slices
-//! (memo hits) instead of re-rendering and re-solving the whole path
-//! condition (see `portend_symex::slice`).
+//! Feasibility checks are sliced checks through one [`SliceMemo`] per
+//! race: sibling states in the fork tree share their path-condition
+//! prefix, so at each fork the child's check answers the parent's
+//! already-solved constraint slices from the memo and solves only the
+//! slice the new branch constraint touches (see `portend_symex::slice`).
 
 use portend_race::RaceReport;
-use portend_symex::{Model, SatResult, ScopedSolver, Solver};
+use portend_symex::{Expr, Model, SatResult, SliceMemo, Solver, VarTable};
 use portend_vm::{Machine, Scheduler, VmError, Watch};
 
 use crate::case::AnalysisCase;
-use crate::config::PortendConfig;
+use crate::config::{PortendConfig, MAX_EXPLORATION_STATES, STEP_BUDGET};
 use crate::locate::Located;
 use crate::supervise::{SupStop, Supervisor};
 use crate::taxonomy::{ReplayEvidence, SpecViolationKind};
@@ -86,9 +86,8 @@ pub(crate) struct ExploreStats {
     /// copying, summed over all forks — what an eager deep clone would
     /// have copied up front every time.
     pub bytes_shared_on_fork: u64,
-    /// Constraint slices feasibility checks reused from the scoped
-    /// solver's memo instead of re-solving (the incremental-solver
-    /// payoff at forks).
+    /// Constraint slices feasibility checks answered from the race's
+    /// slice memo instead of re-solving (the payoff at forks).
     pub slices_reused_at_fork: u64,
 }
 
@@ -127,7 +126,7 @@ pub(crate) fn explore_primaries(
             .trace
             .machine_symbolic(&case.program, &case.input_spec, case.vm),
         sched: case.trace.scheduler(),
-        budget: cfg.step_budget,
+        budget: STEP_BUDGET,
         first_count: 0,
         past_race: false,
         occ_at_race: 0,
@@ -140,23 +139,21 @@ pub(crate) fn explore_primaries(
         stats: ExploreStats::default(),
         primaries: Vec::new(),
         worklist: vec![root],
-        forked: 0,
-        scoped: ScopedSolver::new(solver.clone()),
+        solver,
+        memo: SliceMemo::new(),
     };
 
+    let mut aborted = None;
     while let Some(mut st) = ex.worklist.pop() {
         if ex.primaries.len() >= cfg.mp {
             break;
         }
-        let outcome = ex.run_state(&mut st, case, race, located, cfg);
+        let outcome = ex.run_state(&mut st, case, race, located);
         ex.settle(&st);
         match outcome {
             StateOutcome::Abort(r) => {
-                // The abort path must report the same counters the
-                // normal exit does (settle already folded the byte
-                // counters in above).
-                ex.stats.slices_reused_at_fork = ex.scoped.stats().memo_hits;
-                return (r, ex.stats);
+                aborted = Some(r);
+                break;
             }
             StateOutcome::Primary {
                 model,
@@ -170,8 +167,9 @@ pub(crate) fn explore_primaries(
             StateOutcome::Pruned => {}
         }
     }
-    ex.stats.slices_reused_at_fork = ex.scoped.stats().memo_hits;
-    (ExploreResult::Primaries(ex.primaries), ex.stats)
+    ex.stats.slices_reused_at_fork = ex.memo.hits();
+    let result = aborted.unwrap_or(ExploreResult::Primaries(ex.primaries));
+    (result, ex.stats)
 }
 
 /// How one state's drive ended: pruned/dry, a completed primary path
@@ -188,17 +186,26 @@ enum StateOutcome {
 }
 
 /// The exploration's mutable context: counters, the state worklist, the
-/// collected primaries, and the incremental solver shared by every
-/// feasibility check.
-struct Exploration {
+/// collected primaries, and the solver and slice memo every feasibility
+/// check goes through.
+struct Exploration<'a> {
     stats: ExploreStats,
     primaries: Vec<PrimaryPath>,
     worklist: Vec<ExpState>,
-    forked: usize,
-    scoped: ScopedSolver,
+    solver: &'a Solver,
+    memo: SliceMemo,
 }
 
-impl Exploration {
+impl Exploration<'_> {
+    /// Satisfiability of `path` plus one probed constraint (the
+    /// branch-feasibility query), through the race's slice memo.
+    fn check_with(&mut self, path: &[Expr], probe: Expr, vars: &VarTable) -> SatResult {
+        let mut query = Vec::with_capacity(path.len() + 1);
+        query.extend_from_slice(path);
+        query.push(probe);
+        self.solver.check_sliced_memo(&query, vars, &mut self.memo)
+    }
+
     /// Folds a finished (or abandoned) state's execution segment into the
     /// totals. Called exactly once per state.
     fn settle(&mut self, st: &ExpState) {
@@ -220,7 +227,6 @@ impl Exploration {
         case: &AnalysisCase,
         race: &RaceReport,
         located: &Located,
-        cfg: &PortendConfig,
     ) -> StateOutcome {
         let cell = Watch::cell(race.alloc, race.offset as i64);
         loop {
@@ -263,21 +269,17 @@ impl Exploration {
                 } => {
                     self.stats.dependent_branches =
                         self.stats.dependent_branches.max(st.m.sym_branches + 1);
-                    self.scoped.sync_path(&st.m.path);
                     let then_ok = self
-                        .scoped
-                        .check_assuming(cond.clone().truthy(), &st.m.vars)
+                        .check_with(&st.m.path, cond.clone().truthy(), &st.m.vars)
                         .decided()
                         != Some(false);
                     let else_ok = self
-                        .scoped
-                        .check_assuming(cond.clone().not(), &st.m.vars)
+                        .check_with(&st.m.path, cond.clone().not(), &st.m.vars)
                         .decided()
                         != Some(false);
                     match (then_ok, else_ok) {
                         (true, true) => {
-                            if self.forked < cfg.max_exploration_states {
-                                self.forked += 1;
+                            if self.stats.forks < MAX_EXPLORATION_STATES {
                                 self.stats.forks += 1;
                                 let (child, cost) = st.m.fork();
                                 self.stats.bytes_copied_on_fork += cost.bytes_copied;
@@ -305,13 +307,12 @@ impl Exploration {
                     }
                 }
                 SupStop::SymAssert { cond, msg } => {
-                    self.scoped.sync_path(&st.m.path);
                     // Explore the failing side only for states that
                     // experienced the race: the failure is then a
                     // consequence reachable under this schedule.
                     if st.past_race {
                         if let SatResult::Sat(model) =
-                            self.scoped.check_assuming(cond.clone().not(), &st.m.vars)
+                            self.check_with(&st.m.path, cond.clone().not(), &st.m.vars)
                         {
                             let inputs = st.m.inputs.concretize(&model, &st.m.vars);
                             let tid = st.m.cur;
@@ -333,8 +334,7 @@ impl Exploration {
                     }
                     // Continue down the passing side if feasible.
                     if self
-                        .scoped
-                        .check_assuming(cond.clone().truthy(), &st.m.vars)
+                        .check_with(&st.m.path, cond.clone().truthy(), &st.m.vars)
                         .decided()
                         == Some(false)
                     {
@@ -344,8 +344,10 @@ impl Exploration {
                 }
                 SupStop::Completed => {
                     if st.past_race {
-                        self.scoped.sync_path(&st.m.path);
-                        if let SatResult::Sat(model) = self.scoped.check(&st.m.vars) {
+                        if let SatResult::Sat(model) =
+                            self.solver
+                                .check_sliced_memo(&st.m.path, &st.m.vars, &mut self.memo)
+                        {
                             let concrete_inputs = st.m.inputs.concretize(&model, &st.m.vars);
                             return StateOutcome::Primary {
                                 model,
@@ -370,8 +372,10 @@ impl Exploration {
         if !st.past_race {
             return StateOutcome::Pruned;
         }
-        self.scoped.sync_path(&st.m.path);
-        let model = match self.scoped.check(&st.m.vars) {
+        let model = match self
+            .solver
+            .check_sliced_memo(&st.m.path, &st.m.vars, &mut self.memo)
+        {
             SatResult::Sat(m) => m,
             _ => Model::new(),
         };
@@ -382,8 +386,7 @@ impl Exploration {
             description: "violation on an explored primary path".into(),
         };
         let kind = match stop {
-            SupStop::Error(e @ VmError::Deadlock(_)) => SpecViolationKind::Deadlock(e),
-            SupStop::Error(e) => SpecViolationKind::Crash(e),
+            SupStop::Error(e) => e.into(),
             SupStop::Semantic(message) => SpecViolationKind::Semantic { message },
             _ => return StateOutcome::Pruned,
         };
@@ -396,12 +399,19 @@ mod tests {
     use super::*;
     use crate::locate::locate_race;
     use portend_replay::{record, RecordConfig};
-    use portend_vm::{InputSpec, Operand, ProgramBuilder, SymDomain, VmConfig};
+    use portend_symex::CmpOp;
+    use portend_vm::{FuncBuilder, InputSpec, Operand, ProgramBuilder, SymDomain, VmConfig};
     use std::sync::Arc;
 
-    /// A racy program whose post-race code branches twice on a symbolic
-    /// input, so exploration forks into multiple states.
-    fn forking_case() -> (AnalysisCase, RaceReport) {
+    /// A program whose `main` loads `g` (racing with a worker's store),
+    /// joins the worker, then runs `tail` with the loaded value. It is
+    /// recorded on `inputs` and explored with one symbolic input over
+    /// `0..=10` per name in `symbolic`.
+    fn racy_case(
+        inputs: Vec<i64>,
+        symbolic: &[&str],
+        tail: impl FnOnce(&mut FuncBuilder, Operand),
+    ) -> (AnalysisCase, RaceReport) {
         let mut pb = ProgramBuilder::new("forky", "forky.c");
         let g = pb.global("g", 0);
         let worker = pb.func("worker", |f| {
@@ -413,45 +423,46 @@ mod tests {
             let t = f.spawn(worker, Operand::Imm(0));
             let v = f.load(g, Operand::Imm(0)); // races with the store
             f.join(t);
-            let i = f.input();
-            let big = f.cmp(portend_symex::CmpOp::Gt, i, Operand::Imm(5));
-            f.if_else(
-                big,
-                |f| {
-                    f.output(1, Operand::Imm(100));
-                },
-                |f| {
-                    f.output(1, Operand::Imm(200));
-                },
-            );
-            let j = f.input();
-            let odd = f.cmp(portend_symex::CmpOp::Gt, j, Operand::Imm(2));
-            f.if_else(
-                odd,
-                |f| {
-                    f.output(1, Operand::Imm(1));
-                },
-                |f| {
-                    f.output(1, Operand::Imm(2));
-                },
-            );
-            f.output(1, v);
+            tail(f, v);
             f.ret(None);
         });
         let program = Arc::new(pb.build(main).unwrap());
-        let run = record(&program, vec![4, 1], RecordConfig::default());
+        let run = record(&program, inputs.clone(), RecordConfig::default());
         assert!(!run.clusters.is_empty(), "the load/store race must record");
         let race = run.clusters[0].representative.clone();
+        let mut input_spec = InputSpec::concrete(inputs);
+        for name in symbolic {
+            input_spec = input_spec.with_symbolic(SymDomain::new(*name, 0, 10));
+        }
         let case = AnalysisCase {
             program,
             trace: run.trace.clone(),
-            input_spec: InputSpec::concrete(vec![4, 1])
-                .with_symbolic(SymDomain::new("i", 0, 10))
-                .with_symbolic(SymDomain::new("j", 0, 10)),
+            input_spec,
             predicates: vec![],
             vm: VmConfig::default(),
         };
         (case, race)
+    }
+
+    /// A racy program whose post-race code branches twice on a symbolic
+    /// input, so exploration forks into multiple states.
+    fn forking_case() -> (AnalysisCase, RaceReport) {
+        racy_case(vec![4, 1], &["i", "j"], |f, v| {
+            for (threshold, above, below) in [(5, 100, 200), (2, 1, 2)] {
+                let i = f.input();
+                let c = f.cmp(CmpOp::Gt, i, Operand::Imm(threshold));
+                f.if_else(
+                    c,
+                    |f| {
+                        f.output(1, Operand::Imm(above));
+                    },
+                    |f| {
+                        f.output(1, Operand::Imm(below));
+                    },
+                );
+            }
+            f.output(1, v);
+        })
     }
 
     /// Regression for the exploration-cost accounting fix: `instructions`
@@ -462,10 +473,9 @@ mod tests {
     #[test]
     fn instructions_sum_segments_across_forked_states() {
         let (case, race) = forking_case();
+        let located = locate_race(&case, &race, STEP_BUDGET * 2).expect("locatable");
         let cfg = PortendConfig::default();
-        let located = locate_race(&case, &race, cfg.step_budget * 2).expect("locatable");
-        let solver = Solver::with_config(cfg.solver);
-        let (result, stats) = explore_primaries(&case, &race, &located, &cfg, &solver);
+        let (result, stats) = explore_primaries(&case, &race, &located, &cfg, &Solver::new());
 
         let primaries = match result {
             ExploreResult::Primaries(ps) => ps,
@@ -490,6 +500,32 @@ mod tests {
         assert!(
             stats.instructions <= states * deepest,
             "sum is per-segment, not per-state-cumulative: {stats:?}"
+        );
+    }
+
+    /// The explorer forks only where both sides of a branch are feasible
+    /// with the path condition. Under `i > 5`, the inner side `i < 3` is
+    /// infeasible, so its failing assert must never run: a feasibility
+    /// probe that ignored the branch constraint would explore it and
+    /// report a spec violation.
+    #[test]
+    fn infeasible_branch_sides_are_never_explored() {
+        let (case, race) = racy_case(vec![7], &["i"], |f, _| {
+            let i = f.input();
+            let big = f.cmp(CmpOp::Gt, i, Operand::Imm(5));
+            f.if_then(big, |f| {
+                let small = f.cmp(CmpOp::Lt, i, Operand::Imm(3));
+                f.if_then(small, |f| {
+                    f.assert_true(Operand::Imm(0), "unreachable");
+                });
+            });
+        });
+        let located = locate_race(&case, &race, STEP_BUDGET * 2).expect("locatable");
+        let cfg = PortendConfig::default();
+        let (result, _) = explore_primaries(&case, &race, &located, &cfg, &Solver::new());
+        assert!(
+            matches!(result, ExploreResult::Primaries(_)),
+            "an infeasible branch side was explored: {result:?}"
         );
     }
 }

@@ -11,7 +11,7 @@ use portend_race::RaceReport;
 use portend_vm::{Machine, OutputLog, VmError, Watch};
 
 use crate::case::AnalysisCase;
-use crate::config::PortendConfig;
+use crate::config::{enforce_budget, PortendConfig, STEP_BUDGET};
 use crate::enforce::{enforce_alternate, EnforceOutcome};
 use crate::locate::Located;
 use crate::supervise::{SupStop, Supervisor};
@@ -73,7 +73,7 @@ pub(crate) fn single_classify(
     // Checkpoints restore through the CoW snapshot API: the restored
     // machine shares the checkpoint's heap and logs until first write.
     let (mut pm, mut psched) = (located.post.0.snapshot(), located.post.1.clone());
-    let mut sup = Supervisor::new(cfg.step_budget);
+    let mut sup = Supervisor::new(STEP_BUDGET);
     let stop = sup.run(&mut pm, &mut psched, &case.predicates);
     work.absorb(&sup);
     let primary = match stop {
@@ -102,8 +102,8 @@ pub(crate) fn single_classify(
     // --- alternate: enforce the reversed ordering from the pre-race
     // checkpoint by suspending the thread that raced first.
     let (mut am, mut asched) = (located.pre.0.snapshot(), located.pre.1.clone());
-    let enforce_budget = located.replay_steps * cfg.enforce_budget_factor + 10_000;
-    let mut sup = Supervisor::new(enforce_budget);
+    let budget = enforce_budget(located.replay_steps);
+    let mut sup = Supervisor::new(budget);
     let result = match enforce_alternate(&mut am, &mut asched, &mut sup, race, &case.predicates) {
         EnforceOutcome::Swapped => {
             sup.suspended.clear();
@@ -111,7 +111,6 @@ pub(crate) fn single_classify(
                 case,
                 race,
                 located,
-                cfg,
                 &mut sup,
                 &mut am,
                 &mut asched,
@@ -135,7 +134,7 @@ pub(crate) fn single_classify(
                 // synchronization (progress resumes once the suspended
                 // thread runs) or a genuine infinite loop (paper §3.2,
                 // §3.5).
-                probe_after_timeout(case, race, &mut sup, &mut am, &mut asched, enforce_budget)
+                probe_after_timeout(case, race, &mut sup, &mut am, &mut asched, budget)
             }
         }
         EnforceOutcome::Stuck => {
@@ -280,12 +279,10 @@ fn probe_after_stuck(
 /// After a successful ordering swap: wait for the (formerly suspended)
 /// first thread's access to capture the post-race alternate state, then
 /// run to completion and compare outputs.
-#[allow(clippy::too_many_arguments)]
 fn run_alternate_tail(
     case: &AnalysisCase,
     race: &RaceReport,
     located: &Located,
-    cfg: &PortendConfig,
     sup: &mut Supervisor,
     am: &mut Machine,
     asched: &mut portend_vm::Scheduler,
@@ -335,7 +332,7 @@ fn run_alternate_tail(
     // preemption points (paper §6).
     sup.race_watches.clear();
     sup.preempt_watches = vec![cell];
-    sup.budget = sup.budget.max(cfg.step_budget);
+    sup.budget = sup.budget.max(STEP_BUDGET);
     match sup.run(am, asched, &case.predicates) {
         SupStop::Completed => compare_outputs(case, primary_out, am, states_differ),
         SupStop::Error(e) => spec_viol(e, am, case, "alternate execution after the race"),
@@ -394,12 +391,8 @@ fn compare_outputs(
 }
 
 fn spec_viol(e: VmError, m: &Machine, case: &AnalysisCase, what: &str) -> SingleResult {
-    let kind = match &e {
-        VmError::Deadlock(_) => SpecViolationKind::Deadlock(e.clone()),
-        _ => SpecViolationKind::Crash(e.clone()),
-    };
     SingleResult::SpecViol {
-        kind,
+        kind: e.into(),
         replay: evidence(m, case, what),
     }
 }

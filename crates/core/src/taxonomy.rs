@@ -81,6 +81,16 @@ impl SpecViolationKind {
     }
 }
 
+impl From<VmError> for SpecViolationKind {
+    /// A deadlock error is a deadlock; every other VM error is a crash.
+    fn from(e: VmError) -> Self {
+        match e {
+            VmError::Deadlock(_) => SpecViolationKind::Deadlock(e),
+            _ => SpecViolationKind::Crash(e),
+        }
+    }
+}
+
 impl fmt::Display for SpecViolationKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -211,9 +221,9 @@ pub struct ClassifyStats {
     /// Heap and log bytes fork snapshots shared structurally instead of
     /// copying, summed over all forks.
     pub bytes_shared_on_fork: u64,
-    /// Constraint slices the explorer's scoped solver reused from its
-    /// memo at feasibility checks (typically a parent state's
-    /// already-solved slices at a fork) instead of re-solving.
+    /// Constraint slices the explorer's feasibility checks answered from
+    /// the race's slice memo (typically a parent state's already-solved
+    /// slices at a fork) instead of re-solving.
     pub slices_reused_at_fork: u64,
 }
 

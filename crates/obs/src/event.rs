@@ -37,7 +37,7 @@ pub enum EventKind {
     Phase,
     /// One classification job executing on a farm worker.
     Job,
-    /// One satisfiability check (whole-query, sliced, or scoped).
+    /// One satisfiability check (whole-query or sliced).
     SolverCheck,
     /// One cold constraint slice actually solved.
     SliceSolve,

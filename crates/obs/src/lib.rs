@@ -2,11 +2,11 @@
 //!
 //! Everything the pipeline can tell you about a run flows through this
 //! crate: a [`Recorder`] collects per-thread, lock-free event lanes
-//! from the farm workers, the explorer, the scoped solver, the slice
-//! pool, and the warm store; [`Recorder::finish`] merges them into a
-//! deterministic [`Trace`]; and the exporters turn the trace into
-//! Chrome trace-event JSON ([`Trace::to_chrome_json`]) or feed the
-//! versioned `RunReport` assembled by the core crate.
+//! from the farm workers, the explorer, the solver, and the warm store;
+//! [`Recorder::finish`] merges them into a deterministic [`Trace`]; and
+//! the exporters turn the trace into Chrome trace-event JSON
+//! ([`Trace::to_chrome_json`]) or feed the versioned `RunReport`
+//! assembled by the core crate.
 //!
 //! The crate sits at the bottom of the workspace dependency graph — it
 //! depends on nothing, so every other crate can emit events. The two

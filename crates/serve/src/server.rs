@@ -35,8 +35,6 @@ pub struct ServerConfig {
     pub store_dir: Option<PathBuf>,
     /// Disk budget for the store directory (ignored without one).
     pub budget: Option<StoreBudget>,
-    /// The analysis configuration applied to every request.
-    pub analysis: PortendConfig,
     /// Default farm width for requests that don't name one (`0` = one
     /// worker per CPU).
     pub workers: usize,
@@ -58,7 +56,6 @@ pub struct ServerConfig {
 pub struct Server {
     manager: Option<Arc<StoreManager>>,
     caches: Mutex<HashMap<u64, Arc<SolverCache>>>,
-    analysis: PortendConfig,
     workers: usize,
     shutdown: AtomicBool,
 }
@@ -76,7 +73,6 @@ impl Server {
         Ok(Server {
             manager,
             caches: Mutex::new(HashMap::new()),
-            analysis: config.analysis,
             workers: config.workers,
             shutdown: AtomicBool::new(false),
         })
@@ -165,7 +161,7 @@ impl Server {
         analyze_request(
             &w,
             id,
-            self.analysis.clone(),
+            PortendConfig::default(),
             workers,
             &warm,
             Some(emit),

@@ -18,8 +18,8 @@
 //! key format: *whole queries* (the [`crate::Solver::check_with_stats`]
 //! path) and *slices* — independent sub-queries produced by partitioning
 //! a constraint list on variable connectivity (the
-//! [`crate::Solver::check_sliced_with_stats`] / [`crate::ScopedSolver`]
-//! path, see [`crate::slice`]). A whole query consisting of a single
+//! [`crate::Solver::check_sliced_with_stats`] /
+//! [`crate::Solver::check_sliced_memo`] path, see [`crate::slice`]). A whole query consisting of a single
 //! slice and that slice itself render to the same key, so the two
 //! granularities cross-pollinate. Hit/miss counters are kept per
 //! granularity because their hit rates answer different questions (key

@@ -12,10 +12,9 @@
 //!   query shapes Portend needs: branch feasibility, model extraction, and
 //!   symbolic output comparison;
 //! * [`Model`] — concrete variable assignments (solver witnesses);
-//! * [`mod@slice`] / [`ScopedSolver`] — constraint slicing by variable
-//!   connectivity with per-slice memoization in a shared [`SolverCache`],
-//!   and an incremental push/pop front end for explorers that extend one
-//!   path condition a constraint at a time;
+//! * [`mod@slice`] — constraint slicing by variable connectivity, each
+//!   slice memoized in a shared [`SolverCache`] and, for callers that
+//!   check many related queries, a caller-owned [`SliceMemo`];
 //! * [`mod@warm`] — cross-run persistence of the solver cache (the
 //!   "warm store"): a versioned, checksummed on-disk format with an
 //!   eviction-aware export policy ([`WarmPolicy`]), a program
@@ -65,7 +64,7 @@ pub use domain::{Interval, VarId, VarInfo, VarTable};
 pub use expr::{EvalError, Expr, Node};
 pub use model::Model;
 pub use op::{BinOp, CmpOp};
-pub use slice::{partition_slices, ScopedSolver, ScopedStats};
+pub use slice::SliceMemo;
 pub use solver::{SatResult, Solver, SolverConfig, SolverStats};
 pub use store::{StoreBudget, StoreEntry, StoreManager};
 pub use warm::{

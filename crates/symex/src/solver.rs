@@ -24,6 +24,7 @@ use crate::domain::{Interval, VarId, VarTable};
 use crate::expr::{Expr, Node};
 use crate::model::Model;
 use crate::op::{BinOp, CmpOp};
+use crate::slice::SliceMemo;
 
 /// Outcome of a satisfiability query.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -235,7 +236,22 @@ impl Solver {
         constraints: &[Expr],
         vars: &VarTable,
     ) -> (SatResult, SolverStats) {
-        crate::slice::check_sliced(self, constraints, vars)
+        crate::slice::check_sliced(self, constraints, vars, None)
+    }
+
+    /// Like [`Solver::check_sliced`], looking each slice up in the
+    /// caller's `memo` before the shared cache and recording there every
+    /// slice answered otherwise. A caller checking many queries that
+    /// share constraints — the explorer probing both sides of each
+    /// branch of one race's path condition — solves each recurring
+    /// slice once; [`SliceMemo::hits`] counts the reuse.
+    pub fn check_sliced_memo(
+        &self,
+        constraints: &[Expr],
+        vars: &VarTable,
+        memo: &mut SliceMemo,
+    ) -> SatResult {
+        crate::slice::check_sliced(self, constraints, vars, Some(memo)).0
     }
 
     /// The uncached solving path.

@@ -288,9 +288,11 @@ impl Machine {
         DeadlockInfo { edges }
     }
 
-    /// A fingerprint of memory plus every thread's registers and pc — the
-    /// "state of registers and memory immediately after the race" that the
-    /// Record/Replay-Analyzer baseline compares (paper §2.1).
+    /// A fingerprint of memory plus every thread's registers and pc: the
+    /// whole-state reference the copy-on-write fork tests compare. (The
+    /// Record/Replay-Analyzer baseline compares memory alone,
+    /// [`Memory::fingerprint`], since register files trivially differ
+    /// across interleavings.)
     pub fn state_fingerprint(&self) -> u64 {
         let mut h = Fnv::new();
         h.write_u64(self.mem.fingerprint());

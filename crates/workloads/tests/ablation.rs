@@ -220,7 +220,6 @@ fn ocean_miss_is_a_budget_effect_not_a_bug() {
     // Generous budget: the needle path is explored and the truth emerges.
     let big = PortendConfig {
         mp: 16,
-        max_exploration_states: 1024,
         ..Default::default()
     };
     let result = w.analyze(big);

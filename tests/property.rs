@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use portend_repro::portend_race::VectorClock;
 use portend_repro::portend_symex::{
-    BinOp, CmpOp, Expr, Model, SatResult, ScopedSolver, Solver, SolverCache, SolverConfig, VarId,
+    BinOp, CmpOp, Expr, Model, SatResult, SliceMemo, Solver, SolverCache, SolverConfig, VarId,
     VarTable,
 };
 use portend_repro::portend_vm::{
@@ -294,16 +294,17 @@ fn sliced_solver_is_transparent() {
     assert!(improved > 0, "starvation regime exercises Unknown recovery");
 }
 
-/// The scoped solver's incremental checks (shared-prefix sync plus a
-/// probed extra constraint) agree with fresh whole-list checks at every
-/// step of a randomly evolving path condition.
+/// Sliced checks through one [`SliceMemo`] agree with fresh whole-list
+/// checks at every step of a randomly evolving path condition, both for
+/// the path itself and with a probed extra constraint.
 #[test]
-fn scoped_solver_matches_fresh_checks() {
+fn memo_checks_match_fresh_checks() {
     let mut r = SmallRng::seed_from_u64(0x5C07D);
     let plain = Solver::new();
+    let mut hits = 0;
     for _round in 0..48 {
         let vars = two_var_table(-6, 6);
-        let mut scoped = ScopedSolver::new(Solver::new());
+        let mut memo = SliceMemo::new();
         let mut path: Vec<Expr> = Vec::new();
         for _step in 0..8 {
             // Mutate the path the way a worklist explorer does: truncate
@@ -313,25 +314,22 @@ fn scoped_solver_matches_fresh_checks() {
             for _ in 0..=r.gen_index(2) {
                 path.push(build(&gen_etree(&mut r, 2)));
             }
-            scoped.sync_path(&path);
             assert_eq!(
-                scoped.check(&vars),
+                plain.check_sliced_memo(&path, &vars, &mut memo),
                 plain.check(&path, &vars),
-                "sync_path state diverged for {path:?}"
+                "path check diverged for {path:?}"
             );
-            let extra = build(&gen_etree(&mut r, 2));
             let mut with_extra = path.clone();
-            with_extra.push(extra.clone());
+            with_extra.push(build(&gen_etree(&mut r, 2)));
             assert_eq!(
-                scoped.check_assuming(extra, &vars),
+                plain.check_sliced_memo(&with_extra, &vars, &mut memo),
                 plain.check(&with_extra, &vars),
-                "check_assuming diverged for {with_extra:?}"
+                "probe diverged for {with_extra:?}"
             );
-            assert_eq!(scoped.len(), path.len(), "probe must not leak frames");
         }
-        let st = scoped.stats();
-        assert_eq!(st.checks, 16, "8 syncs x (check + probe)");
+        hits += memo.hits();
     }
+    assert!(hits > 0, "recurring slices are answered from the memo");
 }
 
 /// Vector-clock join is a least upper bound: both operands ≤ join;

@@ -1,7 +1,7 @@
 //! Seeded property suites for the copy-on-write snapshot layer and the
-//! incremental scoped-solver partition — the two transparency contracts
-//! of the state-sharing refactor — and the fork-cost contract that
-//! justifies it:
+//! explorer's memoized sliced checks — the two transparency contracts
+//! of state sharing between forked states — and the fork-cost contract
+//! that justifies it:
 //!
 //! 1. **CoW fork ≡ eager deep clone.** A forked machine shares its heap
 //!    and logs with the parent structurally; first writes copy lazily.
@@ -11,13 +11,12 @@
 //!    logs — and a parent running ahead must never leak writes into a
 //!    forked child. Checked on random multi-threaded programs and on
 //!    the paper-workload corpus.
-//! 2. **Incremental partition ≡ fresh partition.** `ScopedSolver`
-//!    maintains its union-find slice partition under push/pop with an
-//!    undo log; at every mutation depth it must equal a from-scratch
-//!    `partition_slices` of the same constraint stack, and scoped
-//!    checks must agree with fresh solver checks — at the default
-//!    budget exactly, and at a starvation budget without ever flipping
-//!    a decided answer.
+//! 2. **Memoized sliced check ≡ fresh check.** The explorer checks
+//!    every branch through one `SliceMemo` per race, answering slices
+//!    it already solved from the memo. As a path evolves by extension,
+//!    truncation and probes, those checks must agree with fresh
+//!    whole-query solver checks — at the default budget exactly, and at
+//!    a starvation budget without ever flipping a decided answer.
 //! 3. **A fork copies a tenth of a deep clone.** Over a forked child's
 //!    whole run, eager plus lazily copied bytes stay at least 10x below
 //!    what a deep clone copies up front, on heaps of 2^10 to 2^15 cells.
@@ -28,8 +27,7 @@ use std::sync::Arc;
 
 use portend_repro::portend::{Pipeline, WarmSource};
 use portend_repro::portend_symex::{
-    partition_slices, BinOp, CmpOp, Expr, Model, SatResult, ScopedSolver, Solver, SolverConfig,
-    VarId, VarTable,
+    BinOp, CmpOp, Expr, Model, SatResult, SliceMemo, Solver, SolverConfig, VarId, VarTable,
 };
 use portend_repro::portend_vm::{
     drive, DriveCfg, InputMode, InputSource, InputSpec, Machine, NullMonitor, Operand, Program,
@@ -208,7 +206,7 @@ fn cow_fork_equals_deep_clone_on_workload_corpus() {
 }
 
 // ---------------------------------------------------------------------
-// 2. Incremental partition ≡ fresh partition
+// 2. Memoized sliced check ≡ fresh check
 // ---------------------------------------------------------------------
 
 #[derive(Debug, Clone)]
@@ -238,8 +236,8 @@ const CMP_OPS: [CmpOp; 6] = [
 ];
 
 /// A random expression tree over `n_vars` variables (more than the two
-/// the solver-soundness suite uses: partition structure needs variable
-/// diversity to form interesting slices).
+/// the solver-soundness suite uses: slicing needs variable diversity to
+/// form interesting slices).
 fn gen_etree(r: &mut SmallRng, depth: u32, n_vars: u8) -> ETree {
     let leaf = depth == 0 || r.gen_index(3) == 0;
     if leaf {
@@ -283,81 +281,45 @@ fn var_table(n: u8, lo: i64, hi: i64) -> VarTable {
     vars
 }
 
-/// The incrementally-maintained partition equals a fresh
-/// `partition_slices` of the assumption stack after every push, pop,
-/// scope pop, sibling switch, and probe — and scoped checks agree with
-/// fresh whole-list checks at every depth.
+/// Memoized sliced checks agree with fresh whole-list checks on
+/// 5-variable paths after every extension, truncation to a sibling
+/// path, and probe of both sides of a branch.
 #[test]
-fn incremental_partition_matches_fresh() {
+fn memo_checks_match_fresh_on_five_variables() {
     const N_VARS: u8 = 5;
     let mut r = SmallRng::seed_from_u64(0x1AC0);
     let plain = Solver::new();
     for round in 0..40 {
         let vars = var_table(N_VARS, -6, 6);
-        let mut scoped = ScopedSolver::new(Solver::new());
+        let mut memo = SliceMemo::new();
         let mut stack: Vec<Expr> = Vec::new();
-        let mut open_scopes = 0usize;
         for step in 0..24 {
-            match r.gen_index(6) {
-                // Assume a fresh constraint.
-                0 | 1 => {
-                    let c = build(&gen_etree(&mut r, 2, N_VARS));
-                    stack.push(c.clone());
-                    scoped.assume(c);
-                }
-                // Open a scope with one constraint inside.
-                2 => {
-                    scoped.push_scope();
-                    open_scopes += 1;
-                    let c = build(&gen_etree(&mut r, 2, N_VARS));
-                    stack.push(c.clone());
-                    scoped.assume(c);
-                }
-                // Pop the innermost scope (undo-log exercise); the
-                // mirror stack follows the solver's resulting length.
-                3 => {
-                    if open_scopes > 0 {
-                        open_scopes -= 1;
-                        scoped.pop_scope();
-                        stack.truncate(scoped.len());
-                    }
-                }
+            match r.gen_index(4) {
+                // Extend the path by one branch constraint.
+                0 | 1 => stack.push(build(&gen_etree(&mut r, 2, N_VARS))),
                 // Switch to a sibling path (worklist style).
-                4 => {
-                    open_scopes = 0;
+                2 => {
                     stack.truncate(r.gen_index(stack.len() + 1));
                     for _ in 0..=r.gen_index(2) {
                         stack.push(build(&gen_etree(&mut r, 2, N_VARS)));
                     }
-                    scoped.sync_path(&stack);
                 }
-                // Probe both sides of a branch (push + undo + tags).
+                // Probe both sides of a branch.
                 _ => {
                     let c = build(&gen_etree(&mut r, 2, N_VARS));
-                    let mut with = stack.clone();
-                    with.push(c.clone());
-                    assert_eq!(
-                        scoped.check_assuming(c.clone(), &vars),
-                        plain.check(&with, &vars),
-                        "round {round} step {step}: probe diverged for {with:?}"
-                    );
-                    with.pop();
-                    with.push(c.not());
-                    assert_eq!(
-                        scoped.check_assuming(with[with.len() - 1].clone(), &vars),
-                        plain.check(&with, &vars),
-                        "round {round} step {step}: negated probe diverged"
-                    );
+                    for probe in [c.clone(), c.not()] {
+                        let mut with = stack.clone();
+                        with.push(probe);
+                        assert_eq!(
+                            plain.check_sliced_memo(&with, &vars, &mut memo),
+                            plain.check(&with, &vars),
+                            "round {round} step {step}: probe diverged for {with:?}"
+                        );
+                    }
                 }
             }
-            assert_eq!(scoped.len(), stack.len(), "round {round} step {step}");
             assert_eq!(
-                scoped.current_partition(),
-                partition_slices(&stack),
-                "round {round} step {step}: partition diverged for {stack:?}"
-            );
-            assert_eq!(
-                scoped.check(&vars),
+                plain.check_sliced_memo(&stack, &vars, &mut memo),
                 plain.check(&stack, &vars),
                 "round {round} step {step}: check diverged for {stack:?}"
             );
@@ -365,12 +327,11 @@ fn incremental_partition_matches_fresh() {
     }
 }
 
-/// The starvation regime: under a tiny node budget the scoped solver
-/// (slicing + per-slice memo) may decide what the whole query cannot,
-/// but must never flip a decided answer; any extra decision is verified
-/// against the domains.
+/// The starvation regime: under a tiny node budget memoized sliced
+/// checks may decide what the whole query cannot, but must never flip a
+/// decided answer; any extra decision is verified against the domains.
 #[test]
-fn incremental_scoped_solver_never_flips_under_starvation() {
+fn memo_checks_never_flip_under_starvation() {
     const N_VARS: u8 = 3;
     let mut r = SmallRng::seed_from_u64(0x57A2);
     let cfg = SolverConfig {
@@ -381,17 +342,15 @@ fn incremental_scoped_solver_never_flips_under_starvation() {
     let mut improved = 0u64;
     for _round in 0..64 {
         let vars = var_table(N_VARS, -4, 4);
-        let mut scoped = ScopedSolver::new(Solver::with_config(cfg));
+        let mut memo = SliceMemo::new();
         let mut stack: Vec<Expr> = Vec::new();
         for _step in 0..6 {
             stack.truncate(r.gen_index(stack.len() + 1));
             for _ in 0..=r.gen_index(2) {
                 stack.push(build(&gen_etree(&mut r, 2, N_VARS)));
             }
-            scoped.sync_path(&stack);
-            assert_eq!(scoped.current_partition(), partition_slices(&stack));
             let whole = tiny.check(&stack, &vars);
-            let inc = scoped.check(&vars);
+            let inc = tiny.check_sliced_memo(&stack, &vars, &mut memo);
             match &whole {
                 SatResult::Unknown => match &inc {
                     SatResult::Sat(m) => {
@@ -399,7 +358,7 @@ fn incremental_scoped_solver_never_flips_under_starvation() {
                         for c in &stack {
                             assert!(
                                 matches!(c.eval(m), Ok(v) if v != 0),
-                                "scoped Sat model violates {c} under {m}"
+                                "memoized Sat model violates {c} under {m}"
                             );
                         }
                     }
@@ -416,7 +375,7 @@ fn incremental_scoped_solver_never_flips_under_starvation() {
                                         stack.iter().all(|e| matches!(e.eval(&m), Ok(v) if v != 0));
                                     assert!(
                                         !all,
-                                        "scoped Unsat but ({a},{b},{c}) satisfies {stack:?}"
+                                        "memoized Unsat but ({a},{b},{c}) satisfies {stack:?}"
                                     );
                                 }
                             }
@@ -426,7 +385,7 @@ fn incremental_scoped_solver_never_flips_under_starvation() {
                 },
                 decided => assert_eq!(
                     &inc, decided,
-                    "scoped solving flipped a decided answer for {stack:?}"
+                    "memoized slicing flipped a decided answer for {stack:?}"
                 ),
             }
         }
