@@ -57,7 +57,7 @@ impl RecordReplayAnalyzer {
         case: &AnalysisCase,
         race: &RaceReport,
     ) -> Result<RraVerdict, ClassifyError> {
-        let located = locate_race(case, race, STEP_BUDGET * 2).map_err(|e| ClassifyError(e.0))?;
+        let located = locate_race(case, race, STEP_BUDGET * 2)?;
         let cell = Watch::cell(race.alloc, race.offset as i64);
 
         // Enforce the alternate ordering once, with no diagnosis probes.
@@ -131,7 +131,7 @@ impl AdHocDetector {
         case: &AnalysisCase,
         race: &RaceReport,
     ) -> Result<AdHocVerdict, ClassifyError> {
-        let located = locate_race(case, race, STEP_BUDGET * 2).map_err(|e| ClassifyError(e.0))?;
+        let located = locate_race(case, race, STEP_BUDGET * 2)?;
         let cell = Watch::cell(race.alloc, race.offset as i64);
         let (mut am, mut asched) = located.pre.clone();
         let mut sup = Supervisor::new(enforce_budget(located.replay_steps));

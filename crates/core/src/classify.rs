@@ -3,6 +3,7 @@
 //! into a final [`Verdict`] (paper §3.5).
 
 use std::fmt;
+use std::ops::ControlFlow::{self, Break, Continue};
 use std::sync::Arc;
 
 use portend_race::RaceReport;
@@ -12,14 +13,12 @@ use portend_vm::{InputMode, InputSource, InputSpec, Machine, Scheduler, Watch};
 use crate::case::AnalysisCase;
 use crate::config::{PortendConfig, SCHEDULE_SEED, STEP_BUDGET};
 use crate::enforce::{enforce_alternate, EnforceOutcome};
-use crate::explorer::{explore_primaries, ExploreResult, PrimaryPath};
-use crate::locate::locate_race;
-use crate::outcmp::{symbolic_match, OutputMatch};
-use crate::single::{single_classify, SingleResult, SingleWork};
+use crate::explorer::{explore_primaries, PrimaryPath};
+use crate::locate::{locate_race, Located};
+use crate::outcmp::symbolic_match;
+use crate::single::single_classify;
 use crate::supervise::{SupStop, Supervisor};
-use crate::taxonomy::{
-    ClassifyStats, RaceClass, ReplayEvidence, SpecViolationKind, Verdict, VerdictDetail,
-};
+use crate::taxonomy::{ClassifyStats, RaceClass, Verdict, VerdictDetail};
 
 /// Why a classification could not be carried out at all (distinct from a
 /// verdict: verdicts are conclusions, this is an infrastructure failure
@@ -86,154 +85,88 @@ impl Portend {
         case: &AnalysisCase,
         race: &RaceReport,
     ) -> Result<Verdict, ClassifyError> {
-        let cfg = &self.config;
-        let located = locate_race(case, race, STEP_BUDGET * 2).map_err(|e| ClassifyError(e.0))?;
-
+        let located = locate_race(case, race, STEP_BUDGET * 2)?;
         let mut stats = ClassifyStats {
             primaries: 1,
             alternates: 1,
             preemptions: located.post.0.preemptions,
-            dependent_branches: 0,
             instructions: located.replay_steps,
             interpreted: located.interpreted_steps,
-            max_path_instructions: 0,
-            bytes_copied_on_fork: 0,
-            bytes_shared_on_fork: 0,
-            slices_reused_at_fork: 0,
+            ..ClassifyStats::default()
         };
+        let (Break(mut v) | Continue(mut v)) = self.decide(case, race, &located, &mut stats);
+        v.stats = stats;
+        Ok(v)
+    }
 
+    /// Runs the stages in the paper's order, each adding its work to
+    /// `stats`: the first stage that decides the race breaks with its
+    /// verdict. A race no stage decides continues as k-witness harmless.
+    fn decide(
+        &self,
+        case: &AnalysisCase,
+        race: &RaceReport,
+        located: &Located,
+        stats: &mut ClassifyStats,
+    ) -> ControlFlow<Verdict, Verdict> {
+        let cfg = &self.config;
         // --- Algorithm 1: single-pre/single-post.
-        let (single, swork) = single_classify(case, race, &located, cfg);
-        stats.instructions += swork.instructions;
-        stats.interpreted += swork.interpreted;
-        stats.preemptions += swork.preemptions;
-        let states_differ = match single {
-            SingleResult::SpecViol { kind, replay } => {
-                return Ok(finish(Verdict::spec_violation(kind, replay), stats))
-            }
-            SingleResult::SingleOrd => return Ok(finish(Verdict::single_ordering(), stats)),
-            SingleResult::OutDiff(ev) => {
-                return Ok(finish(
-                    Verdict {
-                        class: RaceClass::OutputDiffers,
-                        detail: VerdictDetail::OutputDiff(ev),
-                        k: 0,
-                        states_differ: None,
-                        stats,
-                    },
-                    stats,
-                ))
-            }
-            SingleResult::OutSame { states_differ } => states_differ,
-        };
+        let states_differ = single_classify(case, race, located, cfg, stats)?;
+        let mut k: u64 = 1; // Algorithm 1's matching pair counts as a witness.
 
         // --- Algorithm 2: multi-path (+ multi-schedule) analysis.
-        if !cfg.stages.multi_path {
-            return Ok(Verdict {
-                class: RaceClass::KWitnessHarmless,
-                detail: VerdictDetail::KWitness,
-                k: 1,
-                states_differ: Some(states_differ),
-                stats,
-            });
-        }
-
-        let (explored, xstats) = explore_primaries(case, race, &located, cfg, &self.solver);
-        stats.dependent_branches = xstats.dependent_branches;
-        stats.instructions += xstats.instructions;
-        stats.interpreted += xstats.interpreted;
-        stats.preemptions += xstats.preemptions;
-        stats.max_path_instructions = xstats.max_path_instructions;
-        stats.bytes_copied_on_fork = xstats.bytes_copied_on_fork;
-        stats.bytes_shared_on_fork = xstats.bytes_shared_on_fork;
-        stats.slices_reused_at_fork = xstats.slices_reused_at_fork;
-        let primaries = match explored {
-            ExploreResult::SpecViol { kind, replay } => {
-                return Ok(finish(Verdict::spec_violation(kind, replay), stats))
-            }
-            ExploreResult::Primaries(ps) => ps,
-        };
-        stats.primaries = primaries.len().max(1) as u64;
-
-        let ma = if cfg.stages.multi_schedule {
-            cfg.ma.max(1)
-        } else {
-            1
-        };
-        let mut k: u64 = 1; // Algorithm 1's matching pair counts as a witness.
-        for (i, primary) in primaries.iter().enumerate() {
-            for j in 0..ma {
-                let seed = SCHEDULE_SEED
-                    .wrapping_add((i as u64) << 8)
-                    .wrapping_add(j as u64);
-                stats.alternates += 1;
-                let (outcome, awork) = self.run_alternate(case, race, primary, seed, cfg, j > 0);
-                stats.instructions += awork.instructions;
-                stats.interpreted += awork.interpreted;
-                stats.preemptions += awork.preemptions;
-                match outcome {
-                    AltOutcome::Match => k += 1,
-                    AltOutcome::Skipped => {}
-                    AltOutcome::Mismatch(ev) => {
-                        return Ok(finish(
-                            Verdict {
-                                class: RaceClass::OutputDiffers,
-                                detail: VerdictDetail::OutputDiff(ev),
-                                k: 0,
-                                states_differ: Some(states_differ),
-                                stats,
-                            },
-                            stats,
-                        ))
-                    }
-                    AltOutcome::SpecViol { kind, replay } => {
-                        return Ok(finish(Verdict::spec_violation(kind, replay), stats))
-                    }
+        if cfg.stages.multi_path {
+            let primaries = explore_primaries(case, race, located, cfg, &self.solver, stats)?;
+            stats.primaries = primaries.len().max(1) as u64;
+            let ma = if cfg.stages.multi_schedule {
+                cfg.ma.max(1)
+            } else {
+                1
+            };
+            for (i, primary) in primaries.iter().enumerate() {
+                for j in 0..ma {
+                    // A primary's first alternate keeps the trace's
+                    // schedule; the others randomize theirs (paper §3.4).
+                    let seed = (j > 0).then(|| {
+                        SCHEDULE_SEED
+                            .wrapping_add((i as u64) << 8)
+                            .wrapping_add(j as u64)
+                    });
+                    stats.alternates += 1;
+                    let mut sup = Supervisor::new(STEP_BUDGET);
+                    let witnessed =
+                        self.run_alternate(case, race, primary, seed, states_differ, &mut sup);
+                    sup.charge(stats);
+                    k += u64::from(witnessed?);
                 }
             }
         }
 
-        Ok(Verdict {
+        Continue(Verdict {
             class: RaceClass::KWitnessHarmless,
             detail: VerdictDetail::KWitness,
             k,
             states_differ: Some(states_differ),
-            stats,
+            stats: ClassifyStats::default(),
         })
     }
 
-    /// Runs one alternate for a primary: replay the primary's inputs to
-    /// the pre-race point, enforce the reversed access ordering, then run
-    /// to completion with a randomized post-race schedule (when
-    /// `randomize`), and compare outputs symbolically. Also reports the
-    /// work executed, for the `ClassifyStats` totals.
+    /// Runs one alternate for a primary under `sup`: replay the primary's
+    /// inputs to the pre-race point, enforce the reversed access
+    /// ordering, then run to completion — with a post-race schedule
+    /// randomized from `seed`, when given — and compare outputs
+    /// symbolically. Breaks with a spec violation or an output
+    /// difference; continues with whether the alternate witnessed the
+    /// race harmless (`false` when it could not be run).
     fn run_alternate(
         &self,
         case: &AnalysisCase,
         race: &RaceReport,
         primary: &PrimaryPath,
-        seed: u64,
-        cfg: &PortendConfig,
-        randomize: bool,
-    ) -> (AltOutcome, SingleWork) {
-        let mut sup = Supervisor::new(STEP_BUDGET);
-        let outcome = self.run_alternate_inner(case, race, primary, seed, cfg, randomize, &mut sup);
-        let mut work = SingleWork::default();
-        work.absorb(&sup);
-        (outcome, work)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn run_alternate_inner(
-        &self,
-        case: &AnalysisCase,
-        race: &RaceReport,
-        primary: &PrimaryPath,
-        seed: u64,
-        cfg: &PortendConfig,
-        randomize: bool,
+        seed: Option<u64>,
+        states_differ: bool,
         sup: &mut Supervisor,
-    ) -> AltOutcome {
+    ) -> ControlFlow<Verdict, bool> {
         let fallback = Scheduler::RoundRobin;
         let mut m = Machine::new(
             case.program.clone(),
@@ -245,6 +178,7 @@ impl Portend {
         );
         let mut sched = case.trace.scheduler_with_fallback(fallback);
         let cell = Watch::cell(race.alloc, race.offset as i64);
+        let inputs = &primary.concrete_inputs;
 
         // Phase 1: replay to the pre-race point (the
         // `first_occ_at_race`-th occurrence of the first racing access).
@@ -260,51 +194,33 @@ impl Portend {
                         }
                     }
                     if sup.step_over_checked(&mut m, &case.predicates).is_some() {
-                        return AltOutcome::Skipped;
+                        return Continue(false);
                     }
                 }
-                SupStop::Error(e) => {
-                    return AltOutcome::SpecViol {
-                        kind: e.into(),
-                        replay: replay_of(&m, primary, "alternate replay to the race"),
-                    }
+                stop @ (SupStop::Error(_) | SupStop::Semantic(_)) => {
+                    return Break(stop.violation(&m, inputs, "alternate replay to the race"))
                 }
-                SupStop::Semantic(message) => {
-                    return AltOutcome::SpecViol {
-                        kind: SpecViolationKind::Semantic { message },
-                        replay: replay_of(&m, primary, "alternate replay to the race"),
-                    }
-                }
-                _ => return AltOutcome::Skipped,
+                _ => return Continue(false),
             }
         }
 
         // Phase 2: enforce the alternate ordering.
         match enforce_alternate(&mut m, &mut sched, sup, race, &case.predicates) {
             EnforceOutcome::Swapped => {
-                if randomize && cfg.stages.multi_schedule {
+                if let Some(seed) = seed {
                     // Paper §3.4: once the alternate ordering is enforced,
                     // the post-race schedule is fully randomized (the
                     // trace is abandoned, not just slipped).
                     sched = Scheduler::random(seed);
                 }
             }
-            EnforceOutcome::Error(e) => {
-                return AltOutcome::SpecViol {
-                    kind: e.into(),
-                    replay: replay_of(&m, primary, "alternate ordering enforcement"),
-                }
-            }
-            EnforceOutcome::Semantic(message) => {
-                return AltOutcome::SpecViol {
-                    kind: SpecViolationKind::Semantic { message },
-                    replay: replay_of(&m, primary, "alternate ordering enforcement"),
-                }
+            EnforceOutcome::Violated(stop) => {
+                return Break(stop.violation(&m, inputs, "alternate ordering enforcement"))
             }
             EnforceOutcome::RetryLoop
             | EnforceOutcome::Timeout
             | EnforceOutcome::Stuck
-            | EnforceOutcome::Completed => return AltOutcome::Skipped,
+            | EnforceOutcome::Completed => return Continue(false),
         }
 
         // Phase 3: run to completion with racing-cell preemption points
@@ -315,56 +231,21 @@ impl Portend {
         sup.budget = sup.budget.max(STEP_BUDGET / 2);
         match sup.run(&mut m, &mut sched, &case.predicates) {
             SupStop::Completed => {
-                match symbolic_match(
-                    &primary.machine,
-                    &m.output,
-                    &primary.concrete_inputs,
-                    &self.solver,
-                ) {
-                    OutputMatch::Match => AltOutcome::Match,
-                    OutputMatch::Mismatch(ev) => AltOutcome::Mismatch(ev),
+                match symbolic_match(&primary.machine, &m.output, inputs, &self.solver) {
+                    None => Continue(true),
+                    Some(ev) => Break(Verdict::output_differs(ev, Some(states_differ))),
                 }
             }
-            SupStop::Error(e) => AltOutcome::SpecViol {
-                kind: e.into(),
-                replay: replay_of(&m, primary, "alternate execution after the race"),
-            },
-            SupStop::Semantic(message) => AltOutcome::SpecViol {
-                kind: SpecViolationKind::Semantic { message },
-                replay: replay_of(&m, primary, "alternate execution after the race"),
-            },
-            SupStop::Timeout => AltOutcome::SpecViol {
-                kind: SpecViolationKind::InfiniteLoop { spinning: m.cur },
-                replay: replay_of(&m, primary, "alternate execution hung after the race"),
-            },
+            stop @ SupStop::Timeout => {
+                Break(stop.violation(&m, inputs, "alternate execution hung after the race"))
+            }
+            stop @ (SupStop::Error(_) | SupStop::Semantic(_)) => {
+                Break(stop.violation(&m, inputs, "alternate execution after the race"))
+            }
             SupStop::Stuck
             | SupStop::RaceHit(_)
             | SupStop::SymBranch { .. }
-            | SupStop::SymAssert { .. } => AltOutcome::Skipped,
+            | SupStop::SymAssert { .. } => Continue(false),
         }
     }
-}
-
-/// Outcome of one alternate execution.
-enum AltOutcome {
-    Match,
-    Mismatch(crate::taxonomy::OutputDiffEvidence),
-    SpecViol {
-        kind: SpecViolationKind,
-        replay: ReplayEvidence,
-    },
-    Skipped,
-}
-
-fn replay_of(m: &Machine, primary: &PrimaryPath, what: &str) -> ReplayEvidence {
-    ReplayEvidence {
-        inputs: primary.concrete_inputs.clone(),
-        schedule: m.sched_log.to_vec(),
-        description: what.to_string(),
-    }
-}
-
-fn finish(mut v: Verdict, stats: ClassifyStats) -> Verdict {
-    v.stats = stats;
-    v
 }

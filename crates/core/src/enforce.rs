@@ -17,7 +17,7 @@
 //! Record/Replay-Analyzer's replay diverge, §5.4).
 
 use portend_race::RaceReport;
-use portend_vm::{Machine, Pc, Scheduler, VmError, Watch};
+use portend_vm::{Machine, Pc, Scheduler, Watch};
 
 use crate::case::Predicate;
 use crate::supervise::{SupStop, Supervisor};
@@ -45,10 +45,9 @@ pub(crate) enum EnforceOutcome {
     /// `Tj` (and everything else runnable) finished without accessing the
     /// cell.
     Completed,
-    /// The attempt crashed or deadlocked.
-    Error(VmError),
-    /// A semantic predicate was violated during the attempt.
-    Semantic(String),
+    /// The attempt crashed, deadlocked or violated a semantic predicate
+    /// (see [`SupStop::violation`]).
+    Violated(SupStop),
 }
 
 /// Attempts to enforce the alternate ordering of `race` on `m`.
@@ -73,18 +72,13 @@ pub(crate) fn enforce_alternate(
         SupStop::Timeout => return EnforceOutcome::Timeout,
         SupStop::Stuck => return EnforceOutcome::Stuck,
         SupStop::Completed => return EnforceOutcome::Completed,
-        SupStop::Error(e) => return EnforceOutcome::Error(e),
-        SupStop::Semantic(msg) => return EnforceOutcome::Semantic(msg),
+        stop @ (SupStop::Error(_) | SupStop::Semantic(_)) => return EnforceOutcome::Violated(stop),
         SupStop::SymBranch { .. } | SupStop::SymAssert { .. } => {
             unreachable!("enforcement runs concretely")
         }
     };
     if let Some(stop) = sup.step_over_checked(m, predicates) {
-        return match stop {
-            SupStop::Error(e) => EnforceOutcome::Error(e),
-            SupStop::Semantic(msg) => EnforceOutcome::Semantic(msg),
-            other => unreachable!("step-over in concrete mode: {other:?}"),
-        };
+        return EnforceOutcome::Violated(stop);
     }
 
     // Grace window: watch for same-pc retries of the enforced access.
@@ -108,11 +102,7 @@ pub(crate) fn enforce_alternate(
                     return EnforceOutcome::RetryLoop;
                 }
                 if let Some(stop) = sup.step_over_checked(m, predicates) {
-                    return match stop {
-                        SupStop::Error(e) => EnforceOutcome::Error(e),
-                        SupStop::Semantic(msg) => EnforceOutcome::Semantic(msg),
-                        other => unreachable!("step-over in concrete mode: {other:?}"),
-                    };
+                    return EnforceOutcome::Violated(stop);
                 }
             }
             // A different pc, a timeout of the grace window, or the second
@@ -122,8 +112,9 @@ pub(crate) fn enforce_alternate(
                 sup.budget = saved.saturating_sub(initial_grace - grace);
                 return EnforceOutcome::Swapped;
             }
-            SupStop::Error(e) => return EnforceOutcome::Error(e),
-            SupStop::Semantic(msg) => return EnforceOutcome::Semantic(msg),
+            stop @ (SupStop::Error(_) | SupStop::Semantic(_)) => {
+                return EnforceOutcome::Violated(stop)
+            }
             SupStop::SymBranch { .. } | SupStop::SymAssert { .. } => {
                 unreachable!("enforcement runs concretely")
             }

@@ -13,6 +13,8 @@
 //! already-solved constraint slices from the memo and solves only the
 //! slice the new branch constraint touches (see `portend_symex::slice`).
 
+use std::ops::ControlFlow::{self, Break, Continue};
+
 use portend_race::RaceReport;
 use portend_symex::{Expr, Model, SatResult, SliceMemo, Solver, VarTable};
 use portend_vm::{Machine, Scheduler, VmError, Watch};
@@ -21,7 +23,7 @@ use crate::case::AnalysisCase;
 use crate::config::{PortendConfig, MAX_EXPLORATION_STATES, STEP_BUDGET};
 use crate::locate::Located;
 use crate::supervise::{SupStop, Supervisor};
-use crate::taxonomy::{ReplayEvidence, SpecViolationKind};
+use crate::taxonomy::{ClassifyStats, Verdict};
 
 /// One explored primary path (paper Fig. 5's leaf states `S1`, `S2`, …).
 #[derive(Debug, Clone)]
@@ -29,66 +31,12 @@ pub(crate) struct PrimaryPath {
     /// The completed machine (carries symbolic outputs and path
     /// condition).
     pub machine: Machine,
-    /// A satisfying assignment for the path condition (kept for report
-    /// generation and debugging).
-    #[allow(dead_code)]
-    pub model: Model,
-    /// Concrete inputs driving this path (solved from the model).
+    /// Concrete inputs driving this path (solved from the path
+    /// condition).
     pub concrete_inputs: Vec<i64>,
     /// Occurrence index of the first racing access at the moment the race
     /// executed in this path (aligns alternates; see `Located`).
     pub first_occ_at_race: u32,
-}
-
-/// Exploration outcome.
-#[derive(Debug, Clone)]
-pub(crate) enum ExploreResult {
-    /// A specification violation was discovered on some path that
-    /// experienced the race.
-    SpecViol {
-        /// What was violated.
-        kind: SpecViolationKind,
-        /// Replay evidence with the solved inputs.
-        replay: ReplayEvidence,
-    },
-    /// Up to `Mp` primary paths.
-    Primaries(Vec<PrimaryPath>),
-}
-
-/// Work counters from one exploration.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct ExploreStats {
-    /// States forked at symbolic branches.
-    pub forks: u64,
-    /// Maximum dependent-branch count along any explored path.
-    pub dependent_branches: u64,
-    /// Instructions executed, summed across all explored states: each
-    /// state contributes only the segment it executed itself — a forked
-    /// child starts counting at the fork point, so the shared prefix is
-    /// counted exactly once, by the state that actually ran it.
-    pub instructions: u64,
-    /// The part of `instructions` actually interpreted, summed the same
-    /// way.
-    pub interpreted: u64,
-    /// Preemption points encountered, with the same per-segment
-    /// summation as `instructions`.
-    pub preemptions: u64,
-    /// Maximum cumulative instruction count along any single explored
-    /// path (the exploration's depth, as opposed to `instructions`,
-    /// its total volume).
-    pub max_path_instructions: u64,
-    /// Bytes copy-on-write forks actually copied: the eager snapshot
-    /// cost reported by [`Machine::fork`] at each fork, plus every lazy
-    /// first-write-after-fork copy, attributed per state segment (like
-    /// `instructions`).
-    pub bytes_copied_on_fork: u64,
-    /// Heap/log bytes fork snapshots shared structurally instead of
-    /// copying, summed over all forks — what an eager deep clone would
-    /// have copied up front every time.
-    pub bytes_shared_on_fork: u64,
-    /// Constraint slices feasibility checks answered from the race's
-    /// slice memo instead of re-solving (the payoff at forks).
-    pub slices_reused_at_fork: u64,
 }
 
 struct ExpState {
@@ -100,7 +48,7 @@ struct ExpState {
     occ_at_race: u32,
     /// `m.steps` when this state started executing (0 for the root,
     /// the fork point for children); the state's contribution to
-    /// `ExploreStats::instructions` is its delta from here.
+    /// `ClassifyStats::instructions` is its delta from here.
     base_steps: u64,
     /// `m.preemptions` at the same point.
     base_preemptions: u64,
@@ -113,14 +61,17 @@ struct ExpState {
 }
 
 /// Explores up to `cfg.mp` primary paths that follow the recorded
-/// schedule through the race.
+/// schedule through the race, adding the work of every explored state to
+/// `stats`. Breaks with a spec violation found on a path that experienced
+/// the race; continues with the primaries otherwise.
 pub(crate) fn explore_primaries(
     case: &AnalysisCase,
     race: &RaceReport,
     located: &Located,
     cfg: &PortendConfig,
     solver: &Solver,
-) -> (ExploreResult, ExploreStats) {
+    stats: &mut ClassifyStats,
+) -> ControlFlow<Verdict, Vec<PrimaryPath>> {
     let root = ExpState {
         m: case
             .trace
@@ -136,60 +87,39 @@ pub(crate) fn explore_primaries(
         base_cow_bytes: 0,
     };
     let mut ex = Exploration {
-        stats: ExploreStats::default(),
+        stats,
+        forks: 0,
         primaries: Vec::new(),
         worklist: vec![root],
         solver,
         memo: SliceMemo::new(),
     };
 
-    let mut aborted = None;
     while let Some(mut st) = ex.worklist.pop() {
         if ex.primaries.len() >= cfg.mp {
             break;
         }
         let outcome = ex.run_state(&mut st, case, race, located);
         ex.settle(&st);
-        match outcome {
-            StateOutcome::Abort(r) => {
-                aborted = Some(r);
-                break;
-            }
-            StateOutcome::Primary {
-                model,
-                concrete_inputs,
-            } => ex.primaries.push(PrimaryPath {
+        if let Some(concrete_inputs) = outcome? {
+            ex.primaries.push(PrimaryPath {
                 first_occ_at_race: st.occ_at_race,
                 machine: st.m,
-                model,
                 concrete_inputs,
-            }),
-            StateOutcome::Pruned => {}
+            });
         }
     }
-    ex.stats.slices_reused_at_fork = ex.memo.hits();
-    let result = aborted.unwrap_or(ExploreResult::Primaries(ex.primaries));
-    (result, ex.stats)
+    Continue(ex.primaries)
 }
 
-/// How one state's drive ended: pruned/dry, a completed primary path
-/// (the caller owns the state and moves its machine into the
-/// [`PrimaryPath`] without cloning), or an exploration-aborting
-/// spec violation.
-enum StateOutcome {
-    Pruned,
-    Primary {
-        model: Model,
-        concrete_inputs: Vec<i64>,
-    },
-    Abort(ExploreResult),
-}
-
-/// The exploration's mutable context: counters, the state worklist, the
-/// collected primaries, and the solver and slice memo every feasibility
-/// check goes through.
+/// The exploration's mutable context: the race's work counters, the
+/// state worklist, the collected primaries, and the solver and slice memo
+/// every feasibility check goes through.
 struct Exploration<'a> {
-    stats: ExploreStats,
+    stats: &'a mut ClassifyStats,
+    /// States forked at symbolic branches, capped at
+    /// `MAX_EXPLORATION_STATES`.
+    forks: u64,
     primaries: Vec<PrimaryPath>,
     worklist: Vec<ExpState>,
     solver: &'a Solver,
@@ -207,7 +137,8 @@ impl Exploration<'_> {
     }
 
     /// Folds a finished (or abandoned) state's execution segment into the
-    /// totals. Called exactly once per state.
+    /// totals, and brings the slice-memo hit count up to date. Called
+    /// exactly once per state, after the state ran its last check.
     fn settle(&mut self, st: &ExpState) {
         let segment = st.m.steps.saturating_sub(st.base_steps);
         self.stats.instructions += segment;
@@ -217,17 +148,21 @@ impl Exploration<'_> {
         // Lazy CoW copies this segment performed (the deferred share of
         // the fork cost, paid by whichever state first wrote).
         self.stats.bytes_copied_on_fork += st.m.cow_bytes().saturating_sub(st.base_cow_bytes);
+        self.stats.slices_reused_at_fork = self.memo.hits();
     }
 
     /// Drives one state until it completes, faults, forks itself dry, or
-    /// is pruned.
+    /// is pruned. Breaks with a spec violation on the path; continues
+    /// with the concrete inputs of a completed primary path (the caller
+    /// owns the state and moves its machine into the [`PrimaryPath`]
+    /// without cloning), or `None` when the state was pruned or ran dry.
     fn run_state(
         &mut self,
         st: &mut ExpState,
         case: &AnalysisCase,
         race: &RaceReport,
         located: &Located,
-    ) -> StateOutcome {
+    ) -> ControlFlow<Verdict, Option<Vec<i64>>> {
         let cell = Watch::cell(race.alloc, race.offset as i64);
         loop {
             let mut sup = Supervisor::new(st.budget);
@@ -241,7 +176,7 @@ impl Exploration<'_> {
             // Prune states that diverged from the trace before the race
             // (paper Fig. 5's pruned paths).
             if !st.past_race && st.sched.diverged() {
-                return StateOutcome::Pruned;
+                return Continue(None);
             }
 
             match stop {
@@ -279,8 +214,8 @@ impl Exploration<'_> {
                         != Some(false);
                     match (then_ok, else_ok) {
                         (true, true) => {
-                            if self.stats.forks < MAX_EXPLORATION_STATES {
-                                self.stats.forks += 1;
+                            if self.forks < MAX_EXPLORATION_STATES {
+                                self.forks += 1;
                                 let (child, cost) = st.m.fork();
                                 self.stats.bytes_copied_on_fork += cost.bytes_copied;
                                 self.stats.bytes_shared_on_fork += cost.bytes_shared;
@@ -303,7 +238,7 @@ impl Exploration<'_> {
                         }
                         (true, false) => st.m.apply_branch(then_b, cond.truthy()),
                         (false, true) => st.m.apply_branch(else_b, cond.not()),
-                        (false, false) => return StateOutcome::Pruned, // infeasible
+                        (false, false) => return Continue(None), // infeasible
                     }
                 }
                 SupStop::SymAssert { cond, msg } => {
@@ -317,19 +252,12 @@ impl Exploration<'_> {
                             let inputs = st.m.inputs.concretize(&model, &st.m.vars);
                             let tid = st.m.cur;
                             let pc = st.m.thread(tid).pc().expect("live");
-                            return StateOutcome::Abort(ExploreResult::SpecViol {
-                                kind: SpecViolationKind::Crash(VmError::AssertFailed {
-                                    tid,
-                                    pc,
-                                    msg,
-                                }),
-                                replay: ReplayEvidence {
-                                    inputs,
-                                    schedule: st.m.sched_log.to_vec(),
-                                    description: "assertion fails on an explored primary path"
-                                        .into(),
-                                },
-                            });
+                            let failed = SupStop::Error(VmError::AssertFailed { tid, pc, msg });
+                            return Break(failed.violation(
+                                &st.m,
+                                &inputs,
+                                "assertion fails on an explored primary path",
+                            ));
                         }
                     }
                     // Continue down the passing side if feasible.
@@ -338,7 +266,7 @@ impl Exploration<'_> {
                         .decided()
                         == Some(false)
                     {
-                        return StateOutcome::Pruned;
+                        return Continue(None);
                     }
                     let _ = st.m.apply_assert(true, cond, "explored assert");
                 }
@@ -348,19 +276,15 @@ impl Exploration<'_> {
                             self.solver
                                 .check_sliced_memo(&st.m.path, &st.m.vars, &mut self.memo)
                         {
-                            let concrete_inputs = st.m.inputs.concretize(&model, &st.m.vars);
-                            return StateOutcome::Primary {
-                                model,
-                                concrete_inputs,
-                            };
+                            return Continue(Some(st.m.inputs.concretize(&model, &st.m.vars)));
                         }
                     }
-                    return StateOutcome::Pruned;
+                    return Continue(None);
                 }
                 SupStop::Error(_) | SupStop::Semantic(_) => {
                     return self.fault_on_path(st, stop);
                 }
-                SupStop::Timeout | SupStop::Stuck => return StateOutcome::Pruned,
+                SupStop::Timeout | SupStop::Stuck => return Continue(None),
             }
         }
     }
@@ -368,9 +292,13 @@ impl Exploration<'_> {
     /// Turns a fault on an explored path into spec-violation evidence,
     /// but only when the path experienced the race (pre-race faults are
     /// unrelated to the race's ordering and are pruned).
-    fn fault_on_path(&mut self, st: &ExpState, stop: SupStop) -> StateOutcome {
-        if !st.past_race {
-            return StateOutcome::Pruned;
+    fn fault_on_path(
+        &mut self,
+        st: &ExpState,
+        stop: SupStop,
+    ) -> ControlFlow<Verdict, Option<Vec<i64>>> {
+        if !st.past_race || !matches!(stop, SupStop::Error(_) | SupStop::Semantic(_)) {
+            return Continue(None);
         }
         let model = match self
             .solver
@@ -380,17 +308,7 @@ impl Exploration<'_> {
             _ => Model::new(),
         };
         let inputs = st.m.inputs.concretize(&model, &st.m.vars);
-        let replay = ReplayEvidence {
-            inputs,
-            schedule: st.m.sched_log.to_vec(),
-            description: "violation on an explored primary path".into(),
-        };
-        let kind = match stop {
-            SupStop::Error(e) => e.into(),
-            SupStop::Semantic(message) => SpecViolationKind::Semantic { message },
-            _ => return StateOutcome::Pruned,
-        };
-        StateOutcome::Abort(ExploreResult::SpecViol { kind, replay })
+        Break(stop.violation(&st.m, &inputs, "violation on an explored primary path"))
     }
 }
 
@@ -475,14 +393,12 @@ mod tests {
         let (case, race) = forking_case();
         let located = locate_race(&case, &race, STEP_BUDGET * 2).expect("locatable");
         let cfg = PortendConfig::default();
-        let (result, stats) = explore_primaries(&case, &race, &located, &cfg, &Solver::new());
-
-        let primaries = match result {
-            ExploreResult::Primaries(ps) => ps,
-            other => panic!("expected primaries, got {other:?}"),
+        let mut stats = ClassifyStats::default();
+        let explored = explore_primaries(&case, &race, &located, &cfg, &Solver::new(), &mut stats);
+        let Continue(primaries) = explored else {
+            panic!("expected primaries, got {explored:?}");
         };
         assert!(primaries.len() >= 2, "forks explored: {}", primaries.len());
-        assert!(stats.forks >= 1, "at least one fork: {stats:?}");
 
         let deepest = primaries.iter().map(|p| p.machine.steps).max().unwrap();
         assert_eq!(
@@ -494,11 +410,11 @@ mod tests {
             "total work across ≥2 states strictly exceeds the deepest \
              single path (the old max-based counter under-reported): {stats:?}"
         );
-        // Each explored state runs at most the full trace; the summed
-        // total is bounded by (#states) × deepest path.
-        let states = stats.forks + 1;
+        // Each explored state runs at most the full trace, and here every
+        // one completes as a primary: the summed total is bounded by
+        // (#primaries) × deepest path.
         assert!(
-            stats.instructions <= states * deepest,
+            stats.instructions <= primaries.len() as u64 * deepest,
             "sum is per-segment, not per-state-cumulative: {stats:?}"
         );
     }
@@ -522,9 +438,10 @@ mod tests {
         });
         let located = locate_race(&case, &race, STEP_BUDGET * 2).expect("locatable");
         let cfg = PortendConfig::default();
-        let (result, _) = explore_primaries(&case, &race, &located, &cfg, &Solver::new());
+        let mut stats = ClassifyStats::default();
+        let result = explore_primaries(&case, &race, &located, &cfg, &Solver::new(), &mut stats);
         assert!(
-            matches!(result, ExploreResult::Primaries(_)),
+            result.is_continue(),
             "an infeasible branch side was explored: {result:?}"
         );
     }

@@ -5,6 +5,7 @@ use portend_race::RaceReport;
 use portend_vm::{Machine, Scheduler, Watch};
 
 use crate::case::AnalysisCase;
+use crate::classify::ClassifyError;
 use crate::supervise::{SupStop, Supervisor};
 
 /// The race located in a deterministic replay of the primary trace.
@@ -29,18 +30,15 @@ pub(crate) struct Located {
     pub interpreted_steps: u64,
 }
 
-/// Failure to re-locate the race in the replay (should not happen for
-/// traces produced by `portend-replay` against the same program).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct LocateError(pub String);
-
 /// Replays the trace, stopping just before the first racing access and
-/// just after the second, and captures both checkpoints.
+/// just after the second, and captures both checkpoints. Fails when the
+/// replay does not reach the race (which should not happen for traces
+/// produced by `portend-replay` against the same program).
 pub(crate) fn locate_race(
     case: &AnalysisCase,
     race: &RaceReport,
     budget: u64,
-) -> Result<Located, LocateError> {
+) -> Result<Located, ClassifyError> {
     let mut m = case.trace.machine(&case.program, case.vm);
     let mut sched = case.trace.scheduler();
     let mut sup = Supervisor::new(budget);
@@ -63,7 +61,7 @@ pub(crate) fn locate_race(
                     && m.steps == race.second.step.saturating_sub(1)
                 {
                     if let Some(stop) = sup.step_over_checked(&mut m, &[]) {
-                        return Err(LocateError(format!(
+                        return Err(ClassifyError(format!(
                             "second racing access faulted during replay: {stop:?}"
                         )));
                     }
@@ -77,13 +75,13 @@ pub(crate) fn locate_race(
                     });
                 }
                 if let Some(stop) = sup.step_over_checked(&mut m, &[]) {
-                    return Err(LocateError(format!(
+                    return Err(ClassifyError(format!(
                         "racy access faulted during replay: {stop:?}"
                     )));
                 }
             }
             other => {
-                return Err(LocateError(format!(
+                return Err(ClassifyError(format!(
                     "race not reached in primary replay (stopped with {other:?})"
                 )))
             }

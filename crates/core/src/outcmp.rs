@@ -12,17 +12,10 @@ use portend_vm::{Machine, OutputLog};
 
 use crate::taxonomy::OutputDiffEvidence;
 
-/// Result of a symbolic output comparison.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) enum OutputMatch {
-    /// The alternate's outputs satisfy the primary's constraints.
-    Match,
-    /// Proven mismatch, with evidence.
-    Mismatch(OutputDiffEvidence),
-}
-
 /// Compares a primary's (possibly symbolic) outputs against an
-/// alternate's concrete outputs.
+/// alternate's concrete outputs: `None` when the alternate's outputs
+/// satisfy the primary's constraints, the evidence of a proven mismatch
+/// otherwise.
 ///
 /// A solver `Unknown` is treated as a match: Portend only reports "output
 /// differs" on *proven* differences (paper §3.3.1 accepts potential false
@@ -35,8 +28,9 @@ pub(crate) fn symbolic_match(
     alternate_out: &OutputLog,
     alternate_inputs: &[i64],
     solver: &Solver,
-) -> OutputMatch {
+) -> Option<OutputDiffEvidence> {
     let check = |cs: &[Expr]| solver.check_sliced(cs, &primary.vars);
+    let mismatch_at = |pos| Some(evidence_at(primary, alternate_out, pos, alternate_inputs));
     let p = &primary.output;
     let n = p.len().min(alternate_out.len());
 
@@ -45,7 +39,7 @@ pub(crate) fn symbolic_match(
     let mut constraints: Vec<Expr> = primary.path.clone();
     for (i, (pr, ar)) in p.iter().zip(alternate_out.iter()).enumerate() {
         if pr.fd != ar.fd {
-            return OutputMatch::Mismatch(evidence_at(primary, alternate_out, i, alternate_inputs));
+            return mismatch_at(i);
         }
         let conc = match ar.val.as_concrete() {
             Some(v) => v,
@@ -55,36 +49,24 @@ pub(crate) fn symbolic_match(
                 if pr.val == ar.val {
                     continue;
                 }
-                return OutputMatch::Mismatch(evidence_at(
-                    primary,
-                    alternate_out,
-                    i,
-                    alternate_inputs,
-                ));
+                return mismatch_at(i);
             }
         };
         match pr.val.as_concrete() {
             Some(v) if v == conc => continue,
-            Some(_) => {
-                return OutputMatch::Mismatch(evidence_at(
-                    primary,
-                    alternate_out,
-                    i,
-                    alternate_inputs,
-                ))
-            }
+            Some(_) => return mismatch_at(i),
             None => constraints.push(pr.val.to_expr().eq(Expr::konst(conc))),
         }
     }
 
     match check(&constraints) {
+        // The common prefix is compatible: the first provable divergence
+        // (if any) is the first extra output operation.
         SatResult::Sat(_) | SatResult::Unknown => {
             if p.len() == alternate_out.len() {
-                OutputMatch::Match
+                None
             } else {
-                // The common prefix is compatible: the first provable
-                // divergence is the first extra output operation.
-                OutputMatch::Mismatch(evidence_at(primary, alternate_out, n, alternate_inputs))
+                mismatch_at(n)
             }
         }
         SatResult::Unsat => {
@@ -95,16 +77,11 @@ pub(crate) fn symbolic_match(
                 if let (None, Some(conc)) = (pr.val.as_concrete(), ar.val.as_concrete()) {
                     acc.push(pr.val.to_expr().eq(Expr::konst(conc)));
                     if check(&acc) == SatResult::Unsat {
-                        return OutputMatch::Mismatch(evidence_at(
-                            primary,
-                            alternate_out,
-                            i,
-                            alternate_inputs,
-                        ));
+                        return mismatch_at(i);
                     }
                 }
             }
-            OutputMatch::Mismatch(evidence_at(primary, alternate_out, 0, alternate_inputs))
+            mismatch_at(0)
         }
     }
 }
@@ -202,10 +179,7 @@ mod tests {
     fn positive_value_satisfies_constraint() {
         let m = machine_with_sym_output();
         let solver = Solver::new();
-        assert_eq!(
-            symbolic_match(&m, &concrete_log(&[42]), &[], &solver),
-            OutputMatch::Match
-        );
+        assert_eq!(symbolic_match(&m, &concrete_log(&[42]), &[], &solver), None);
     }
 
     #[test]
@@ -213,13 +187,13 @@ mod tests {
         let m = machine_with_sym_output();
         let solver = Solver::new();
         match symbolic_match(&m, &concrete_log(&[-3]), &[9], &solver) {
-            OutputMatch::Mismatch(ev) => {
+            Some(ev) => {
                 assert_eq!(ev.position, 0);
                 assert_eq!(ev.alternate, "-3");
                 assert!(ev.primary.contains('i'));
                 assert_eq!(ev.inputs, vec![9]);
             }
-            other => panic!("{other:?}"),
+            None => panic!("a proven mismatch matched"),
         }
     }
 
@@ -228,13 +202,13 @@ mod tests {
         let m = machine_with_sym_output();
         let solver = Solver::new();
         match symbolic_match(&m, &concrete_log(&[1, 2]), &[], &solver) {
-            OutputMatch::Mismatch(ev) => {
+            Some(ev) => {
                 assert_eq!(ev.position, 1, "first extra op, not a prefix entry");
                 assert_eq!((ev.primary_len, ev.alternate_len), (1, 2));
                 assert_eq!(ev.primary, "<missing>");
                 assert_eq!(ev.alternate, "2");
             }
-            other => panic!("{other:?}"),
+            None => panic!("a proven mismatch matched"),
         }
     }
 
@@ -247,13 +221,13 @@ mod tests {
         let m = machine_with_sym_output();
         let solver = Solver::new();
         match symbolic_match(&m, &concrete_log(&[-3, 7]), &[4], &solver) {
-            OutputMatch::Mismatch(ev) => {
+            Some(ev) => {
                 assert_eq!(ev.position, 0, "divergence inside the common prefix");
                 assert_eq!((ev.primary_len, ev.alternate_len), (1, 2));
                 assert_eq!(ev.alternate, "-3");
                 assert!(ev.primary.contains('i'));
             }
-            other => panic!("{other:?}"),
+            None => panic!("a proven mismatch matched"),
         }
     }
 }

@@ -104,7 +104,7 @@ pub enum ReportError {
     /// The document's `"format"` field is not [`REPORT_FORMAT_NAME`].
     BadFormat,
     /// The document's `"version"` is not [`REPORT_FORMAT_VERSION`].
-    UnsupportedVersion(u32),
+    UnsupportedVersion(u64),
     /// A structural invariant failed; the payload names the first
     /// violated check.
     Malformed(&'static str),
@@ -457,7 +457,7 @@ impl RunReport {
             .and_then(Json::as_u64)
             .ok_or(ReportError::Malformed("missing version"))?;
         if version != u64::from(REPORT_FORMAT_VERSION) {
-            return Err(ReportError::UnsupportedVersion(version as u32));
+            return Err(ReportError::UnsupportedVersion(version));
         }
         Ok(RunReport {
             label: req_str(doc, "label")?.to_string(),
@@ -946,7 +946,7 @@ mod tests {
         );
         assert!(matches!(
             RunReport::from_json(&bumped),
-            Err(ReportError::UnsupportedVersion(v)) if v == REPORT_FORMAT_VERSION + 1
+            Err(ReportError::UnsupportedVersion(v)) if v == u64::from(REPORT_FORMAT_VERSION) + 1
         ));
         let renamed = rendered.replacen(REPORT_FORMAT_NAME, "some-other-format", 1);
         assert!(matches!(
@@ -957,6 +957,24 @@ mod tests {
             RunReport::from_json("{\"truncated\":"),
             Err(ReportError::Json(_))
         ));
+    }
+
+    /// A version past `u32::MAX` is reported as written, not truncated
+    /// (4294967306 is 2^32 + 10, which truncates to the current 10).
+    #[test]
+    fn report_rejects_a_wide_version_without_truncating_it() {
+        let rendered = sample_report().to_json();
+        let wide = rendered.replacen(
+            &format!("\"version\":{REPORT_FORMAT_VERSION}"),
+            "\"version\":4294967306",
+            1,
+        );
+        let err = RunReport::from_json(&wide).expect_err("a wide version is rejected");
+        assert!(
+            matches!(err, ReportError::UnsupportedVersion(4_294_967_306)),
+            "{err:?}"
+        );
+        assert!(err.to_string().contains("4294967306"), "{err}");
     }
 
     #[test]

@@ -2,7 +2,10 @@
 //! watchpoints, semantic-predicate watchpoints, suspension, and budgets.
 //!
 //! This is the shared plumbing under Algorithm 1 (single-pre/single-post),
-//! the multi-path explorer, and alternate-schedule execution.
+//! the multi-path explorer, and alternate-schedule execution. Every stage
+//! turns a violating stop into evidence through [`SupStop::violation`]
+//! and adds a supervisor's work to its race's stats through
+//! [`Supervisor::charge`].
 
 use std::collections::BTreeSet;
 
@@ -13,6 +16,7 @@ use portend_vm::{
 };
 
 use crate::case::Predicate;
+use crate::taxonomy::{ClassifyStats, ReplayEvidence, SpecViolationKind, Verdict};
 
 /// Why a supervised run returned.
 #[derive(Debug, Clone, PartialEq)]
@@ -45,6 +49,35 @@ pub(crate) enum SupStop {
         /// Assertion message.
         msg: String,
     },
+}
+
+impl SupStop {
+    /// The spec-violation verdict for a stop that violates the
+    /// specification: a crash or deadlock, a failed predicate, or an
+    /// exhausted budget (an infinite loop in the thread `m` was running).
+    /// The evidence replays `inputs` under `m`'s schedule log; `what`
+    /// says which execution the stop ended.
+    ///
+    /// # Panics
+    ///
+    /// On any other stop: completion, suspension, race hits and symbolic
+    /// forks are the caller's to handle.
+    pub fn violation(self, m: &Machine, inputs: &[i64], what: &str) -> Verdict {
+        let kind = match self {
+            SupStop::Error(e) => e.into(),
+            SupStop::Semantic(message) => SpecViolationKind::Semantic { message },
+            SupStop::Timeout => SpecViolationKind::InfiniteLoop { spinning: m.cur },
+            other => unreachable!("{what}: {other:?} is not a specification violation"),
+        };
+        Verdict::spec_violation(
+            kind,
+            ReplayEvidence {
+                inputs: inputs.to_vec(),
+                schedule: m.sched_log.to_vec(),
+                description: what.to_string(),
+            },
+        )
+    }
 }
 
 /// Watchpoint-multiplexing execution driver.
@@ -83,10 +116,13 @@ impl Supervisor {
         }
     }
 
-    /// Instructions actually interpreted: `executed` minus what was
-    /// fast-forwarded.
-    pub fn interpreted(&self) -> u64 {
-        self.executed - self.fast_forwarded
+    /// Adds the work run under this supervisor to `stats`: instructions
+    /// executed, the part of them interpreted (`executed` minus what was
+    /// fast-forwarded), and preemption points.
+    pub fn charge(&self, stats: &mut ClassifyStats) {
+        stats.instructions += self.executed;
+        stats.interpreted += self.executed - self.fast_forwarded;
+        stats.preemptions += self.preempted;
     }
 
     /// Runs until a [`SupStop`] condition, transparently servicing

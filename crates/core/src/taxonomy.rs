@@ -257,6 +257,20 @@ impl Verdict {
         }
     }
 
+    /// Shorthand constructor for an output-differs verdict.
+    pub(crate) fn output_differs(
+        evidence: OutputDiffEvidence,
+        states_differ: Option<bool>,
+    ) -> Self {
+        Verdict {
+            class: RaceClass::OutputDiffers,
+            detail: VerdictDetail::OutputDiff(evidence),
+            k: 0,
+            states_differ,
+            stats: ClassifyStats::default(),
+        }
+    }
+
     /// Shorthand constructor for a single-ordering verdict.
     pub fn single_ordering() -> Self {
         Verdict {

@@ -8,8 +8,11 @@ use portend::{
     WarmSource,
 };
 use portend_replay::RecordConfig;
-use portend_symex::CmpOp;
-use portend_vm::{InputSpec, Operand, Program, ProgramBuilder, Scheduler, SymDomain, VmConfig};
+use portend_symex::{BinOp, CmpOp};
+use portend_vm::{
+    AllocId, FuncBuilder, InputSpec, Operand, Program, ProgramBuilder, Scheduler, SymDomain,
+    VmConfig,
+};
 
 fn pipeline_with(sched: Scheduler) -> Pipeline {
     Pipeline {
@@ -454,4 +457,199 @@ fn direct_classify_matches_pipeline() {
         .classify(&case, &run.clusters[0].representative)
         .expect("classifiable");
     assert_eq!(v.class, RaceClass::KWitnessHarmless);
+}
+
+/// `g` starts at 1 and a worker stores `g = 0`; `main` spawns it,
+/// yields, loads `g`, runs `tail` on the loaded value and joins. A
+/// round-robin recording runs the store first; a cooperative one runs
+/// the load first.
+fn zeroed_after_yield(tail: impl FnOnce(&mut FuncBuilder, Operand)) -> Program {
+    let mut pb = ProgramBuilder::new("zeroed", "zeroed.c");
+    let g = pb.global("g", 1);
+    let worker = pb.func("worker", |f| {
+        let _ = f.param();
+        f.store(g, Operand::Imm(0), Operand::Imm(0));
+        f.ret(None);
+    });
+    let main = pb.func("main", |f| {
+        let t = f.spawn(worker, Operand::Imm(0));
+        f.yield_();
+        let v = f.load(g, Operand::Imm(0));
+        tail(f, v);
+        f.join(t);
+        f.ret(None);
+    });
+    pb.build(main).unwrap()
+}
+
+/// Outputs `10 / v`.
+fn output_ten_over(f: &mut FuncBuilder, v: Operand) {
+    let q = f.bin(BinOp::Div, Operand::Imm(10), v);
+    f.output(1, q);
+}
+
+/// `while v == 0 {}`: spins forever on a zero register.
+fn spin_while_zero(f: &mut FuncBuilder, v: Operand) {
+    f.while_loop(|f| f.cmp(CmpOp::Eq, v, Operand::Imm(0)), |_| {});
+}
+
+/// A worker stores `g = 1`; `main` loads `g` (racing with the store),
+/// joins, then reads the input `i` and runs `tail` on it with a 4-cell
+/// array. Both recordings and alternates run with the recorded `i`.
+fn explored_after_join(tail: impl FnOnce(&mut FuncBuilder, Operand, AllocId)) -> Program {
+    let mut pb = ProgramBuilder::new("explored", "explored.c");
+    let g = pb.global("g", 0);
+    let arr = pb.array("arr", 4);
+    let worker = pb.func("worker", |f| {
+        let _ = f.param();
+        f.store(g, Operand::Imm(0), Operand::Imm(1));
+        f.ret(None);
+    });
+    let main = pb.func("main", |f| {
+        let t = f.spawn(worker, Operand::Imm(0));
+        let _ = f.load(g, Operand::Imm(0));
+        f.join(t);
+        let i = f.input();
+        tail(f, i, arr);
+        f.ret(None);
+    });
+    pb.build(main).unwrap()
+}
+
+/// One row of the spec-violation evidence table: a program, how it is
+/// recorded, and the evidence every race on the named allocations must
+/// carry.
+struct EvidenceRow {
+    name: &'static str,
+    sched: Scheduler,
+    program: fn() -> Program,
+    /// Whether the one input `i` (recorded as 7) is symbolic over 0..=10.
+    symbolic: bool,
+    allocs: &'static [&'static str],
+    column: &'static str,
+    description: &'static str,
+}
+
+/// Each stage that can prove a spec violation names itself in the
+/// replay description (paper §3.6: inputs, schedule and what happens on
+/// replay). One row per stage: Algorithm 1's primary and alternate runs,
+/// its ordering enforcement, and the explorer's assert and fault checks.
+#[test]
+fn spec_violation_evidence_names_the_stage_that_found_it() {
+    let rows = [
+        EvidenceRow {
+            name: "primary crash",
+            sched: Scheduler::RoundRobin,
+            program: || zeroed_after_yield(output_ten_over),
+            symbolic: false,
+            allocs: &["g"],
+            column: "crash",
+            description: "primary execution after the race",
+        },
+        EvidenceRow {
+            name: "primary hang",
+            sched: Scheduler::RoundRobin,
+            program: || zeroed_after_yield(spin_while_zero),
+            symbolic: false,
+            allocs: &["g"],
+            column: "hang",
+            description: "primary execution hung after the race",
+        },
+        EvidenceRow {
+            name: "alternate hang",
+            sched: Scheduler::Cooperative,
+            program: || zeroed_after_yield(spin_while_zero),
+            symbolic: false,
+            allocs: &["g"],
+            column: "hang",
+            description: "alternate execution hung after the race",
+        },
+        EvidenceRow {
+            name: "enforcement crash",
+            sched: Scheduler::RoundRobin,
+            program: || {
+                let mut pb = ProgramBuilder::new("flagged", "flagged.c");
+                let g = pb.global("g", 0);
+                let h = pb.global("h", 0);
+                let worker = pb.func("worker", |f| {
+                    let _ = f.param();
+                    f.store(g, Operand::Imm(0), Operand::Imm(1));
+                    f.store(h, Operand::Imm(0), Operand::Imm(1));
+                    f.ret(None);
+                });
+                let main = pb.func("main", |f| {
+                    let t = f.spawn(worker, Operand::Imm(0));
+                    f.yield_();
+                    let vh = f.load(h, Operand::Imm(0));
+                    output_ten_over(f, vh);
+                    let vg = f.load(g, Operand::Imm(0));
+                    f.output(1, vg);
+                    f.join(t);
+                    f.ret(None);
+                });
+                pb.build(main).unwrap()
+            },
+            symbolic: false,
+            allocs: &["g", "h"],
+            column: "crash",
+            description: "alternate execution",
+        },
+        EvidenceRow {
+            name: "explored assert",
+            sched: Scheduler::Cooperative,
+            program: || {
+                explored_after_join(|f, i, _| {
+                    let c = f.cmp(CmpOp::Gt, i, Operand::Imm(3));
+                    f.assert_true(c, "i > 3");
+                })
+            },
+            symbolic: true,
+            allocs: &["g"],
+            column: "crash",
+            description: "assertion fails on an explored primary path",
+        },
+        EvidenceRow {
+            name: "explored fault",
+            sched: Scheduler::Cooperative,
+            program: || {
+                explored_after_join(|f, i, arr| {
+                    let c = f.cmp(CmpOp::Lt, i, Operand::Imm(3));
+                    f.if_then(c, |f| {
+                        f.store(arr, Operand::Imm(9), Operand::Imm(1));
+                    });
+                })
+            },
+            symbolic: true,
+            allocs: &["g"],
+            column: "crash",
+            description: "violation on an explored primary path",
+        },
+    ];
+    for row in rows {
+        let inputs = if row.symbolic { vec![7] } else { vec![] };
+        let mut spec = InputSpec::concrete(inputs.clone());
+        if row.symbolic {
+            spec = spec.with_symbolic(SymDomain::new("i", 0, 10));
+        }
+        let program = Arc::new((row.program)());
+        let result = run(&pipeline_with(row.sched), &program, inputs, spec);
+        for alloc in row.allocs {
+            let analyzed = result
+                .analyzed
+                .iter()
+                .find(|a| a.cluster.representative.alloc_name == *alloc)
+                .unwrap_or_else(|| panic!("{}: no race on {alloc}", row.name));
+            let v = analyzed.verdict.as_ref().expect("classifiable");
+            let VerdictDetail::SpecViolation { kind, replay } = &v.detail else {
+                panic!("{}: race on {alloc} classified {v}", row.name);
+            };
+            assert_eq!(v.class, RaceClass::SpecViolated, "{}: {alloc}", row.name);
+            assert_eq!(
+                (kind.table2_column(), replay.description.as_str()),
+                (row.column, row.description),
+                "{}: race on {alloc} ({kind})",
+                row.name
+            );
+        }
+    }
 }

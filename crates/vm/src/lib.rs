@@ -82,8 +82,8 @@ pub use io::{InputMode, InputSource, InputSpec, SymDomain};
 pub use machine::{ForkCost, Machine, StepEvent};
 pub use mem::{Allocation, Fnv, MemFault, Memory};
 pub use monitor::{
-    AccessEvent, Monitor, MonitorSet, NullMonitor, RecordingMonitor, SyncEvent, SyncEventKind,
-    ThreadEvent, ThreadEventKind,
+    AccessEvent, Monitor, NullMonitor, RecordingMonitor, SyncEvent, SyncEventKind, ThreadEvent,
+    ThreadEventKind,
 };
 pub use output::{OutputLog, OutputRec};
 pub use program::{

@@ -133,41 +133,6 @@ impl Monitor for NullMonitor {
     }
 }
 
-/// Fans events out to several monitors in order.
-pub struct MonitorSet<'a> {
-    monitors: Vec<&'a mut dyn Monitor>,
-}
-
-impl<'a> MonitorSet<'a> {
-    /// Creates a fan-out monitor.
-    pub fn new(monitors: Vec<&'a mut dyn Monitor>) -> Self {
-        MonitorSet { monitors }
-    }
-}
-
-impl Monitor for MonitorSet<'_> {
-    fn on_access(&mut self, ev: &AccessEvent) {
-        for m in &mut self.monitors {
-            m.on_access(ev);
-        }
-    }
-    fn on_sync(&mut self, ev: &SyncEvent) {
-        for m in &mut self.monitors {
-            m.on_sync(ev);
-        }
-    }
-    fn on_thread(&mut self, ev: &ThreadEvent) {
-        for m in &mut self.monitors {
-            m.on_thread(ev);
-        }
-    }
-    fn on_output(&mut self, rec: &OutputRec) {
-        for m in &mut self.monitors {
-            m.on_output(rec);
-        }
-    }
-}
-
 /// A monitor that records every event, useful in tests.
 #[derive(Debug, Clone, Default)]
 pub struct RecordingMonitor {
@@ -207,22 +172,6 @@ mod tests {
             block: BlockId(0),
             idx: 0,
         }
-    }
-
-    #[test]
-    fn monitor_set_fans_out() {
-        let mut a = RecordingMonitor::default();
-        let mut b = RecordingMonitor::default();
-        {
-            let mut set = MonitorSet::new(vec![&mut a, &mut b]);
-            set.on_thread(&ThreadEvent {
-                tid: ThreadId(0),
-                pc: pc(),
-                kind: ThreadEventKind::Exited,
-            });
-        }
-        assert_eq!(a.threads.len(), 1);
-        assert_eq!(b.threads.len(), 1);
     }
 
     #[test]

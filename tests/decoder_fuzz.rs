@@ -166,7 +166,7 @@ fn run_report_reader_survives_mutation_and_rejects_other_versions() {
     ] {
         let doc = report.replacen(&current, &format!("\"version\":{other}"), 1);
         assert!(
-            matches!(RunReport::from_json(&doc), Err(ReportError::UnsupportedVersion(v)) if v == other),
+            matches!(RunReport::from_json(&doc), Err(ReportError::UnsupportedVersion(v)) if v == u64::from(other)),
             "version {other} accepted"
         );
     }

@@ -198,7 +198,7 @@ fn report_files_land_and_future_versions_are_rejected() {
     );
     assert!(matches!(
         RunReport::from_json(&bumped),
-        Err(ReportError::UnsupportedVersion(v)) if v == REPORT_FORMAT_VERSION + 7
+        Err(ReportError::UnsupportedVersion(v)) if v == u64::from(REPORT_FORMAT_VERSION + 7)
     ));
     let renamed = text.replacen(REPORT_FORMAT_NAME, "not-a-portend-report", 1);
     assert!(matches!(
