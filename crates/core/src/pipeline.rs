@@ -70,7 +70,8 @@ impl Pipeline {
     /// the detector, then classifies every race cluster on the
     /// [`portend_farm`] pool, highest [`cluster_priority`] first.
     /// `workers` is the pool width (`0` = one per CPU); a one-worker run
-    /// classifies on the calling thread.
+    /// classifies on the calling thread, a wider one on the process's
+    /// parked farm threads.
     ///
     /// `inputs` is the concrete input log, `input_spec` declares the
     /// symbolic positions for multi-path analysis, and `predicates` are
@@ -103,7 +104,7 @@ impl Pipeline {
     ) -> PipelineResult {
         let recorder = self.portend.trace.then(Recorder::new);
         let main_lane = recorder.as_ref().map(|r| r.attach("main", 0));
-        let (run, record_time, case) = {
+        let (mut run, record_time, case) = {
             let _ev = portend_obs::span_named(EventKind::Phase, "record");
             let t0 = Instant::now();
             let rec_cfg = RecordConfig {
@@ -127,18 +128,26 @@ impl Pipeline {
         if let Some(r) = &recorder {
             farm = farm.with_recorder(r.clone());
         }
-        let jobs: Vec<JobSpec<&RaceCluster>> = run
+        let jobs: Vec<JobSpec<usize>> = run
             .clusters
             .iter()
             .enumerate()
-            .map(|(i, c)| JobSpec::new(i, c).with_priority(cluster_priority(c)))
+            .map(|(i, c)| JobSpec::new(i, i).with_priority(cluster_priority(c)))
             .collect();
+        // Farm workers outlive the run, so the run lends them the
+        // classifier, the case and the clusters, and takes them back
+        // once every worker has dropped its handle.
+        let shared = Arc::new((portend, case, std::mem::take(&mut run.clusters)));
+        let (work, clusters) = (Arc::clone(&shared), &shared.2);
 
         let classify_phase = portend_obs::span_named(EventKind::Phase, "classify");
-        let mut indexed: Vec<(usize, AnalyzedRace)> = Vec::with_capacity(run.clusters.len());
+        let mut indexed: Vec<(usize, AnalyzedRace)> = Vec::with_capacity(clusters.len());
         let farm_stats = farm.run(
             jobs,
-            |_worker, cluster: &RaceCluster| portend.classify(&case, &cluster.representative),
+            move |_worker, i: usize| {
+                let (portend, case, clusters) = &*work;
+                portend.classify(case, &clusters[i].representative)
+            },
             |out| {
                 let verdict = out.result.unwrap_or_else(|msg| {
                     Err(ClassifyError(format!(
@@ -146,7 +155,7 @@ impl Pipeline {
                     )))
                 });
                 let race = AnalyzedRace {
-                    cluster: run.clusters[out.index].clone(),
+                    cluster: clusters[out.index].clone(),
                     verdict,
                     time: out.time,
                 };
@@ -155,6 +164,9 @@ impl Pipeline {
             },
         );
         drop(classify_phase);
+        let (_, case, clusters) =
+            Arc::try_unwrap(shared).expect("every farm worker dropped its handle");
+        run.clusters = clusters;
 
         // Restore detection order for the result (the sink saw
         // completion order).

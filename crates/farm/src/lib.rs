@@ -9,13 +9,14 @@
 //!
 //! The farm provides the engine for that:
 //!
-//! * [`Farm`] — a worker pool (std scoped threads + channels, no
-//!   external dependencies) that runs every job exactly once and hands
-//!   each [`JobOutput`] to the caller's sink as soon as its job
-//!   finishes. Workers share one queue in priority order, so at every
-//!   width the next job to start is the most suspect race left. A
-//!   one-worker run executes on the calling thread and spawns nothing;
-//!   a panicking job becomes that job's `Err` output;
+//! * [`Farm`] — a worker pool (std threads parked once per process +
+//!   channels, no external dependencies) that runs every job exactly
+//!   once and hands each [`JobOutput`] to the caller's sink as soon as
+//!   its job finishes. Workers share one queue in priority order, so at
+//!   every width the next job to start is the most suspect race left.
+//!   A one-worker run executes on the calling thread and spawns
+//!   nothing; a wider run reuses idle parked threads and spawns one only
+//!   when none is idle; a panicking job becomes that job's `Err` output;
 //! * [`JobSpec`] / [`cluster_priority`] — job descriptors and the
 //!   detector-derived priority heuristic;
 //! * [`FarmStats`] — what the pool measured: jobs, wall/busy time and

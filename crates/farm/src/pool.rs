@@ -1,9 +1,10 @@
-//! The worker pool: one priority-ordered job queue shared by every
-//! worker.
+//! The worker pool: each run's one priority-ordered job queue, drained
+//! by threads that stay parked for the life of the process.
 
 use std::any::Any;
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{mpsc, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
 use std::thread;
 use std::time::Instant;
 
@@ -13,7 +14,7 @@ use crate::job::{JobOutput, JobSpec};
 use crate::stats::{FarmStats, WorkerStats};
 
 /// The jobs not yet taken, highest priority first. Every job exists
-/// before the pool starts and no job adds another, so the queue only
+/// before the run starts and no job adds another, so the queue only
 /// drains.
 type Queue<T> = Mutex<std::vec::IntoIter<JobSpec<T>>>;
 
@@ -70,16 +71,19 @@ impl Farm {
     /// order. Returns once every output has reached `sink`.
     ///
     /// With one effective worker the calling thread runs the jobs
-    /// itself and spawns no thread. With more, the farm spawns that
-    /// many scoped workers and the calling thread only forwards their
-    /// outputs to `sink`. Either way jobs, `work` and `sink` may borrow
-    /// from the caller. A job that panics yields an `Err` output
+    /// itself and spawns no thread. With N > 1, N of the process's
+    /// parked `portend-farm-*` threads drain the run's queue and the
+    /// calling thread only forwards their outputs to `sink`; the pool
+    /// spawns a thread only when none is idle, and never ends one. So
+    /// jobs and `work` must be `'static`, and by the time `run` returns
+    /// every worker has dropped its handle on `work`. `sink` may
+    /// borrow from the caller. A job that panics yields an `Err` output
     /// carrying the panic message, and every other job still runs.
     pub fn run<T, R, F, S>(&self, mut jobs: Vec<JobSpec<T>>, work: F, mut sink: S) -> FarmStats
     where
-        T: Send,
-        R: Send,
-        F: Fn(usize, T) -> R + Sync,
+        T: Send + 'static,
+        R: Send + 'static,
+        F: Fn(usize, T) -> R + Send + Sync + 'static,
         S: FnMut(JobOutput<R>),
     {
         let started = Instant::now();
@@ -97,34 +101,39 @@ impl Farm {
             // waited until the caller's own job ended: on a 2-vCPU host
             // the `serve-repeat` benchmark's first-verdict p50 rose from
             // 1.26 to 1.63 ms.
-            thread::scope(|scope| {
-                let (tx, rx) = mpsc::channel();
-                let handles: Vec<_> = (0..workers)
-                    .map(|w| {
-                        let tx = tx.clone();
-                        let (queue, work) = (&queue, &work);
-                        thread::Builder::new()
-                            .name(format!("portend-farm-{w}"))
-                            .spawn_scoped(scope, move || {
-                                // A send fails only once the caller's sink
-                                // panicked and dropped the receiver; the
-                                // worker then drains the queue unreported.
-                                self.work_loop(w, queue, work, &mut |out| {
-                                    let _ = tx.send(out);
-                                })
-                            })
-                            .expect("spawn farm worker")
+            let (tx, rx) = mpsc::channel();
+            let (queue, work) = (Arc::new(queue), Arc::new(work));
+            for w in 0..workers {
+                let (farm, tx) = (self.clone(), tx.clone());
+                let (queue, work) = (Arc::clone(&queue), Arc::clone(&work));
+                submit(Box::new(move || {
+                    // A send fails only once the caller's sink panicked
+                    // and dropped the receiver; the worker then drains
+                    // the queue unreported.
+                    let ws = farm.work_loop(w, &queue, &*work, &mut |out| {
+                        let _ = tx.send(Message::Output(out));
+                    });
+                    // The caller may reclaim what `work` holds once it
+                    // has every worker's last message.
+                    drop((farm, queue, work));
+                    Box::new(move || {
+                        let _ = tx.send(Message::Done(w, ws));
                     })
-                    .collect();
-                drop(tx);
-                for out in rx {
-                    sink(out);
+                }));
+            }
+            drop((tx, queue, work));
+            let mut per_worker = vec![WorkerStats::default(); workers];
+            let mut running = workers;
+            while running > 0 {
+                match rx.recv().expect("farm worker panicked outside a job") {
+                    Message::Output(out) => sink(out),
+                    Message::Done(w, ws) => {
+                        per_worker[w] = ws;
+                        running -= 1;
+                    }
                 }
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("farm worker panicked outside a job"))
-                    .collect()
-            })
+            }
+            per_worker
         };
         FarmStats {
             jobs: total,
@@ -174,6 +183,90 @@ impl Farm {
     }
 }
 
+/// What a wide run's workers tell its calling thread.
+enum Message<R> {
+    /// One finished job.
+    Output(JobOutput<R>),
+    /// Worker `w` found the queue dry; its last message.
+    Done(usize, WorkerStats),
+}
+
+/// One worker's share of a wide run. It returns its last message
+/// unsent: the parked thread sends it only after counting itself idle
+/// again, so a caller holding every last message finds its workers idle
+/// when it submits its next run.
+type Task = Box<dyn FnOnce() -> Box<dyn FnOnce() + Send> + Send>;
+
+/// The process's parked `portend-farm-*` threads.
+struct Parked {
+    /// Tasks not yet taken, in submission order.
+    tasks: VecDeque<Task>,
+    /// Threads that will look at `tasks` before they next sleep.
+    idle: usize,
+    /// Threads spawned so far; numbers the next one's name.
+    threads: usize,
+}
+
+static PARKED: Mutex<Parked> = Mutex::new(Parked {
+    tasks: VecDeque::new(),
+    idle: 0,
+    threads: 0,
+});
+static WAKE: Condvar = Condvar::new();
+
+/// The pool's lock; no code panics while holding it.
+fn parked() -> MutexGuard<'static, Parked> {
+    PARKED.lock().expect("farm pool poisoned")
+}
+
+/// Hands `task` to an idle parked thread, or spawns one more thread when
+/// none is idle, so no run waits behind another run's jobs. The pool
+/// never shrinks, and a process that runs one program at a time settles
+/// at its widest run.
+fn submit(task: Task) {
+    let mut pool = parked();
+    pool.tasks.push_back(task);
+    if pool.idle >= pool.tasks.len() {
+        WAKE.notify_one();
+        return;
+    }
+    // Parked threads are never joined: they outlive every run, and a
+    // task that panics outside a job reaches its caller as a missing
+    // last message.
+    let spawned = thread::Builder::new()
+        .name(format!("portend-farm-{}", pool.threads))
+        .spawn(park);
+    match spawned {
+        Ok(_) => {
+            pool.threads += 1;
+            pool.idle += 1;
+        }
+        Err(e) => {
+            pool.tasks.pop_back();
+            drop(pool);
+            panic!("spawn farm worker: {e}");
+        }
+    }
+}
+
+/// A parked thread's life: take the oldest task, run it, count itself
+/// idle, send the task's last message, and sleep while none is queued.
+fn park() {
+    let mut pool = parked();
+    loop {
+        let Some(task) = pool.tasks.pop_front() else {
+            pool = WAKE.wait(pool).expect("farm pool poisoned");
+            continue;
+        };
+        pool.idle -= 1;
+        drop(pool);
+        let last = task();
+        parked().idle += 1;
+        last();
+        pool = parked();
+    }
+}
+
 /// The pool width for `jobs` jobs: `requested`, or the machine's
 /// available parallelism when `requested == 0`, capped by `jobs` (no
 /// point in idle workers) and floored at 1.
@@ -199,15 +292,14 @@ fn panic_message(payload: Box<dyn Any + Send>) -> String {
 mod tests {
     use super::*;
     use std::collections::BTreeSet;
-    use std::sync::Mutex;
     use std::time::Duration;
 
     /// Runs `jobs` on `workers` workers and returns the outputs sorted
     /// by job index, plus the run's stats.
-    fn run_sorted<T: Send, R: Send>(
+    fn run_sorted<T: Send + 'static, R: Send + 'static>(
         workers: usize,
         jobs: Vec<JobSpec<T>>,
-        work: impl Fn(usize, T) -> R + Sync,
+        work: impl Fn(usize, T) -> R + Send + Sync + 'static,
     ) -> (Vec<JobOutput<R>>, FarmStats) {
         let mut outputs = Vec::new();
         let stats = Farm::new(workers).run(jobs, work, |out| outputs.push(out));
@@ -279,7 +371,7 @@ mod tests {
         let mut results = vec![None; 2];
         Farm::new(2).run(
             jobs,
-            |_, waits: bool| {
+            move |_, waits: bool| {
                 !waits
                     || signalled
                         .lock()
@@ -345,14 +437,15 @@ mod tests {
     fn jobs_start_in_priority_order_on_two_workers() {
         let (signal, signalled) = mpsc::channel::<()>();
         let signalled = Mutex::new(signalled);
-        let started = Mutex::new(Vec::new());
+        let started = Arc::new(Mutex::new(Vec::new()));
         let jobs = (0..6)
             .map(|i| JobSpec::new(i, i).with_priority(100 - 10 * i as u64))
             .collect();
         let mut others_done = 0;
+        let log = Arc::clone(&started);
         Farm::new(2).run(
             jobs,
-            |_, i: usize| {
+            move |_, i: usize| {
                 if i == 0 {
                     return signalled
                         .lock()
@@ -360,7 +453,7 @@ mod tests {
                         .recv_timeout(Duration::from_secs(10))
                         .is_ok();
                 }
-                started.lock().expect("start log").push(i);
+                log.lock().expect("start log").push(i);
                 true
             },
             |out| {
@@ -372,10 +465,7 @@ mod tests {
                 }
             },
         );
-        assert_eq!(
-            started.into_inner().expect("start log"),
-            vec![1, 2, 3, 4, 5]
-        );
+        assert_eq!(*started.lock().expect("start log"), vec![1, 2, 3, 4, 5]);
     }
 
     #[test]

@@ -42,7 +42,8 @@
 //!
 //! `ping` answers `{"frame":"pong","request":N}`; `shutdown` answers
 //! `{"frame":"bye","request":N}` and ends the session. Any failure
-//! (unparseable or non-UTF-8 line, unknown workload) answers
+//! (unparseable or non-UTF-8 line, an `"id"` or `"workers"` that is
+//! not a non-negative integer, unknown workload) answers
 //! `{"frame":"error","request":N,"message":"…"}` — `request` is `0`
 //! when the line was too broken to carry an id. A request line over
 //! 1 MiB answers one such error frame and ends the session.
@@ -89,7 +90,16 @@ impl Request {
     /// safe to echo in an error frame.
     pub fn parse(line: &str) -> Result<Request, String> {
         let doc = json::parse(line).map_err(|e| format!("request is not JSON: {e}"))?;
-        let id = doc.get("id").and_then(Json::as_u64).unwrap_or(0);
+        // An absent "id" or "workers" is 0; a present one must be a
+        // non-negative integer, or a typo would run under a default
+        // silently.
+        let non_negative = |name: &str| match doc.get(name) {
+            None => Ok(0),
+            Some(v) => v
+                .as_u64()
+                .ok_or_else(|| format!("request \"{name}\" is not a non-negative integer")),
+        };
+        let id = non_negative("id")?;
         match doc.get("op").and_then(Json::as_str) {
             Some("analyze") => {
                 let workload = doc
@@ -97,7 +107,8 @@ impl Request {
                     .and_then(Json::as_str)
                     .ok_or("analyze request missing \"workload\"")?
                     .to_string();
-                let workers = doc.get("workers").and_then(Json::as_u64).unwrap_or(0) as usize;
+                let workers = usize::try_from(non_negative("workers")?)
+                    .map_err(|_| "request \"workers\" is out of range".to_string())?;
                 Ok(Request::Analyze {
                     id,
                     workload,
@@ -326,6 +337,20 @@ mod tests {
         assert!(Request::parse("not json").is_err());
         assert!(Request::parse("{\"op\":\"warp\",\"id\":1}").is_err());
         assert!(Request::parse("{\"op\":\"analyze\",\"id\":1}").is_err());
+        for (line, member) in [
+            (
+                r#"{"op":"analyze","id":1,"workload":"ctrace","workers":-2}"#,
+                "workers",
+            ),
+            (
+                r#"{"op":"analyze","id":1,"workload":"ctrace","workers":"8"}"#,
+                "workers",
+            ),
+            (r#"{"op":"ping","id":1.5}"#, "id"),
+        ] {
+            let err = Request::parse(line).expect_err(line);
+            assert!(err.contains(&format!("\"{member}\"")), "{line}: {err}");
+        }
     }
 
     #[test]

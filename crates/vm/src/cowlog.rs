@@ -56,14 +56,22 @@ impl<T: Clone> CowList<T> {
     ///
     /// Panics when `len` exceeds the list's length.
     pub fn repeat_tail(&mut self, len: usize, times: usize) {
+        let start = self.items.len() - len;
+        if len * times == 0 {
+            return;
+        }
         if Arc::strong_count(&self.items) > 1 {
             self.cow_bytes += self.heap_bytes();
         }
         let items = Arc::make_mut(&mut self.items);
-        let start = items.len() - len;
+        let end = items.len() + len * times;
         items.reserve(len * times);
-        for _ in 0..times {
-            items.extend_from_within(start..start + len);
+        // Copy by doubling: everything from `start` on is whole
+        // repetitions, so each pass appends all of it, capped at what
+        // is left.
+        while items.len() < end {
+            let copy = (items.len() - start).min(end - items.len());
+            items.extend_from_within(start..start + copy);
         }
     }
 
@@ -127,5 +135,37 @@ mod tests {
         assert_eq!(a.deep_clone(), a);
         assert!(!a.is_empty());
         assert_eq!(b.len(), 3);
+    }
+
+    /// `repeat_tail` leaves the items and the copy-on-write bytes that
+    /// `len × times` single pushes would, with and without a live
+    /// clone sharing the storage.
+    #[test]
+    fn repeat_tail_matches_repeated_pushes() {
+        for len in [1, 2, 3] {
+            for times in [0, 1, 2, 5, 1000] {
+                for shared in [false, true] {
+                    let build = || {
+                        let mut list: CowList<u64> = CowList::default();
+                        for i in 0..7 {
+                            list.push(i * 10);
+                        }
+                        let live = shared.then(|| list.clone());
+                        (list, live)
+                    };
+                    let ((mut fast, _fast_live), (mut slow, _slow_live)) = (build(), build());
+                    fast.repeat_tail(len, times);
+                    let cycle = slow.as_slice()[7 - len..].to_vec();
+                    for _ in 0..times {
+                        for &item in &cycle {
+                            slow.push(item);
+                        }
+                    }
+                    let case = format!("len {len}, times {times}, shared {shared}");
+                    assert_eq!(fast.as_slice(), slow.as_slice(), "{case}");
+                    assert_eq!(fast.cow_bytes(), slow.cow_bytes(), "{case}");
+                }
+            }
+        }
     }
 }
