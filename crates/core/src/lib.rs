@@ -22,7 +22,8 @@
 //!   the classification farm, most suspect races first ([`Pipeline::run`],
 //!   crate `portend-farm`; a one-worker run classifies on the calling
 //!   thread);
-//! * [`Portend`] — classify a single race from a recorded trace;
+//! * [`Portend`] — classify a single race from a recorded trace; a
+//!   report from another tool goes through [`Portend::classify`] too;
 //! * [`baselines`] — the Record/Replay-Analyzer, Ad-Hoc-Detector, and
 //!   DataCollider-style comparators of the paper's §5.4;
 //! * [`render_report`] — the Fig. 6 debugging-aid report.
@@ -47,7 +48,6 @@ pub mod runreport;
 mod single;
 mod supervise;
 mod taxonomy;
-mod triage;
 mod warm;
 
 pub use case::{AnalysisCase, Predicate};
@@ -66,5 +66,4 @@ pub use taxonomy::{
     ClassifyStats, OutputDiffEvidence, RaceClass, ReplayEvidence, SpecViolationKind, Verdict,
     VerdictDetail,
 };
-pub use triage::{triage_reports, TriageOutcome};
 pub use warm::WarmSource;

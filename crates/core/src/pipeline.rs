@@ -10,7 +10,7 @@ use portend_obs::{EventKind, Recorder, Trace};
 use portend_race::RaceCluster;
 use portend_replay::{record, RecordConfig, RecordedRun};
 use portend_symex::CacheSnapshot;
-use portend_vm::{InputSpec, Program, VmConfig};
+use portend_vm::{InputSpec, Program};
 
 use crate::case::{AnalysisCase, Predicate};
 use crate::classify::{ClassifyError, Portend};
@@ -59,7 +59,8 @@ pub struct PipelineResult {
 /// The full pipeline configuration.
 #[derive(Debug, Clone, Default)]
 pub struct Pipeline {
-    /// Recording configuration (scheduler, detector, budgets).
+    /// Recording configuration (scheduler, VM, detector, budgets). Its
+    /// `vm` configures every classification's replays too.
     pub record: RecordConfig,
     /// Classification configuration.
     pub portend: PortendConfig,
@@ -97,7 +98,6 @@ impl Pipeline {
         inputs: Vec<i64>,
         input_spec: InputSpec,
         predicates: Vec<Predicate>,
-        vm: VmConfig,
         workers: usize,
         warm: &WarmSource,
         sink: &mut dyn FnMut(u64, usize, &AnalyzedRace),
@@ -107,18 +107,14 @@ impl Pipeline {
         let (mut run, record_time, case) = {
             let _ev = portend_obs::span_named(EventKind::Phase, "record");
             let t0 = Instant::now();
-            let rec_cfg = RecordConfig {
-                vm,
-                ..self.record.clone()
-            };
-            let run = record(program, inputs, rec_cfg);
+            let run = record(program, inputs, self.record.clone());
             let record_time = t0.elapsed();
             let case = AnalysisCase {
                 program: Arc::clone(program),
                 trace: run.trace.clone(),
                 input_spec,
                 predicates,
-                vm,
+                vm: self.record.vm,
             };
             (run, record_time, case)
         };

@@ -11,7 +11,6 @@ use portend_replay::RecordConfig;
 use portend_symex::{BinOp, CmpOp};
 use portend_vm::{
     AllocId, FuncBuilder, InputSpec, Operand, Program, ProgramBuilder, Scheduler, SymDomain,
-    VmConfig,
 };
 
 fn pipeline_with(sched: Scheduler) -> Pipeline {
@@ -37,7 +36,6 @@ fn run(
         inputs,
         spec,
         vec![],
-        VmConfig::default(),
         1,
         &WarmSource::default(),
         &mut |_, _, _| {},

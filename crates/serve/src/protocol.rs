@@ -48,6 +48,12 @@
 //! when the line was too broken to carry an id. A request line over
 //! 1 MiB answers one such error frame and ends the session.
 //!
+//! The daemon writes a `"request"` on every frame and a `"message"` on
+//! every `error` frame, so a client reading frames back
+//! ([`Frame::parse`]) rejects a frame whose `"request"` is absent or not
+//! a non-negative integer, and an `error` frame whose `"message"` is
+//! absent or not a string. Each error names the member.
+//!
 //! Over a Unix socket the daemon serves one connection at a time, and
 //! each connection reads and writes under a 5 s timeout
 //! ([`crate::SESSION_IO_TIMEOUT`]): a client that sends no request line,
@@ -234,7 +240,12 @@ impl Frame {
     /// not copied.
     pub fn parse(line: &str) -> Result<Frame, String> {
         let mut doc = json::parse(line).map_err(|e| format!("frame is not JSON: {e}"))?;
-        let request = doc.get("request").and_then(Json::as_u64).unwrap_or(0);
+        // Every frame the daemon writes carries its request id, so a
+        // frame without a valid one is corrupt, not a frame for request 0.
+        let request = doc
+            .get("request")
+            .and_then(Json::as_u64)
+            .ok_or("frame \"request\" is missing or not a non-negative integer")?;
         let Some(Json::Str(kind)) = take(&mut doc, "frame") else {
             return Err("frame missing \"frame\"".to_string());
         };
@@ -262,7 +273,7 @@ impl Frame {
                 message: doc
                     .get("message")
                     .and_then(Json::as_str)
-                    .unwrap_or("")
+                    .ok_or("error frame \"message\" is missing or not a string")?
                     .to_string(),
             }),
             other => Err(format!("unknown frame {other:?}")),
@@ -382,6 +393,19 @@ mod tests {
             );
             assert_eq!(Frame::parse(&line).unwrap(), f);
         }
-        assert!(Frame::parse("{\"frame\":\"quux\"}").is_err());
+        assert!(Frame::parse(r#"{"frame":"quux","request":1}"#)
+            .expect_err("unknown kind")
+            .contains("quux"));
+        for (line, member) in [
+            (r#"{"frame":"pong","request":"7"}"#, "request"),
+            (r#"{"frame":"pong","request":-1}"#, "request"),
+            (r#"{"frame":"pong","request":1.5}"#, "request"),
+            (r#"{"frame":"pong"}"#, "request"),
+            (r#"{"frame":"error","request":3,"message":7}"#, "message"),
+            (r#"{"frame":"error","request":3}"#, "message"),
+        ] {
+            let err = Frame::parse(line).expect_err(line);
+            assert!(err.contains(&format!("\"{member}\"")), "{line}: {err}");
+        }
     }
 }

@@ -1,24 +1,16 @@
 //! Machine configuration.
 
+/// Maximum call depth before the machine reports a crash, guarding
+/// against runaway recursion.
+pub(crate) const MAX_CALL_DEPTH: usize = 128;
+
 /// Configuration switches for a [`crate::Machine`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct VmConfig {
     /// When `true`, signed overflow in `Add`/`Sub`/`Mul` crashes the
     /// program (the KLEE-style overflow detector shown in paper Fig. 2).
     /// When `false`, arithmetic wraps.
     pub detect_overflow: bool,
-    /// Maximum call depth before the machine reports a crash, guarding
-    /// against runaway recursion.
-    pub max_call_depth: usize,
-}
-
-impl Default for VmConfig {
-    fn default() -> Self {
-        VmConfig {
-            detect_overflow: false,
-            max_call_depth: 128,
-        }
-    }
 }
 
 impl VmConfig {
@@ -26,7 +18,6 @@ impl VmConfig {
     pub fn with_overflow_detection() -> Self {
         VmConfig {
             detect_overflow: true,
-            ..Default::default()
         }
     }
 }
@@ -39,7 +30,6 @@ mod tests {
     fn defaults() {
         let c = VmConfig::default();
         assert!(!c.detect_overflow);
-        assert!(c.max_call_depth > 0);
         assert!(VmConfig::with_overflow_detection().detect_overflow);
     }
 }

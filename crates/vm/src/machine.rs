@@ -14,7 +14,7 @@ use std::sync::Arc;
 
 use portend_symex::{BinOp, Expr, VarTable};
 
-use crate::config::VmConfig;
+use crate::config::{VmConfig, MAX_CALL_DEPTH};
 use crate::error::{DeadlockInfo, VmError};
 use crate::inst::{Inst, Operand};
 use crate::io::InputSource;
@@ -550,7 +550,7 @@ impl Machine {
                 func,
                 ref args,
             } => {
-                if self.thread(tid).frames.len() >= self.cfg.max_call_depth {
+                if self.thread(tid).frames.len() >= MAX_CALL_DEPTH {
                     return StepEvent::Err(VmError::AssertFailed {
                         tid,
                         pc,

@@ -2,8 +2,8 @@
 //!
 //! The machine emits an event for every shared-memory access,
 //! synchronization operation, thread lifecycle change, and output. The
-//! happens-before and lockset detectors in `portend-race` are monitors;
-//! so is the lock-graph tracker used for deadlock evidence.
+//! happens-before detector in `portend-race` is a monitor; so is the
+//! lock-graph tracker used for deadlock evidence.
 
 use crate::output::OutputRec;
 use crate::program::{AllocId, Pc, SyncId};

@@ -132,7 +132,6 @@ impl Idiom {
             self.inputs.clone(),
             self.input_spec.clone(),
             vec![],
-            self.vm,
             workers,
             &WarmSource::default(),
             &mut |_, _, _| {},

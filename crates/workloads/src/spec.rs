@@ -158,7 +158,6 @@ impl Workload {
             self.inputs.clone(),
             self.input_spec.clone(),
             predicates,
-            self.vm,
             1,
             &WarmSource::default(),
             &mut |_, _, _| {},
@@ -185,7 +184,6 @@ impl Workload {
             self.inputs.clone(),
             self.input_spec.clone(),
             self.predicates.clone(),
-            self.vm,
             workers,
             warm,
             sink,

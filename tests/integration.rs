@@ -9,11 +9,13 @@ use portend_repro::portend::baselines::{
     RraVerdict,
 };
 use portend_repro::portend::{AnalysisCase, PipelineResult, Portend, PortendConfig, RaceClass};
-use portend_repro::portend_race::{cluster_races, DetectorConfig, HbDetector};
-use portend_repro::portend_replay::{record, RecordConfig};
+use portend_repro::portend_race::{
+    cluster_races, DetectorConfig, HbDetector, RaceAccess, RaceReport,
+};
+use portend_repro::portend_replay::{record, RecordConfig, RecordedRun};
 use portend_repro::portend_vm::{
-    drive, DriveCfg, InputMode, InputSource, InputSpec, Machine, Operand, ProgramBuilder,
-    Scheduler, VmConfig,
+    drive, AllocId, DriveCfg, InputMode, InputSource, InputSpec, Machine, Operand, ProgramBuilder,
+    RecordingMonitor, Scheduler, VmConfig,
 };
 
 /// Deterministic replay across the whole stack: recording a run and
@@ -118,6 +120,109 @@ fn false_positive_reports_classified_harmless() {
             cluster.representative
         );
     }
+}
+
+/// Records a program with one real race (`really_racy`) and one cell
+/// ordered only by fork/join (`fork_join_safe`), which a lockset-style
+/// tool reports and the happens-before detector does not.
+fn record_fork_join() -> (RecordedRun, AnalysisCase) {
+    let mut pb = ProgramBuilder::new("triage", "triage.c");
+    let real = pb.global("really_racy", 0);
+    let fj = pb.global("fork_join_safe", 0);
+    let worker = pb.func("worker", |f| {
+        let _ = f.param();
+        f.store(real, Operand::Imm(0), Operand::Imm(1)); // races with main's read
+        f.store(fj, Operand::Imm(0), Operand::Imm(7)); // HB-safe via join
+        f.ret(None);
+    });
+    let main = pb.func("main", |f| {
+        let t = f.spawn(worker, Operand::Imm(0));
+        let v = f.load(real, Operand::Imm(0)); // racy read, printed
+        f.output(1, v);
+        f.join(t);
+        f.store(fj, Operand::Imm(0), Operand::Imm(9)); // ordered by the join
+        f.ret(None);
+    });
+    let program = Arc::new(pb.build(main).unwrap());
+    let run = record(&program, vec![], RecordConfig::default());
+    let case = AnalysisCase::concrete(program, run.trace.clone());
+    (run, case)
+}
+
+/// A report from an imprecise tool, hand-built for a pair of accesses the
+/// join orders, classifies as not harmful; the real race beside it is
+/// output-visible.
+#[test]
+fn hb_ordered_report_from_an_imprecise_tool_is_not_harmful() {
+    let (run, case) = record_fork_join();
+    let portend = Portend::new(PortendConfig::default());
+    let real = run
+        .clusters
+        .iter()
+        .find(|c| c.representative.alloc_name == "really_racy")
+        .expect("the sound detector reports the real race");
+    let v = portend
+        .classify(&case, &real.representative)
+        .expect("classifiable");
+    assert_eq!(v.class, RaceClass::OutputDiffers, "{v}");
+
+    // The worker's store, then main's store after the join: what a
+    // lockset tool reports on `fork_join_safe`.
+    let name = "fork_join_safe";
+    let alloc = AllocId(
+        case.program
+            .allocs
+            .iter()
+            .position(|a| a.name == name)
+            .unwrap() as u32,
+    );
+    let mut m = run.trace.machine(&case.program, VmConfig::default());
+    let mut mon = RecordingMonitor::default();
+    let _ = drive(
+        &mut m,
+        &mut run.trace.scheduler(),
+        &mut mon,
+        &DriveCfg::default(),
+    );
+    let stores: Vec<RaceAccess> = mon
+        .accesses
+        .iter()
+        .filter(|e| e.alloc == alloc && e.is_write)
+        .map(RaceAccess::from_event)
+        .collect();
+    assert_eq!(stores.len(), 2, "{stores:?}");
+    let report = RaceReport {
+        alloc,
+        alloc_name: name.to_string(),
+        offset: 0,
+        first: stores[0],
+        second: stores[1],
+    };
+    assert!(
+        run.clusters
+            .iter()
+            .all(|c| c.representative.alloc_name != name),
+        "the happens-before detector does not report {report}"
+    );
+    let v = portend.classify(&case, &report).expect("classifiable");
+    assert!(!v.class.is_harmful(), "{report} -> {v}");
+}
+
+/// A report whose accesses never happen in the recorded execution is a
+/// `ClassifyError`, not a verdict.
+#[test]
+fn report_whose_accesses_never_happen_is_a_classify_error() {
+    let (run, case) = record_fork_join();
+    let mut fake = run.clusters[0].representative.clone();
+    fake.first.step = 999_999;
+    fake.second.step = 999_999;
+    let err = Portend::new(PortendConfig::default())
+        .classify(&case, &fake)
+        .expect_err("a fabricated report is not located");
+    assert!(
+        err.0.contains("race not reached in primary replay"),
+        "{err:?}"
+    );
 }
 
 /// The true happens-before detector reports nothing for the same

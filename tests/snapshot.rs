@@ -485,7 +485,6 @@ fn cow_forks_copy_a_tenth_of_a_deep_clone() {
         vec![3, 1],
         spec,
         vec![],
-        VmConfig::default(),
         1,
         &WarmSource::default(),
         &mut |_, _, _| {},
