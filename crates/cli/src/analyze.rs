@@ -2,7 +2,7 @@
 //!
 //! Each workload runs through [`portend_serve::analyze_request`], the
 //! one per-request routine the daemon runs too — workload → fingerprint
-//! → managed warm store → streamed verdict frames → terminating report —
+//! → keyed warm store → streamed verdict frames → terminating report —
 //! packaged for a single process invocation. The lines printed here are
 //! the lines the daemon writes to its socket, so a script consuming
 //! `portend analyze` output needs no changes to consume `portend submit`
@@ -15,7 +15,7 @@ use std::sync::Arc;
 
 use portend::{PipelineResult, PortendConfig, RunReport, WarmSource};
 use portend_serve::LineSink;
-use portend_symex::{StoreBudget, StoreManager};
+use portend_symex::StoreManager;
 use portend_workloads::Workload;
 
 use crate::CliError;
@@ -23,12 +23,9 @@ use crate::CliError;
 /// Knobs for [`analyze`] (the `portend analyze` flags).
 #[derive(Debug, Clone, Default)]
 pub struct AnalyzeOptions {
-    /// Managed warm-store directory (`--store-dir`). `None` runs
-    /// without persistent warmth.
+    /// Warm-store directory (`--store-dir`). `None` runs without
+    /// persistent warmth.
     pub store_dir: Option<PathBuf>,
-    /// Store-directory budget (`--max-store-bytes` /
-    /// `--max-stores`); `None` keeps [`StoreBudget::default`].
-    pub budget: Option<StoreBudget>,
     /// Farm width (`--workers`); `0` = one per CPU.
     pub workers: usize,
     /// Directory for per-workload `RunReport` JSON artifacts
@@ -55,10 +52,7 @@ pub fn analyze(
 ) -> Result<Vec<RunReport>, CliError> {
     let workloads = resolve(names)?;
     let manager = match &opts.store_dir {
-        Some(dir) => Some(Arc::new(match opts.budget {
-            Some(b) => StoreManager::with_budget(dir, b)?,
-            None => StoreManager::new(dir)?,
-        })),
+        Some(dir) => Some(Arc::new(StoreManager::new(dir)?)),
         None => None,
     };
     if let Some(dir) = &opts.report_dir {
@@ -96,7 +90,7 @@ pub fn analyze(
 /// `quickstart` example wraps an inline IR-builder program this way).
 ///
 /// `request` plays the role of the daemon's request id in the emitted
-/// frames; `manager` is the shared store manager, if warmth persists.
+/// frames; `manager` is the shared store directory, if warmth persists.
 /// With `quiet` no frame is rendered. With `chrome_dir` the run is traced
 /// and its Chrome trace written to `<dir>/<name>.trace.json`; a failed
 /// write fails the call. Returns the raw pipeline result (for callers

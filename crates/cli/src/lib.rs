@@ -1,38 +1,33 @@
 //! portend-cli — the `portend` command-line front end.
 //!
-//! Four subcommands over the same library code paths the daemon and
+//! Three subcommands over the same library code paths the daemon and
 //! the examples use:
 //!
 //! - `portend analyze [WORKLOAD…]` — one-shot analysis: streams one
 //!   verdict frame per classified race cluster to stdout (the
 //!   `portend-serve` wire format), terminated per workload by the full
 //!   run report; `--store-dir` warm-starts from (and persists to) a
-//!   fingerprint-keyed managed store; `--report-dir` / `--chrome-dir`
-//!   write artifacts.
+//!   directory holding one fingerprint-keyed store per program;
+//!   `--report-dir` / `--chrome-dir` write artifacts.
 //! - `portend serve` — run the resident daemon on stdio or
 //!   `--socket <path>`.
 //! - `portend submit` — send one request to a running daemon and relay
 //!   its frames.
-//! - `portend store ls|gc|rm` — inspect and trim a managed store
-//!   directory.
 //!
 //! Everything is exposed as library functions ([`analyze::analyze`],
-//! [`analyze::analyze_workload`], [`submit::submit`], [`storecmd`])
-//! so tests, examples, and CI scripts drive the exact code the binary
-//! runs.
+//! [`analyze::analyze_workload`], [`submit::submit`]) so tests,
+//! examples, and CI scripts drive the exact code the binary runs.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 pub mod analyze;
-pub mod storecmd;
 pub mod submit;
 
 use std::io::Write;
 use std::path::PathBuf;
 
 use portend_serve::{Request, Server, ServerConfig};
-use portend_symex::StoreBudget;
 
 pub use analyze::{analyze, analyze_workload, AnalyzeOptions};
 pub use submit::submit;
@@ -75,24 +70,21 @@ portend — record/replay data-race triage (Portend, ASPLOS 2012 reproduction)
 USAGE:
     portend analyze [WORKLOAD…] [--store-dir DIR] [--workers N]
                     [--report-dir DIR] [--chrome-dir DIR]
-                    [--max-store-bytes N] [--max-stores N]
                     [--assert-warm] [--quiet]
     portend serve   [--store-dir DIR] [--socket PATH] [--workers N]
-                    [--max-store-bytes N] [--max-stores N]
     portend submit  --socket PATH (WORKLOAD | --ping | --shutdown)
                     [--id N] [--workers N]
-    portend store   (ls | gc | rm FINGERPRINT) --dir DIR
-                    [--max-store-bytes N] [--max-stores N]
     portend help
 
 `analyze` with no workload names runs the whole modeled suite. Frames
 stream as line-delimited JSON (see portend-serve's protocol docs);
-`--assert-warm` exits nonzero unless every run warm-started from the
-managed store.
+`--store-dir` keeps one warm store per program in DIR, named by the
+program's fingerprint; `--assert-warm` exits nonzero unless every run
+warm-started from it.
 ";
 
 /// Runs the CLI against parsed-out process arguments (everything after
-/// the program name), writing frames and listings to `out`. The binary
+/// the program name), writing frames and usage text to `out`. The binary
 /// is a thin wrapper; tests call this directly.
 pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let (cmd, rest) = match args.split_first() {
@@ -106,7 +98,6 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         "analyze" => cmd_analyze(rest, out),
         "serve" => cmd_serve(rest),
         "submit" => cmd_submit(rest, out),
-        "store" => cmd_store(rest, out),
         "help" | "--help" | "-h" => {
             write!(out, "{USAGE}")?;
             Ok(())
@@ -121,7 +112,6 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
 fn cmd_analyze(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let mut opts = AnalyzeOptions::default();
     let mut names = Vec::new();
-    let mut budget = None;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -129,8 +119,6 @@ fn cmd_analyze(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
             "--report-dir" => opts.report_dir = Some(PathBuf::from(value(&mut it, arg)?)),
             "--chrome-dir" => opts.chrome_dir = Some(PathBuf::from(value(&mut it, arg)?)),
             "--workers" => opts.workers = number(&mut it, arg)? as usize,
-            "--max-store-bytes" => budget_mut(&mut budget).max_bytes = number(&mut it, arg)?,
-            "--max-stores" => budget_mut(&mut budget).max_stores = number(&mut it, arg)?,
             "--assert-warm" => opts.assert_warm = true,
             "--quiet" => opts.quiet = true,
             flag if flag.starts_with('-') => {
@@ -139,7 +127,6 @@ fn cmd_analyze(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
             name => names.push(name.to_string()),
         }
     }
-    opts.budget = budget;
     analyze(&names, &opts, out)?;
     Ok(())
 }
@@ -148,19 +135,15 @@ fn cmd_analyze(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
 fn cmd_serve(args: &[String]) -> Result<(), CliError> {
     let mut config = ServerConfig::default();
     let mut socket = None;
-    let mut budget = None;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--store-dir" => config.store_dir = Some(PathBuf::from(value(&mut it, arg)?)),
             "--socket" => socket = Some(PathBuf::from(value(&mut it, arg)?)),
             "--workers" => config.workers = number(&mut it, arg)? as usize,
-            "--max-store-bytes" => budget_mut(&mut budget).max_bytes = number(&mut it, arg)?,
-            "--max-stores" => budget_mut(&mut budget).max_stores = number(&mut it, arg)?,
             flag => return Err(CliError::new(format!("unknown serve flag {flag:?}"))),
         }
     }
-    config.budget = budget;
     let server = Server::new(config)?;
     match socket {
         #[cfg(unix)]
@@ -216,43 +199,6 @@ fn cmd_submit(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     Ok(())
 }
 
-/// `portend store ls|gc|rm`.
-fn cmd_store(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
-    let (verb, rest) = args
-        .split_first()
-        .ok_or_else(|| CliError::new("store needs a verb: ls, gc, or rm".to_string()))?;
-    let mut dir = None;
-    let mut budget = None;
-    let mut operand = None;
-    let mut it = rest.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--dir" => dir = Some(PathBuf::from(value(&mut it, arg)?)),
-            "--max-store-bytes" => budget_mut(&mut budget).max_bytes = number(&mut it, arg)?,
-            "--max-stores" => budget_mut(&mut budget).max_stores = number(&mut it, arg)?,
-            flag if flag.starts_with('-') => {
-                return Err(CliError::new(format!("unknown store flag {flag:?}")))
-            }
-            v => operand = Some(v.to_string()),
-        }
-    }
-    let dir = dir.ok_or_else(|| CliError::new("store needs --dir DIR".to_string()))?;
-    match verb.as_str() {
-        "ls" => storecmd::ls(&dir, out),
-        "gc" => storecmd::gc(&dir, budget.unwrap_or_default(), out),
-        "rm" => {
-            let operand =
-                operand.ok_or_else(|| CliError::new("store rm needs a fingerprint".to_string()))?;
-            let fp = u64::from_str_radix(operand.trim_start_matches("0x"), 16)
-                .map_err(|_| CliError::new(format!("bad fingerprint {operand:?} (hex)")))?;
-            storecmd::rm(&dir, fp, out)
-        }
-        other => Err(CliError::new(format!(
-            "unknown store verb {other:?} (ls, gc, rm)"
-        ))),
-    }
-}
-
 /// Pulls a flag's value argument.
 fn value<'a>(it: &mut std::slice::Iter<'a, String>, flag: &str) -> Result<&'a str, CliError> {
     it.next()
@@ -265,11 +211,6 @@ fn number(it: &mut std::slice::Iter<'_, String>, flag: &str) -> Result<u64, CliE
     let v = value(it, flag)?;
     v.parse()
         .map_err(|_| CliError::new(format!("{flag} needs a number, got {v:?}")))
-}
-
-/// The budget being accumulated by `--max-*` flags, defaulting lazily.
-fn budget_mut(slot: &mut Option<StoreBudget>) -> &mut StoreBudget {
-    slot.get_or_insert_with(StoreBudget::default)
 }
 
 #[cfg(test)]
@@ -291,6 +232,8 @@ mod tests {
         let mut out = Vec::new();
         let err = run(&["frobnicate".to_string()], &mut out).unwrap_err();
         assert!(err.to_string().contains("frobnicate"));
+        let err = run(&["store".to_string(), "ls".to_string()], &mut out).unwrap_err();
+        assert!(err.to_string().contains("unknown command"), "{err}");
         let err = run(
             &["analyze".to_string(), "no-such-workload".to_string()],
             &mut out,
@@ -325,22 +268,46 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// A Chrome trace that cannot be written fails the command, as a
-    /// report that cannot be written does.
-    #[test]
-    fn unwritable_chrome_trace_fails_analyze() {
-        let dir = std::env::temp_dir().join(format!("portend-cli-chrome-{}", std::process::id()));
+    /// Runs `analyze bbuf --quiet <flag> DIR` where a directory sits at
+    /// `DIR/<artifact>`. The command must fail with an error that names
+    /// that path, and leave no temporary file behind.
+    fn assert_unwritable_artifact_fails(flag: &str, artifact: &str) {
+        let dir = std::env::temp_dir().join(format!(
+            "portend-cli-unwritable-{artifact}-{}",
+            std::process::id()
+        ));
         let _ = std::fs::remove_dir_all(&dir);
-        // A directory where the trace file should land.
-        std::fs::create_dir_all(dir.join("bbuf.trace.json")).unwrap();
-        let dir_s = dir.to_str().unwrap();
-        let args: Vec<String> = ["analyze", "bbuf", "--quiet", "--chrome-dir", dir_s]
+        let dest = dir.join(artifact);
+        std::fs::create_dir_all(&dest).unwrap();
+        let args: Vec<String> = ["analyze", "bbuf", "--quiet", flag, dir.to_str().unwrap()]
             .iter()
             .map(|s| s.to_string())
             .collect();
         let result = run(&args, &mut Vec::new());
+        let left: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .filter(|name| name.contains(".tmp"))
+            .collect();
         let _ = std::fs::remove_dir_all(&dir);
-        assert!(result.is_err(), "a failed --chrome-dir write was swallowed");
+        let err = result.expect_err("a failed artifact write was swallowed");
+        assert!(
+            err.to_string().contains(dest.to_str().unwrap()),
+            "the error names the artifact: {err}"
+        );
+        assert!(left.is_empty(), "temporary files left behind: {left:?}");
+    }
+
+    /// A Chrome trace that cannot be written fails the command, as a
+    /// report that cannot be written does.
+    #[test]
+    fn unwritable_chrome_trace_fails_analyze() {
+        assert_unwritable_artifact_fails("--chrome-dir", "bbuf.trace.json");
+    }
+
+    #[test]
+    fn unwritable_report_fails_analyze() {
+        assert_unwritable_artifact_fails("--report-dir", "bbuf.json");
     }
 
     #[test]
@@ -371,19 +338,12 @@ mod tests {
         run(&warm_args, &mut out).unwrap();
 
         // The store dir now holds exactly bbuf's fingerprint-keyed store.
-        let listing = run_ok(&["store", "ls", "--dir", &store_s]);
         let fp = portend_workloads::by_name("bbuf").unwrap().fingerprint();
-        assert!(listing.contains(&format!("{fp:016x}")), "{listing}");
-        assert!(listing.contains("1 store(s)"), "{listing}");
-
-        // rm drops it; a second rm is a clean error.
-        run_ok(&["store", "rm", &format!("{fp:x}"), "--dir", &store_s]);
-        let mut out = Vec::new();
-        let rm_args: Vec<String> = ["store", "rm", &format!("{fp:x}"), "--dir", &store_s]
-            .iter()
-            .map(|s| s.to_string())
+        let names: Vec<String> = std::fs::read_dir(&store)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
             .collect();
-        assert!(run(&rm_args, &mut out).is_err());
+        assert_eq!(names, vec![format!("{fp:016x}.warm")]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

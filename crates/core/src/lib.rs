@@ -59,8 +59,8 @@ pub use portend_obs::Trace;
 pub use portend_symex::{CacheSnapshot, WarmPolicy};
 pub use report::render_report;
 pub use runreport::{
-    write_report_file, EventSummary, RaceOutcome, ReportError, RunReport, VerdictReport,
-    REPORT_FORMAT_NAME, REPORT_FORMAT_VERSION,
+    EventSummary, RaceOutcome, ReportError, RunReport, VerdictReport, REPORT_FORMAT_NAME,
+    REPORT_FORMAT_VERSION,
 };
 pub use taxonomy::{
     ClassifyStats, OutputDiffEvidence, RaceClass, ReplayEvidence, SpecViolationKind, Verdict,

@@ -484,25 +484,17 @@ impl RunReport {
         })
     }
 
-    /// Writes [`RunReport::to_json`] to `path` atomically (see
-    /// [`write_report_file`]).
+    /// Writes [`RunReport::to_json`] to `path` with
+    /// [`portend_obs::write_atomic`]: readers never observe a torn
+    /// report.
     pub fn write_to(&self, path: impl AsRef<Path>) -> std::io::Result<()> {
-        write_report_file(path, &self.to_json())
+        portend_obs::write_atomic(path.as_ref(), self.to_json().as_bytes())
     }
 
     /// Reads and parses a report from `path`.
     pub fn read_from(path: impl AsRef<Path>) -> Result<RunReport, ReportError> {
         Self::from_json(&std::fs::read_to_string(path)?)
     }
-}
-
-/// Writes a rendered report document to `path` atomically (by rename,
-/// like the warm store — readers never observe a torn report).
-pub fn write_report_file(path: impl AsRef<Path>, doc: &str) -> std::io::Result<()> {
-    let path = path.as_ref();
-    let tmp = path.with_extension("tmp");
-    std::fs::write(&tmp, doc)?;
-    std::fs::rename(&tmp, path)
 }
 
 // ---- serialization helpers (writer side) ----------------------------

@@ -4,7 +4,7 @@
 //! [`WarmSource`] has two independent parts. `cache` picks the cache to
 //! classify with: a caller-owned resident cache (the daemon's
 //! per-program cache) or, by default, a fresh one. `store` names a
-//! managed [`StoreManager`] directory and the program fingerprint to
+//! [`StoreManager`] directory and the program fingerprint to
 //! warm from before classification and save back to after. Every
 //! front end (library, CLI, daemon) reaches the farm through
 //! `Pipeline::run`, which makes the same two calls —
@@ -17,7 +17,7 @@ use std::sync::Arc;
 use portend_symex::{SolverCache, StoreManager, DEFAULT_SHARDS};
 
 /// A pipeline run's warm-store lifecycle: which shared solver cache
-/// the run classifies with, and which managed store warms it before
+/// the run classifies with, and which keyed store warms it before
 /// classification and persists it after. The default is a fresh cache
 /// and no store.
 #[derive(Debug, Clone, Default)]
@@ -26,11 +26,10 @@ pub struct WarmSource {
     /// lets warm capital compound in memory across requests). `None`
     /// builds a fresh cache at [`DEFAULT_SHARDS`] for the run.
     pub cache: Option<Arc<SolverCache>>,
-    /// A managed store directory and the fingerprint of the program the
-    /// run analyzes (`portend_vm::Program::fingerprint`). `acquire`
-    /// warms from the store keyed by that fingerprint (touching its LRU
-    /// recency); `release` saves back through the manager, which then
-    /// enforces the directory budget. `None` does no store I/O.
+    /// A store directory and the fingerprint of the program the run
+    /// analyzes (`portend_vm::Program::fingerprint`). `acquire` warms
+    /// from the store keyed by that fingerprint; `release` saves back
+    /// over it. `None` does no store I/O.
     pub store: Option<(Arc<StoreManager>, u64)>,
 }
 

@@ -9,8 +9,9 @@
 //! nanosecond resolution. Lane index doubles as the `tid`; the whole
 //! trace is one `pid`.
 
-use std::io::Write as _;
+use std::io::{self, Write as _};
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::json::Json;
 use crate::recorder::Trace;
@@ -58,23 +59,36 @@ impl Trace {
         Json::Obj(vec![("traceEvents".into(), Json::Arr(events))]).render()
     }
 
-    /// Writes [`Trace::to_chrome_json`] to `path` (atomically, by
-    /// rename, so a crashed writer never leaves a half trace behind).
-    pub fn write_chrome(&self, path: impl AsRef<Path>) -> std::io::Result<()> {
+    /// Writes [`Trace::to_chrome_json`] to `path` with [`write_atomic`],
+    /// so a crashed writer never leaves a half trace behind.
+    pub fn write_chrome(&self, path: impl AsRef<Path>) -> io::Result<()> {
         write_atomic(path.as_ref(), self.to_chrome_json().as_bytes())
     }
 }
 
-/// Write-then-rename, the same discipline as the warm store's
-/// `StoreManager::save_from`: readers only ever observe complete files.
-pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
-    let tmp = path.with_extension("tmp");
-    {
+/// Writes `bytes` to `path` atomically, so a reader only ever sees a
+/// complete file: they go to a sibling temporary file, are synced, and
+/// the temporary is renamed over `path`. The temporary's name is unique
+/// per process and per call (as the warm store's), so concurrent
+/// writers never share one. On any failure the temporary is removed
+/// and the error names `path`.
+pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    static SEQ: AtomicU64 = AtomicU64::new(0);
+    let tmp = path.with_extension(format!(
+        "tmp.{}.{}",
+        std::process::id(),
+        SEQ.fetch_add(1, Ordering::Relaxed)
+    ));
+    let write = || -> io::Result<()> {
         let mut f = std::fs::File::create(&tmp)?;
         f.write_all(bytes)?;
         f.sync_all()?;
-    }
-    std::fs::rename(&tmp, path)
+        std::fs::rename(&tmp, path)
+    };
+    write().map_err(|e| {
+        std::fs::remove_file(&tmp).ok();
+        io::Error::new(e.kind(), format!("{}: {e}", path.display()))
+    })
 }
 
 #[cfg(test)]

@@ -18,7 +18,6 @@
 /// | [`WarmLoad`] | warm store | yes | entries loaded | 1 if load succeeded |
 /// | [`WarmSave`] | warm store | yes | entries written | bytes written |
 /// | [`RequestStart`] | serve front end | no | request id | program fingerprint |
-/// | [`StoreEvict`] | store manager | no | evicted fingerprint | bytes reclaimed |
 ///
 /// [`Phase`]: EventKind::Phase
 /// [`Job`]: EventKind::Job
@@ -29,7 +28,6 @@
 /// [`WarmLoad`]: EventKind::WarmLoad
 /// [`WarmSave`]: EventKind::WarmSave
 /// [`RequestStart`]: EventKind::RequestStart
-/// [`StoreEvict`]: EventKind::StoreEvict
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum EventKind {
     /// A named pipeline phase (record, classify, join, …); the `name`
@@ -52,14 +50,11 @@ pub enum EventKind {
     /// An analysis request accepted by a front end (the CLI's one-shot
     /// `analyze` or the daemon's protocol loop).
     RequestStart,
-    /// The store manager evicted a per-program store to stay within its
-    /// directory budget.
-    StoreEvict,
 }
 
 impl EventKind {
     /// Every kind, in rendering order.
-    pub const ALL: [EventKind; 10] = [
+    pub const ALL: [EventKind; 9] = [
         EventKind::Phase,
         EventKind::Job,
         EventKind::SolverCheck,
@@ -69,7 +64,6 @@ impl EventKind {
         EventKind::WarmLoad,
         EventKind::WarmSave,
         EventKind::RequestStart,
-        EventKind::StoreEvict,
     ];
 
     /// The kind's stable label (used by the exporters and the report's
@@ -85,7 +79,6 @@ impl EventKind {
             EventKind::WarmLoad => "warm_load",
             EventKind::WarmSave => "warm_save",
             EventKind::RequestStart => "request_start",
-            EventKind::StoreEvict => "store_evict",
         }
     }
 
@@ -98,7 +91,7 @@ impl EventKind {
             EventKind::SolverCheck | EventKind::SliceSolve => "solver",
             EventKind::CacheProbe => "cache",
             EventKind::Fork => "vm",
-            EventKind::WarmLoad | EventKind::WarmSave | EventKind::StoreEvict => "warm",
+            EventKind::WarmLoad | EventKind::WarmSave => "warm",
             EventKind::RequestStart => "serve",
         }
     }
@@ -108,10 +101,7 @@ impl EventKind {
     pub fn is_span(self) -> bool {
         !matches!(
             self,
-            EventKind::CacheProbe
-                | EventKind::Fork
-                | EventKind::RequestStart
-                | EventKind::StoreEvict
+            EventKind::CacheProbe | EventKind::Fork | EventKind::RequestStart
         )
     }
 }
@@ -173,8 +163,6 @@ mod tests {
         assert_eq!(EventKind::Job.category(), "farm");
         assert_eq!(EventKind::SliceSolve.category(), "solver");
         assert!(!EventKind::RequestStart.is_span());
-        assert!(!EventKind::StoreEvict.is_span());
         assert_eq!(EventKind::RequestStart.category(), "serve");
-        assert_eq!(EventKind::StoreEvict.category(), "warm");
     }
 }

@@ -32,5 +32,6 @@ mod chrome;
 mod event;
 mod recorder;
 
+pub use chrome::write_atomic;
 pub use event::{Event, EventKind, EventSkeleton};
 pub use recorder::{enabled, instant, span, span_named, Lane, LaneGuard, Recorder, Span, Trace};

@@ -87,7 +87,6 @@ mod tests {
             &[ThreadId(0), ThreadId(1)],
             &[ThreadId(0), ThreadId(1)],
             ThreadId(0),
-            portend_vm::PickReason::Preemption,
         );
         assert_eq!(picked, ThreadId(1));
     }

@@ -75,7 +75,7 @@ pub fn analyze_request(
             emit(&line)?;
         }
         if let Some(path) = report_file {
-            portend::write_report_file(path, &doc)?;
+            portend_obs::write_atomic(path, doc.as_bytes())?;
         }
     }
     Ok((result, report))

@@ -12,11 +12,10 @@
 //! - **Resident solver caches**, one per program fingerprint — a second
 //!   request for the same program re-solves nothing the first request
 //!   already solved.
-//! - **Managed warm stores** (with a store directory): a
+//! - **Keyed warm stores** (with a store directory): a
 //!   [`portend_symex::StoreManager`] keys each program's warm store by
-//!   its content fingerprint, touch-on-load LRU-evicts over a byte /
-//!   count budget, and distinctly rejects stores from other programs —
-//!   warmth survives daemon restarts.
+//!   its content fingerprint and distinctly rejects stores from other
+//!   programs — warmth survives daemon restarts.
 //!
 //! Streaming changes *when* a client sees a verdict, never *what*. Both
 //! front ends — the daemon and `portend analyze` — run one per-request

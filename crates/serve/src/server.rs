@@ -1,5 +1,5 @@
 //! The resident daemon: request dispatch, per-program cache residency,
-//! managed warm-store lifecycle, and the stdio / Unix-socket loops.
+//! keyed warm stores, and the stdio / Unix-socket loops.
 
 use std::collections::HashMap;
 use std::io::{self, BufRead, Read, Write};
@@ -10,7 +10,7 @@ use std::time::Duration;
 
 use portend::{PortendConfig, WarmSource};
 use portend_obs::EventKind;
-use portend_symex::{SolverCache, StoreBudget, StoreManager, WarmStoreError, DEFAULT_SHARDS};
+use portend_symex::{SolverCache, StoreManager, WarmStoreError, DEFAULT_SHARDS};
 
 use crate::analyze::{analyze_request, LineSink};
 use crate::protocol::{Frame, Request};
@@ -29,12 +29,10 @@ pub const SESSION_IO_TIMEOUT: Duration = Duration::from_secs(5);
 /// How a [`Server`] is assembled.
 #[derive(Debug, Clone, Default)]
 pub struct ServerConfig {
-    /// Managed store directory for per-program warm stores; `None`
-    /// keeps warm capital in-memory only (still shared across requests
-    /// for the daemon's lifetime, lost on exit).
+    /// Directory of per-program warm stores; `None` keeps warm capital
+    /// in-memory only (still shared across requests for the daemon's
+    /// lifetime, lost on exit).
     pub store_dir: Option<PathBuf>,
-    /// Disk budget for the store directory (ignored without one).
-    pub budget: Option<StoreBudget>,
     /// Default farm width for requests that don't name one (`0` = one
     /// worker per CPU).
     pub workers: usize,
@@ -46,7 +44,7 @@ pub struct ServerConfig {
 /// configured) and one resident [`SolverCache`] *per program
 /// fingerprint*, shared across every request for that program — warm
 /// capital compounds both in-memory (within the daemon's lifetime) and
-/// on disk (across daemon restarts, via the managed stores).
+/// on disk (across daemon restarts, via the keyed stores).
 ///
 /// The server is transport-agnostic: one private routine maps a request
 /// line to its finished frame lines, [`Server::serve_stdio`] /
@@ -64,10 +62,7 @@ impl Server {
     /// Builds a server, creating the store directory when configured.
     pub fn new(config: ServerConfig) -> Result<Server, WarmStoreError> {
         let manager = match &config.store_dir {
-            Some(dir) => Some(Arc::new(match config.budget {
-                Some(b) => StoreManager::with_budget(dir, b)?,
-                None => StoreManager::new(dir)?,
-            })),
+            Some(dir) => Some(Arc::new(StoreManager::new(dir)?)),
             None => None,
         };
         Ok(Server {
@@ -76,13 +71,6 @@ impl Server {
             workers: config.workers,
             shutdown: AtomicBool::new(false),
         })
-    }
-
-    /// The managed store directory's manager, when one is configured
-    /// (`portend store ls` against a running daemon's directory uses
-    /// the same manager type).
-    pub fn manager(&self) -> Option<&Arc<StoreManager>> {
-        self.manager.as_ref()
     }
 
     /// Whether a shutdown request has been handled.
@@ -150,9 +138,9 @@ impl Server {
         let fingerprint = w.fingerprint();
         portend_obs::instant(EventKind::RequestStart, id, fingerprint);
         // The manager path warms from (and saves back to) the
-        // per-program store every request — touch-on-load keeps the
-        // LRU honest; resident entries are never overwritten. Without
-        // a store directory the resident cache alone carries warmth.
+        // per-program store every request; resident entries are never
+        // overwritten. Without a store directory the resident cache
+        // alone carries warmth.
         let warm = WarmSource {
             cache: Some(self.resident_cache(fingerprint)),
             store: self.manager.clone().map(|m| (m, fingerprint)),

@@ -21,9 +21,9 @@
 //!   fingerprint + solver-semantics version in the header, and
 //!   answer-preservation validation sampling on load, so a long-lived
 //!   service warm-starts instead of re-solving every recurring slice;
-//! * [`mod@store`] — [`StoreManager`], a capped LRU directory of
-//!   per-program warm stores keyed by program fingerprint, for front
-//!   ends that outlive any single program.
+//! * [`mod@store`] — [`StoreManager`], a directory of per-program warm
+//!   stores, one file per program fingerprint, for front ends that
+//!   outlive any single program.
 //!
 //! ## Example
 //!
@@ -66,8 +66,8 @@ pub use model::Model;
 pub use op::{BinOp, CmpOp};
 pub use slice::SliceMemo;
 pub use solver::{SatResult, Solver, SolverConfig, SolverStats};
-pub use store::{StoreBudget, StoreEntry, StoreManager};
+pub use store::StoreManager;
 pub use warm::{
-    peek_meta, WarmLoadReport, WarmPolicy, WarmSaveReport, WarmStoreError, WarmStoreMeta,
-    SOLVER_SEMANTICS_VERSION, WARM_FORMAT_VERSION,
+    WarmLoadReport, WarmPolicy, WarmSaveReport, WarmStoreError, SOLVER_SEMANTICS_VERSION,
+    WARM_FORMAT_VERSION,
 };

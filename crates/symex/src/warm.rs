@@ -35,8 +35,8 @@
 //! happen to share canonical keys. A store loads only for the
 //! fingerprint in its header; every value, `0` included, is an
 //! ordinary key. [`crate::StoreManager`] is the only reader and writer
-//! of stores: it keeps one store per fingerprint in a managed
-//! directory.
+//! of stores: it keeps one `{fingerprint:016x}.warm` file per program
+//! in a directory.
 //!
 //! The *solver-semantics version* ([`SOLVER_SEMANTICS_VERSION`]) is the
 //! cross-build invalidation hint: it is echoed into every store and
@@ -534,51 +534,6 @@ fn parse(bytes: &[u8]) -> Result<(u64, Vec<WarmRecord>), WarmStoreError> {
     Ok((fingerprint, records))
 }
 
-/// Header metadata of a warm store, read without materializing records.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WarmStoreMeta {
-    /// The store's format version.
-    pub format_version: u32,
-    /// The program fingerprint the store is keyed to.
-    pub fingerprint: u64,
-    /// The solver-semantics generation the store was written under.
-    pub semantics_version: u32,
-    /// Record count claimed by the header.
-    pub entries: u64,
-    /// File size in bytes.
-    pub bytes: u64,
-}
-
-/// Reads only the header of the warm store at `path` — enough for a
-/// store-directory listing (`portend store ls`) without paying for a
-/// full parse + checksum of every record. Magic and minimum length are
-/// still validated; the version is *reported*, not rejected, so a
-/// listing can show stale-format stores instead of erroring on them.
-pub fn peek_meta(path: impl AsRef<Path>) -> Result<WarmStoreMeta, WarmStoreError> {
-    let bytes = std::fs::read(path.as_ref())?;
-    if bytes.len() < 8 + 4 + 8 + 4 + 4 + 8 {
-        return Err(WarmStoreError::Corrupt("file shorter than header"));
-    }
-    if bytes[..8] != WARM_MAGIC {
-        return Err(WarmStoreError::BadMagic);
-    }
-    let mut r = Reader {
-        bytes: &bytes,
-        pos: 8,
-    };
-    let format_version = r.u32()?;
-    let fingerprint = r.u64()?;
-    let semantics_version = r.u32()?;
-    let entries = u64::from(r.u32()?);
-    Ok(WarmStoreMeta {
-        format_version,
-        fingerprint,
-        semantics_version,
-        entries,
-        bytes: bytes.len() as u64,
-    })
-}
-
 /// FNV-1a over bytes (the store's integrity checksum; also used by the
 /// cache for shard selection).
 fn fnv1a64(bytes: &[u8]) -> u64 {
@@ -749,11 +704,6 @@ mod tests {
             "rejection names the cause: {err}"
         );
 
-        let meta = peek_meta(&path).unwrap();
-        assert_eq!(meta.format_version, WARM_FORMAT_VERSION);
-        assert_eq!(meta.fingerprint, 0xaaaa_bbbb);
-        assert_eq!(meta.semantics_version, SOLVER_SEMANTICS_VERSION);
-        assert_eq!(meta.entries, 1);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -17,7 +17,7 @@ use crate::inst::Inst;
 use crate::machine::{Machine, StepEvent};
 use crate::monitor::Monitor;
 use crate::program::{AllocId, BlockId, Pc};
-use crate::sched::{PickReason, Scheduler};
+use crate::sched::Scheduler;
 use crate::sync::SyncState;
 use crate::thread::{Thread, ThreadId};
 
@@ -450,12 +450,7 @@ pub fn drive(
             if consults >= CYCLE_PROBE_AFTER {
                 probe.consult(m, sched, mon, cfg, &mut local_steps, &mut wrote);
             }
-            let reason = if cur_ok {
-                PickReason::Preemption
-            } else {
-                PickReason::Blocked
-            };
-            let t = sched.pick(&schedulable, &alive, tid, reason);
+            let t = sched.pick(&schedulable, &alive, tid);
             m.preemptions += 1;
             if cfg.record_schedule {
                 m.sched_log.push(t);

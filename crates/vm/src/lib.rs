@@ -90,7 +90,7 @@ pub use program::{
     AllocId, AllocSpec, BarrierSpec, BasicBlock, BlockId, FuncId, Function, Pc, Program, SyncId,
 };
 pub use rng::SmallRng;
-pub use sched::{PickReason, SchedLog, Scheduler};
+pub use sched::{SchedLog, Scheduler};
 pub use sync::{BarrierState, CondState, MutexState, SyncState};
 pub use thread::{Frame, ResumePhase, Thread, ThreadId, ThreadState};
 pub use value::Val;

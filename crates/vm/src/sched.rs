@@ -13,17 +13,6 @@ use crate::cowlog::CowList;
 use crate::rng::SmallRng;
 use crate::thread::ThreadId;
 
-/// Why the scheduler is being consulted.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PickReason {
-    /// Execution is starting.
-    Start,
-    /// The current thread blocked or exited.
-    Blocked,
-    /// The current thread reached a preemption point.
-    Preemption,
-}
-
 /// A thread scheduling policy.
 ///
 /// All policies are deterministic given their initial value ([`Scheduler::Random`]
@@ -267,13 +256,11 @@ impl Scheduler {
     /// # Panics
     ///
     /// Panics if `schedulable` is empty (the executor never does this).
-    #[allow(clippy::only_used_in_recursion)] // `reason` is part of the policy API
     pub fn pick(
         &mut self,
         schedulable: &[ThreadId],
         alive: &[ThreadId],
         current: ThreadId,
-        reason: PickReason,
     ) -> ThreadId {
         assert!(
             !schedulable.is_empty(),
@@ -307,7 +294,7 @@ impl Scheduler {
                 fallback,
             } => {
                 if *diverged || *pos >= trace.len() {
-                    return fallback.pick(schedulable, alive, current, reason);
+                    return fallback.pick(schedulable, alive, current);
                 }
                 let want = trace[*pos];
                 if schedulable.contains(&want) {
@@ -315,10 +302,10 @@ impl Scheduler {
                     want
                 } else if alive.contains(&want) {
                     // Suspended by the analysis: slip without diverging.
-                    fallback.pick(schedulable, alive, current, reason)
+                    fallback.pick(schedulable, alive, current)
                 } else {
                     *diverged = true;
-                    fallback.pick(schedulable, alive, current, reason)
+                    fallback.pick(schedulable, alive, current)
                 }
             }
         }
@@ -336,37 +323,15 @@ mod tests {
     #[test]
     fn cooperative_prefers_current() {
         let mut s = Scheduler::Cooperative;
-        assert_eq!(
-            s.pick(&[t(0), t(1)], &[t(0), t(1)], t(1), PickReason::Preemption),
-            t(1)
-        );
-        assert_eq!(
-            s.pick(&[t(0), t(2)], &[t(0), t(2)], t(1), PickReason::Blocked),
-            t(0)
-        );
+        assert_eq!(s.pick(&[t(0), t(1)], &[t(0), t(1)], t(1)), t(1));
+        assert_eq!(s.pick(&[t(0), t(2)], &[t(0), t(2)], t(1)), t(0));
     }
 
     #[test]
     fn round_robin_rotates() {
         let mut s = Scheduler::RoundRobin;
-        assert_eq!(
-            s.pick(
-                &[t(0), t(1), t(2)],
-                &[t(0), t(1), t(2)],
-                t(0),
-                PickReason::Preemption
-            ),
-            t(1)
-        );
-        assert_eq!(
-            s.pick(
-                &[t(0), t(1), t(2)],
-                &[t(0), t(1), t(2)],
-                t(2),
-                PickReason::Preemption
-            ),
-            t(0)
-        );
+        assert_eq!(s.pick(&[t(0), t(1), t(2)], &[t(0), t(1), t(2)], t(0)), t(1));
+        assert_eq!(s.pick(&[t(0), t(1), t(2)], &[t(0), t(1), t(2)], t(2)), t(0));
     }
 
     #[test]
@@ -376,8 +341,8 @@ mod tests {
         for _ in 0..32 {
             let runnable = [t(0), t(1), t(2), t(3)];
             assert_eq!(
-                a.pick(&runnable, &runnable, t(0), PickReason::Preemption),
-                b.pick(&runnable, &runnable, t(0), PickReason::Preemption)
+                a.pick(&runnable, &runnable, t(0)),
+                b.pick(&runnable, &runnable, t(0))
             );
         }
     }
@@ -385,27 +350,18 @@ mod tests {
     #[test]
     fn trace_follows_then_falls_back() {
         let mut s = Scheduler::follow(vec![t(1), t(0)]);
-        assert_eq!(
-            s.pick(&[t(0), t(1)], &[t(0), t(1)], t(0), PickReason::Preemption),
-            t(1)
-        );
-        assert_eq!(
-            s.pick(&[t(0), t(1)], &[t(0), t(1)], t(1), PickReason::Preemption),
-            t(0)
-        );
+        assert_eq!(s.pick(&[t(0), t(1)], &[t(0), t(1)], t(0)), t(1));
+        assert_eq!(s.pick(&[t(0), t(1)], &[t(0), t(1)], t(1)), t(0));
         assert!(s.trace_exhausted());
         assert!(!s.diverged());
         // Exhausted: cooperative fallback keeps the current thread.
-        assert_eq!(
-            s.pick(&[t(0), t(1)], &[t(0), t(1)], t(1), PickReason::Preemption),
-            t(1)
-        );
+        assert_eq!(s.pick(&[t(0), t(1)], &[t(0), t(1)], t(1)), t(1));
     }
 
     #[test]
     fn trace_divergence_is_flagged() {
         let mut s = Scheduler::follow(vec![t(5)]);
-        let got = s.pick(&[t(0), t(1)], &[t(0), t(1)], t(0), PickReason::Preemption);
+        let got = s.pick(&[t(0), t(1)], &[t(0), t(1)], t(0));
         assert_eq!(got, t(0));
         assert!(s.diverged());
     }
@@ -415,24 +371,24 @@ mod tests {
         let a = Scheduler::follow(vec![t(1), t(0)]);
         let mut b = a.clone();
         assert!(a.same_state(&b), "a clone shares the trace and position");
-        let _ = b.pick(&[t(0), t(1)], &[t(0), t(1)], t(0), PickReason::Preemption);
+        let _ = b.pick(&[t(0), t(1)], &[t(0), t(1)], t(0));
         assert!(!a.same_state(&b), "position moved");
         // Equal content behind another allocation is not the same trace.
         assert!(!a.same_state(&Scheduler::follow(vec![t(1), t(0)])));
         let mut slipping = a.clone();
-        let _ = slipping.pick(&[t(0)], &[t(0), t(1)], t(0), PickReason::Preemption);
+        let _ = slipping.pick(&[t(0)], &[t(0), t(1)], t(0));
         assert!(
             a.same_state(&slipping),
             "a slip neither advances nor diverges"
         );
         let mut diverging = a.clone();
-        let _ = diverging.pick(&[t(0)], &[t(0)], t(0), PickReason::Preemption);
+        let _ = diverging.pick(&[t(0)], &[t(0)], t(0));
         assert!(!a.same_state(&diverging));
 
         let r = Scheduler::random(3);
         let mut r2 = r.clone();
         assert!(r.same_state(&r2));
-        let _ = r2.pick(&[t(0), t(1)], &[t(0), t(1)], t(0), PickReason::Preemption);
+        let _ = r2.pick(&[t(0), t(1)], &[t(0), t(1)], t(0));
         assert!(!r.same_state(&r2), "every pick advances the generator");
         assert!(Scheduler::RoundRobin.same_state(&Scheduler::RoundRobin));
         assert!(!Scheduler::RoundRobin.same_state(&Scheduler::Cooperative));
@@ -441,15 +397,9 @@ mod tests {
     #[test]
     fn cloned_scheduler_has_independent_position() {
         let mut a = Scheduler::follow(vec![t(1), t(0)]);
-        let _ = a.pick(&[t(0), t(1)], &[t(0), t(1)], t(0), PickReason::Preemption);
+        let _ = a.pick(&[t(0), t(1)], &[t(0), t(1)], t(0));
         let mut b = a.clone();
-        assert_eq!(
-            a.pick(&[t(0), t(1)], &[t(0), t(1)], t(1), PickReason::Preemption),
-            t(0)
-        );
-        assert_eq!(
-            b.pick(&[t(0), t(1)], &[t(0), t(1)], t(1), PickReason::Preemption),
-            t(0)
-        );
+        assert_eq!(a.pick(&[t(0), t(1)], &[t(0), t(1)], t(1)), t(0));
+        assert_eq!(b.pick(&[t(0), t(1)], &[t(0), t(1)], t(1)), t(0));
     }
 }

@@ -4,7 +4,7 @@
 //!    are exactly the terminating `RunReport`'s races — same set, and
 //!    byte-identical JSON per race at the frame's `index`.
 //! 2. **Warmth compounds across daemon restarts**: a second submission
-//!    of the same program against the same managed store directory
+//!    of the same program against the same store directory
 //!    performs strictly fewer solver invocations, through the
 //!    fingerprint-keyed store the first run saved.
 //! 3. **Foreign and corrupt stores degrade distinctly and cleanly**: a
@@ -12,16 +12,13 @@
 //!    counter (never silently cold-started), a structurally damaged
 //!    store cold-starts without that counter, and verdicts are
 //!    unaffected either way.
-//! 4. **The store manager is an LRU**: under a seeded insert/touch
-//!    sequence the directory never exceeds its budget and exactly the
-//!    most recently used stores survive.
-//! 5. **A silent client cannot wedge the socket daemon**: a connection
+//! 4. **A silent client cannot wedge the socket daemon**: a connection
 //!    that sends nothing is dropped after the session timeout, and the
 //!    next client is answered.
-//! 6. **The socket daemon deletes only its own stale socket**: a path
+//! 5. **The socket daemon deletes only its own stale socket**: a path
 //!    that is not a socket, or a live daemon's socket, is refused and
 //!    left untouched; a stale socket file is replaced and served.
-//! 7. **Both front ends emit the same bytes**: `portend analyze` and the
+//! 6. **Both front ends emit the same bytes**: `portend analyze` and the
 //!    daemon run one per-request routine, so their lines match once the
 //!    wall-clock fields are zeroed, and the `done` frame's report is the
 //!    `--report-dir` file byte for byte.
@@ -37,9 +34,8 @@ use portend_repro::portend_cli::{analyze_workload, AnalyzeOptions};
 use portend_repro::portend_obs::json::{self, Json};
 use portend_repro::portend_serve::{Frame, Server, ServerConfig};
 use portend_repro::portend_symex::{
-    CmpOp, Expr, Solver, SolverCache, StoreBudget, StoreManager, VarTable, WarmPolicy,
+    CmpOp, Expr, Solver, SolverCache, StoreManager, VarTable, WarmPolicy,
 };
-use portend_repro::portend_vm::SmallRng;
 use portend_repro::portend_workloads as workloads;
 
 /// A unique scratch directory under the system temp dir.
@@ -177,7 +173,7 @@ fn timeless(lines: &str) -> Vec<String> {
         .collect()
 }
 
-/// Contract 7: for bbuf and ctrace at one worker and request id 7,
+/// Contract 6: for bbuf and ctrace at one worker and request id 7,
 /// `analyze_workload`'s lines equal the daemon's `serve_io` lines with
 /// the wall-clock fields zeroed, and the `done` frame's report equals
 /// the `--report-dir` file byte for byte.
@@ -349,99 +345,7 @@ fn foreign_and_corrupt_stores_reject_distinctly_then_recover() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Contract 4: seeded LRU property. A shadow model replays the same
-/// insert/touch sequence; after every operation the directory holds
-/// exactly the model's stores (the budget is never exceeded, the
-/// hottest survive), and `list` reports them hottest-first.
-#[test]
-fn store_manager_lru_matches_a_shadow_model() {
-    let dir = scratch_dir("lru");
-    const MAX_STORES: u64 = 3;
-    let manager = StoreManager::with_budget(
-        &dir,
-        StoreBudget {
-            max_bytes: 64 << 20,
-            max_stores: MAX_STORES,
-        },
-    )
-    .expect("manager");
-
-    // One populated cache reused for every fingerprint: contents don't
-    // matter to eviction, recency does.
-    let cache = Arc::new(SolverCache::new(1));
-    {
-        let mut vars = VarTable::new();
-        let x = vars.fresh("x", -4, 4);
-        let cached = Solver::new().cached(Arc::clone(&cache));
-        cached.check_sliced(&[Expr::var(x).cmp(CmpOp::Lt, Expr::konst(2))], &vars);
-    }
-
-    // Shadow model: fingerprint -> recency seq, evicting the lowest
-    // (fingerprint tie-break) past the budget, exactly the documented
-    // policy.
-    let mut model: Vec<(u64, u64)> = Vec::new();
-    let mut seq = 0u64;
-    let mut touch = |model: &mut Vec<(u64, u64)>, fp: u64| {
-        seq += 1;
-        match model.iter_mut().find(|(f, _)| *f == fp) {
-            Some(entry) => entry.1 = seq,
-            None => model.push((fp, seq)),
-        }
-    };
-
-    let mut r = SmallRng::seed_from_u64(0x57AB1E);
-    let fingerprints: Vec<u64> = (1..=8u64).map(|i| i * 0x1111).collect();
-    for _ in 0..60 {
-        let fp = fingerprints[r.gen_index(fingerprints.len())];
-        if r.gen_index(3) == 0 && model.iter().any(|(f, _)| *f == fp) {
-            // Touch: loading an existing store refreshes its recency.
-            manager
-                .load_into(fp, &SolverCache::new(1))
-                .expect("load is clean");
-            touch(&mut model, fp);
-        } else {
-            manager.save_from(fp, &cache).expect("save");
-            touch(&mut model, fp);
-            while model.len() as u64 > MAX_STORES {
-                let coldest = model
-                    .iter()
-                    .map(|&(f, s)| (s, f))
-                    .min()
-                    .map(|(_, f)| f)
-                    .expect("nonempty");
-                model.retain(|(f, _)| *f != coldest);
-            }
-        }
-
-        let listed = manager.list().expect("list");
-        assert!(
-            listed.len() as u64 <= MAX_STORES,
-            "budget must never be exceeded"
-        );
-        let mut expect: Vec<u64> = model.iter().map(|(f, _)| *f).collect();
-        let mut got: Vec<u64> = listed.iter().map(|e| e.fingerprint).collect();
-        // `list` is hottest-first; the model orders by insertion.
-        expect.sort_unstable();
-        got.sort_unstable();
-        assert_eq!(got, expect, "exactly the hottest stores survive");
-    }
-
-    // Hottest-first listing order matches the model's recency order.
-    let mut by_recency: Vec<(u64, u64)> = model.clone();
-    by_recency.sort_by_key(|&(f, s)| (std::cmp::Reverse(s), f));
-    let listed: Vec<u64> = manager
-        .list()
-        .expect("list")
-        .iter()
-        .map(|e| e.fingerprint)
-        .collect();
-    let expected: Vec<u64> = by_recency.iter().map(|(f, _)| *f).collect();
-    assert_eq!(listed, expected, "listing is most-recently-used first");
-
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// Contracts 5 and 6, over a real Unix socket.
+/// Contracts 4 and 5, over a real Unix socket.
 #[cfg(unix)]
 mod socket {
     use std::os::unix::net::{UnixListener, UnixStream};
@@ -516,7 +420,7 @@ mod socket {
         assert!(exit.is_ok(), "{exit:?}");
     }
 
-    /// Contract 5: a client that connects and sends nothing holds the
+    /// Contract 4: a client that connects and sends nothing holds the
     /// one-connection-at-a-time daemon only until the session timeout; a
     /// second client's ping is answered within that timeout plus slack.
     #[test]
@@ -539,7 +443,7 @@ mod socket {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// Contract 6a: a regular file at the socket path is not deleted;
+    /// Contract 5a: a regular file at the socket path is not deleted;
     /// `serve_unix` returns an error instead of serving.
     #[test]
     fn serve_unix_refuses_a_regular_file() {
@@ -556,7 +460,7 @@ mod socket {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// Contract 6b: a second daemon on a live daemon's socket path returns
+    /// Contract 5b: a second daemon on a live daemon's socket path returns
     /// an error, and the first daemon keeps answering.
     #[test]
     fn serve_unix_refuses_a_live_daemons_socket() {
@@ -580,7 +484,7 @@ mod socket {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// Contract 6c: a socket file whose listener is gone (dropped without
+    /// Contract 5c: a socket file whose listener is gone (dropped without
     /// unlinking) is stale; `serve_unix` replaces it and serves.
     #[test]
     fn serve_unix_replaces_a_stale_socket() {
